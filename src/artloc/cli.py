@@ -326,12 +326,9 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
     A = rf.algebra
     x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
-    try:
-        verdict = ext_closure_contains_k(
-            A, x, args.depth, budget=args.budget, seed=args.seed, workers=args.workers
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    verdict = ext_closure_contains_k(
+        A, x, args.depth, budget=args.budget, seed=args.seed, workers=args.workers
+    )
     results = {"element": A.render_element(x), **_census_payload(verdict)}
     lines = [
         f"contains_k = {verdict.contains_k} through level {verdict.depth} "
@@ -481,6 +478,17 @@ def _cmd_verify_paper(args) -> tuple[dict, list[str], int]:
     return results, lines, 0 if not failed else 1
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artloc",
@@ -496,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quiet", action="store_true", help="no text output, no timing")
 
     def enumflags(sp):
-        sp.add_argument("--depth", type=int, default=3, help="filt/closure levels (default 3)")
+        sp.add_argument("--depth", type=_int_at_least(1), default=3, help="filt/closure levels (default 3)")
         sp.add_argument("--budget", type=int, default=1 << 20, help="cocycle cap per level")
         sp.add_argument("--seed", type=int, default=0, help="isomorphism-search seed")
         sp.add_argument("--workers", type=int, default=1, help="enumeration worker threads")
@@ -508,14 +516,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("resolve", help="minimal free resolution and Betti numbers")
     common(sp)
     sp.add_argument("--module", default="k", help="k, R, or R/(g1,g2,...)")
-    sp.add_argument("--steps", type=int, default=5, help="resolution steps (default 5)")
+    sp.add_argument("--steps", type=_int_at_least(0), default=5, help="resolution steps (default 5)")
     sp.set_defaults(handler=_cmd_resolve)
 
     sp = sub.add_parser("tor", help="dimension of Tor_i(left, right)")
     common(sp)
     sp.add_argument("--left", default="k")
     sp.add_argument("--right", default="k")
-    sp.add_argument("--i", type=int, default=1)
+    sp.add_argument("--i", type=_int_at_least(0), default=1)
     sp.set_defaults(handler=_cmd_tor)
 
     sp = sub.add_parser("ext1", help="dimension of Ext^1(left, right)")
@@ -565,7 +573,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         results, lines, code = args.handler(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {}

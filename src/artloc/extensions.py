@@ -26,6 +26,7 @@ from .modules import (
     RingMatrix,
     SearchInconclusive,
     canonical_fingerprint,
+    direct_sum,
     ext1,
     free_module,
     hom_dim,
@@ -77,8 +78,7 @@ class ExtensionWitness:
             problems.append("inject has a kernel")
         if not self.project.is_surjective():
             problems.append("project is not onto")
-        ops = linalg.subspace_ops(self.inject.image(), self.project.kernel())
-        if not (ops.left_in_right and ops.right_in_left):
+        if self.inject.image() != linalg.column_space(self.project.kernel()):
             problems.append("image(inject) differs from kernel(project)")
         return problems
 
@@ -91,7 +91,7 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
     p = A.p
     phi = ext.cocycle(coeffs)
     F0 = free_module(A, ext.beta0)
-    D = _direct_sum_pair(Y, F0)
+    D = direct_sum(Y, F0)
     d1lin = ext.d1.as_linear_map().array
     graph_cols = []
     for b in range(ext.beta1):
@@ -111,15 +111,6 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
     if problems:
         raise LiftFailure("cocycle produced a non-exact sequence: " + "; ".join(problems))
     return witness
-
-
-def _direct_sum_pair(M: FpModule, N: FpModule) -> FpModule:
-    A = M.algebra
-    d = M.dim + N.dim
-    action = np.zeros((A.dim, d, d), dtype=np.int64)
-    action[:, : M.dim, : M.dim] = M.action
-    action[:, M.dim :, M.dim :] = N.action
-    return FpModule(A, action, validate=False)
 
 
 @dataclass
@@ -161,10 +152,7 @@ def _base_presentation(A: LocalAlgebra, x: np.ndarray, X: FpModule) -> FreePrese
 
 def _verify_presents(T: RingMatrix, cover: ModuleMap) -> None:
     """Exactness of A^c -> A^r -> M -> 0: image of T equals kernel of cover."""
-    im = linalg.column_space(T.as_linear_map())
-    ker = cover.kernel()
-    ops = linalg.subspace_ops(im, ker)
-    if not (ops.left_in_right and ops.right_in_left):
+    if linalg.column_space(T.as_linear_map()) != linalg.column_space(cover.kernel()):
         raise LiftFailure("matrix image does not match the cover kernel")
 
 
@@ -301,7 +289,7 @@ def splice_nodes(bottom: FiltNode, top: FiltNode) -> FiltNode:
     steps = list(top.chain)
     # first spliced step: 0 -> M -> M + X -> X -> 0 split
     X = top_modules[0]
-    mid = _direct_sum_pair(carried, X)
+    mid = direct_sum(carried, X)
     inj = np.zeros((mid.dim, carried.dim), dtype=np.int64)
     inj[: carried.dim] = np.eye(carried.dim, dtype=np.int64)
     prj = np.zeros((X.dim, mid.dim), dtype=np.int64)
@@ -314,7 +302,7 @@ def splice_nodes(bottom: FiltNode, top: FiltNode) -> FiltNode:
     chain.append(w0)
     carried = mid
     for w in steps:
-        new_mid = _direct_sum_pair(M, w.middle)
+        new_mid = direct_sum(M, w.middle)
         inj = np.zeros((new_mid.dim, carried.dim), dtype=np.int64)
         inj[: M.dim, : M.dim] = np.eye(M.dim, dtype=np.int64)
         inj[M.dim :, M.dim :] = w.inject.matrix
@@ -438,9 +426,7 @@ def complement_ideal(A: LocalAlgebra, x: np.ndarray) -> IdealSubspace:
             chosen.append(v)
             span = linalg.subspace_sum(span, PrimeFieldMatrix(v.reshape(-1, 1), p))
     I = A.ideal(chosen)
-    full = linalg.subspace_sum(A.principal_ideal(xv).basis, I.basis)
-    ops = linalg.subspace_ops(full, A.maxideal().basis)
-    if not (ops.left_in_right and ops.right_in_left):
+    if linalg.subspace_sum(A.principal_ideal(xv).basis, I.basis) != A.maxideal().basis:
         raise LiftFailure("(x) + I failed to recover the maximal ideal")
     return I
 
@@ -474,9 +460,7 @@ def strict_upper_reduction(pres: FreePresentation) -> ReducedPresentation:
             if not I.contains(ent[i, j]):
                 raise LiftFailure("reduction left an entry outside I")
     before = linalg.column_space(pres.relations.as_linear_map())
-    after = linalg.column_space(reduced.as_linear_map())
-    ops = linalg.subspace_ops(before, after)
-    if not (ops.left_in_right and ops.right_in_left):
+    if linalg.column_space(reduced.as_linear_map()) != before:
         raise LiftFailure("column operations changed the column space")
     new_pres = FreePresentation(relations=reduced, cover=pres.cover, minimal=pres.minimal)
     return ReducedPresentation(new_pres, I)
@@ -612,7 +596,7 @@ def hypersurface_ladder_check(A: LocalAlgebra) -> LadderReport:
     X_mat = A.mult_by(x)
     for i in range(1, n):
         Ci, Cm, Cp_ = quots[i], quots[i - 1], quots[i + 1]
-        mid = _direct_sum_pair(Cm.module, Cp_.module)
+        mid = direct_sum(Cm.module, Cp_.module)
         f = np.vstack(
             [
                 (Cm.proj.matrix @ Ci.lift.array) % p,

@@ -83,13 +83,6 @@ class RrefResult(NamedTuple):
     pivots: tuple[int, ...]
 
 
-class SubspaceOps(NamedTuple):
-    sum: "PrimeFieldMatrix"
-    intersection: "PrimeFieldMatrix"
-    left_in_right: bool
-    right_in_left: bool
-
-
 class PrimeFieldMatrix:
     """Immutable dense matrix over F_p."""
 
@@ -321,12 +314,3 @@ def subspace_intersection(u: PrimeFieldMatrix, v: PrimeFieldMatrix) -> PrimeFiel
     inter = (u.array @ k.array[: u.cols]) % u.p
     return column_space(PrimeFieldMatrix(inter, u.p))
 
-
-def subspace_ops(u: PrimeFieldMatrix, v: PrimeFieldMatrix) -> SubspaceOps:
-    """Sum, intersection and mutual containment of two subspaces."""
-    return SubspaceOps(
-        sum=subspace_sum(u, v),
-        intersection=subspace_intersection(u, v),
-        left_in_right=is_subspace(u, v),
-        right_in_left=is_subspace(v, u),
-    )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import PrimeFieldMatrix
-from .algebra import IdealSubspace, LocalAlgebra, QuotientRing, quotient_ring
+from .algebra import IdealSubspace, LocalAlgebra, QuotientRing
 
 
 class SearchInconclusive(RuntimeError):
@@ -279,11 +279,6 @@ def residue_field(A: LocalAlgebra) -> FpModule:
     return cyclic_module(A, A.maxideal())
 
 
-def quotient_ring_as_algebra(A: LocalAlgebra, ideal: IdealSubspace) -> QuotientRing:
-    """A/I as a LocalAlgebra (for base change), with projection and section."""
-    return quotient_ring(A, ideal)
-
-
 # -- ring-entry matrices and presentations ----------------------------------------------
 
 
@@ -315,15 +310,13 @@ class RingMatrix:
         return RingMatrix(self.algebra, np.transpose(self.entries, (1, 0, 2)))
 
     def acting_on(self, N: FpModule) -> PrimeFieldMatrix:
-        """Block matrix of the induced map N^cols -> N^rows."""
+        """Block matrix of the induced map N^cols -> N^rows: block (r, c) is
+        the action on N of entry (r, c)."""
         if N.algebra is not self.algebra:
             raise ValueError("module lives over a different algebra")
-        d = N.dim
-        out = np.zeros((self.rows * d, self.cols * d), dtype=np.int64)
-        for r in range(self.rows):
-            for c in range(self.cols):
-                out[r * d : (r + 1) * d, c * d : (c + 1) * d] = N.action_of(self.entries[r, c])
-        return PrimeFieldMatrix(out, self.algebra.p)
+        out = np.einsum("rca,aij->ricj", self.entries, N.action)
+        np.mod(out, self.algebra.p, out=out)
+        return PrimeFieldMatrix(out.reshape(self.rows * N.dim, self.cols * N.dim), self.algebra.p)
 
     def as_linear_map(self) -> PrimeFieldMatrix:
         """The induced map A^cols -> A^rows on free-module coordinates."""
@@ -614,6 +607,22 @@ def hom_dim(M: FpModule, N: FpModule) -> int:
     return d1.rows * N.dim - linalg.rank_mod(D.array, M.algebra.p)
 
 
+def _generator_images(M: FpModule, N: FpModule) -> tuple[np.ndarray, np.ndarray]:
+    """(lift, imgs): imgs[t, i] is the image of M's i-th minimal generator
+    under the t-th canonical basis element of Hom_A(M, N)."""
+    d1, lift, D = _hom_constraint(M, N)
+    ker = linalg.kernel_basis(D)
+    return lift, ker.array.T.reshape(ker.cols, d1.rows, N.dim)
+
+
+def _hom_matrices(N: FpModule, lift: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+    """The (..., dim_N, dim_M) matrices of the homs with generator images imgs."""
+    # e_j * n_i columns, laid out (generator major, algebra basis minor)
+    ev = np.einsum("jnm,...im->...nij", N.action, imgs)
+    ev = ev.reshape(imgs.shape[:-2] + (N.dim, imgs.shape[-2] * N.algebra.dim)) % N.algebra.p
+    return (ev @ lift) % N.algebra.p
+
+
 def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
     """Basis of Hom_A(M, N) as (dim_N, dim_M) matrices, canonically ordered.
 
@@ -623,22 +632,10 @@ def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
-    A = M.algebra
-    p = A.p
     if M.dim == 0 or N.dim == 0:
         return []
-    d1, lift, D = _hom_constraint(M, N)
-    b0 = d1.rows
-    ker = linalg.kernel_basis(D)
-    out = []
-    for t in range(ker.cols):
-        imgs = ker.column(t).reshape(b0, N.dim)
-        # e_j * n_i columns, laid out (generator major, algebra basis minor)
-        ev = np.zeros((N.dim, b0 * A.dim), dtype=np.int64)
-        for i in range(b0):
-            ev[:, i * A.dim : (i + 1) * A.dim] = np.tensordot(N.action, imgs[i], axes=(2, 0)).T
-        out.append((ev @ lift) % p)
-    return out
+    lift, imgs = _generator_images(M, N)
+    return list(_hom_matrices(N, lift, imgs))
 
 
 def hom_space(M: FpModule, N: FpModule) -> list[ModuleMap]:
@@ -668,25 +665,29 @@ def _digit_block(start: int, stop: int, p: int, width: int) -> np.ndarray:
 
 
 def _find_unit_combo(stack: np.ndarray, coeff_blocks, p: int) -> Optional[np.ndarray]:
-    """First coefficient combination whose hom matrix is invertible, or None."""
-    n = stack.shape[1]
+    """First coefficient row whose combination of the stacked square
+    matrices is invertible, or None."""
     for coeffs in coeff_blocks:
         if coeffs.size == 0:
             continue
         cands = np.tensordot(coeffs, stack, axes=(1, 0)) % p
         hit = np.nonzero(linalg.invertible_batch(cands, p))[0]
         if hit.size:
-            return cands[hit[0]]
+            return coeffs[hit[0]]
     return None
 
 
 def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14) -> IsoResult:
-    """Decide M = N by searching Hom(M, N) for an invertible element.
+    """Decide M = N by searching the image of Hom(M, N) in Hom_k(M/mM, N/mN).
 
-    Exhaustive (hence definite) when the monic combination count fits the
-    scan budget; otherwise seeded random sampling that raises
+    By Nakayama, a hom between modules of equal dimension is an isomorphism
+    iff its top map is invertible, and that image has dimension r at most
+    mu(M) mu(N). The scan over monic combinations of r independent top maps
+    is exhaustive (hence definite) when their count fits
+    EXHAUSTIVE_COMBO_BUDGET; otherwise seeded random sampling raises
     SearchInconclusive on budget exhaustion, which is distinct from a
-    definite no.
+    definite no. Only the winning combination is lifted to a matrix, and
+    it is checked to be A-linear and invertible before it is returned.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
@@ -699,31 +700,42 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
         return IsoResult(False, None)
     if M.iso_profile() != N.iso_profile():
         return IsoResult(False, None)
-    homs = hom_space_matrices(M, N)
-    h = len(homs)
+    lift, imgs = _generator_images(M, N)
+    h = imgs.shape[0]
     if h == 0:
         return IsoResult(False, None)
-    stack = np.stack(homs)
+    # rows of `top` are functionals vanishing exactly on mN: a fixed N -> N/mN.
+    # Equal profiles give dim mM = dim mN, so the top maps are square.
+    top = linalg.kernel_basis(N.radical_subspace().transpose()).array.T
+    tops = np.einsum("un,tin->tui", top, imgs) % p
+    # the top maps of the first independent Hom basis elements span the image
+    keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(h, -1).T, p)).pivots)
+    stack, imgs = tops[keep], imgs[keep]
+    r = len(keep)
+
+    def lifted(coeffs: np.ndarray) -> IsoResult:
+        H = _hom_matrices(N, lift, np.tensordot(coeffs, imgs, axes=(0, 0)) % p)
+        if np.any((N.action @ H - H @ M.action) % p) or linalg.rank_mod(H, p) != M.dim:
+            raise RuntimeError("lifted top-space witness is not an isomorphism")
+        return IsoResult(True, ModuleMap(M, N, H, validate=False))
 
     # scaling preserves invertibility, so scanning monic combinations
     # (first nonzero coefficient 1) covers every candidate up to units
-    if (p**h - 1) // (p - 1) <= EXHAUSTIVE_COMBO_BUDGET:
+    if (p**r - 1) // (p - 1) <= EXHAUSTIVE_COMBO_BUDGET:
 
         def monic_blocks():
-            for lead in range(h):
-                tail = h - lead - 1
+            for lead in range(r):
+                tail = r - lead - 1
                 total = p**tail
                 for start in range(0, total, 4096):
                     digits = _digit_block(start, min(start + 4096, total), p, tail)
-                    block = np.zeros((digits.shape[0], h), dtype=np.int64)
+                    block = np.zeros((digits.shape[0], r), dtype=np.int64)
                     block[:, lead] = 1
                     block[:, lead + 1 :] = digits
                     yield block
 
-        cand = _find_unit_combo(stack, monic_blocks(), p)
-        if cand is not None:
-            return IsoResult(True, ModuleMap(M, N, cand, validate=False))
-        return IsoResult(False, None)
+        coeffs = _find_unit_combo(stack, monic_blocks(), p)
+        return IsoResult(False, None) if coeffs is None else lifted(coeffs)
 
     rng = np.random.default_rng(seed)
 
@@ -732,20 +744,21 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
         while done < total:
             take = min(1024, total - done)
             done += take
-            yield rng.integers(0, p, size=(take, h)).astype(np.int64)
+            yield rng.integers(0, p, size=(take, r)).astype(np.int64)
 
     # one cheap block first: isomorphic pairs almost always resolve here
     first = min(1024, budget)
-    cand = _find_unit_combo(stack, sample_blocks(first), p)
-    if cand is not None:
-        return IsoResult(True, ModuleMap(M, N, cand, validate=False))
+    coeffs = _find_unit_combo(stack, sample_blocks(first), p)
+    if coeffs is not None:
+        return lifted(coeffs)
     # necessary for isomorphism: Hom(M,N), Hom(N,M), End(M), End(N) all share
     # a dimension (composition with an isomorphism is a linear bijection)
     if hom_dim(M, M) != h or hom_dim(N, N) != h or hom_dim(N, M) != h:
         return IsoResult(False, None)
-    cand = _find_unit_combo(stack, sample_blocks(budget - first), p)
-    if cand is not None:
-        return IsoResult(True, ModuleMap(M, N, cand, validate=False))
+    coeffs = _find_unit_combo(stack, sample_blocks(budget - first), p)
+    if coeffs is not None:
+        return lifted(coeffs)
     raise SearchInconclusive(
-        f"no invertible hom found in {budget} samples (dim Hom = {h}); not a proof of non-isomorphism"
+        f"no invertible top map found in {budget} samples (dim Hom = {h}, top image dim = {r}); "
+        "not a proof of non-isomorphism"
     )

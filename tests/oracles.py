@@ -17,13 +17,15 @@ import itertools
 import numpy as np
 
 
-def rank_fp(rows, p: int) -> int:
-    """Rank over F_p by straightforward Gaussian elimination."""
+def _rref_fp(rows, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_p and its pivot columns, by
+    straightforward Gauss-Jordan elimination."""
     a = np.array(rows, dtype=np.int64) % p
+    pivots: list[int] = []
     if a.ndim != 2 or a.size == 0:
-        return 0
-    rank = 0
+        return a, pivots
     for c in range(a.shape[1]):
+        rank = len(pivots)
         below = np.nonzero(a[rank:, c])[0]
         if below.size == 0:
             continue
@@ -34,10 +36,28 @@ def rank_fp(rows, p: int) -> int:
         hit = hit[hit != rank]
         if hit.size:
             a[hit] = (a[hit] - np.outer(a[hit, c], a[rank])) % p
-        rank += 1
-        if rank == a.shape[0]:
+        pivots.append(c)
+        if len(pivots) == a.shape[0]:
             break
-    return rank
+    return a, pivots
+
+
+def rank_fp(rows, p: int) -> int:
+    """Rank over F_p."""
+    return len(_rref_fp(rows, p)[1])
+
+
+def null_space_fp(rows, p: int, ncols: int) -> list[np.ndarray]:
+    """Basis of {v : rows v = 0} in F_p^ncols, one free variable each."""
+    a, pivots = _rref_fp(rows, p)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = np.zeros(ncols, dtype=np.int64)
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -a[r, f] % p
+        basis.append(v)
+    return basis
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -97,15 +117,42 @@ def dict_to_text(term_dict, variables) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-def hom_dim_kron(M_action: np.ndarray, N_action: np.ndarray, p: int) -> int:
-    """dim Hom over the algebra by the textbook construction: stack the
-    commuting constraints (A_i^T (x) I) - (I (x) B_i) and take the nullity."""
+def _kron_constraints(M_action: np.ndarray, N_action: np.ndarray, p: int) -> np.ndarray:
+    """The commuting constraints (A_i^T (x) I) - (I (x) B_i) on column-major
+    vec(H), stacked over the non-unit basis elements."""
     dm, dn = M_action.shape[1], N_action.shape[1]
-    blocks = []
+    blocks = [np.zeros((0, dm * dn), dtype=np.int64)]
     for i in range(1, M_action.shape[0]):
         left = np.kron(M_action[i].T, np.eye(dn, dtype=np.int64))
         right = np.kron(np.eye(dm, dtype=np.int64), N_action[i])
         blocks.append((left - right) % p)
-    if not blocks:
-        return dm * dn
-    return dm * dn - rank_fp(np.vstack(blocks), p)
+    return np.vstack(blocks)
+
+
+def hom_dim_kron(M_action: np.ndarray, N_action: np.ndarray, p: int) -> int:
+    """dim Hom over the algebra by the textbook construction: stack the
+    commuting constraints and take the nullity."""
+    dm, dn = M_action.shape[1], N_action.shape[1]
+    return dm * dn - rank_fp(_kron_constraints(M_action, N_action, p), p)
+
+
+def hom_basis_kron(M_action: np.ndarray, N_action: np.ndarray, p: int) -> list[np.ndarray]:
+    """Basis of Hom over the algebra as (dim N, dim M) matrices: the null
+    space of the same constraints, read back from column-major vec(H)."""
+    dm, dn = M_action.shape[1], N_action.shape[1]
+    null = null_space_fp(_kron_constraints(M_action, N_action, p), p, dm * dn)
+    return [v.reshape(dm, dn).T for v in null]
+
+
+def is_isomorphic_brute(M_action: np.ndarray, N_action: np.ndarray, p: int) -> bool:
+    """M = N iff some combination of a Hom basis has full rank; every one of
+    the p^h combinations is tried, so keep h small."""
+    n = M_action.shape[1]
+    if N_action.shape[1] != n:
+        return False
+    basis = hom_basis_kron(M_action, N_action, p)
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        H = sum((c * B for c, B in zip(coeffs, basis)), np.zeros((n, n), dtype=np.int64))
+        if rank_fp(H, p) == n:
+            return True
+    return False

@@ -237,6 +237,26 @@ def test_bad_relation_reports_position(tmp_path, capsys):
     assert "position 1" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "example1.ring", "--p", "65537"],
+        ["tor", "example1.ring", "--left", "k", "--right", "k", "--i", "-1"],
+        ["filt", "example1.ring", "--element", "1"],
+        ["filt", "example1.ring", "--depth", "0"],
+        ["resolve", "example1.ring", "--module", "k", "--steps", "-1"],
+    ],
+)
+def test_bad_flag_values_exit_2_without_traceback(argv):
+    argv = [argv[0], _ring(argv[1]), *argv[2:], "--quiet"]
+    out = subprocess.run(
+        [sys.executable, "-m", "artloc", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 2
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_json_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from artloc import linalg
-from artloc.catalog import hypersurface_ring
+from artloc import linalg, modules
+from artloc.catalog import complete_intersection_ring, hypersurface_ring, make_ring
 from artloc.modules import (
     FpModule,
     ModuleMap,
+    RingMatrix,
     SearchInconclusive,
     base_change,
     betti_numbers,
@@ -31,9 +36,9 @@ from artloc.modules import (
     tor,
 )
 from artloc.algebra import quotient_ring
-from artloc.extensions import complement_ideal
+from artloc.extensions import complement_ideal, filt_enumerate
 
-from oracles import hom_dim_kron
+from oracles import hom_dim_kron, is_isomorphic_brute
 
 
 def _cyclic(A, text):
@@ -226,12 +231,113 @@ def test_is_isomorphic_rejects_different_structure(example1, pair):
     assert not bool(is_isomorphic(residue_field(example1), regular_module(example1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _ci(p):
+    return complete_intersection_ring(p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from(["zero", "k", "R", "R+k", "R/(x)"]),
+)
+@example(0, 2, 0, 2, "R")
+@example(0, 3, 2, 0, "R+k")
+@example(0, 5, 2, 3, "zero")
+def test_acting_on_matches_per_entry_blocks(seed, p, rows, cols, which):
+    A = _ci(p)
+    N = {
+        "zero": lambda: FpModule(A, np.zeros((A.dim, 0, 0), dtype=np.int64)),
+        "k": lambda: residue_field(A),
+        "R": lambda: regular_module(A),
+        "R+k": lambda: direct_sum(regular_module(A), residue_field(A)),
+        "R/(x)": lambda: _cyclic(A, "x"),
+    }[which]()
+    T = RingMatrix(A, np.random.default_rng(seed).integers(0, p, size=(rows, cols, A.dim)))
+    d = N.dim
+    want = np.zeros((rows * d, cols * d), dtype=np.int64)
+    for r in range(rows):
+        for c in range(cols):
+            want[r * d : (r + 1) * d, c * d : (c + 1) * d] = N.action_of(T.entries[r, c])
+    got = T.acting_on(N)
+    assert got.p == p
+    assert got.shape == want.shape
+    assert (got.array == want).all()
+
+
+def _random_conjugate(M, rng):
+    """The same module in a random basis: isomorphic, different bytes."""
+    p, n = M.algebra.p, M.dim
+    while True:
+        S = rng.integers(0, p, size=(n, n))
+        if linalg.rank_mod(S, p) == n:
+            break
+    S_inv = linalg.solve_matrix(
+        linalg.PrimeFieldMatrix(S, p), linalg.PrimeFieldMatrix.identity(n, p)
+    ).array
+    N = FpModule(M.algebra, S_inv @ M.action @ S)
+    assert N.action.tobytes() != M.action.tobytes()
+    return N
+
+
+def _kronecker_module(A, lam):
+    """Over k[x,y]/(x,y)^2: top g and socle s with x g = s and y g = lam s."""
+    one, x, y = (A.element_from_string(t) for t in ("1", "x", "y"))
+    E = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    action = [one[i] * np.eye(2, dtype=np.int64) + (x[i] + lam * y[i]) * E for i in range(A.dim)]
+    return FpModule(A, np.stack(action))
+
+
+def test_is_isomorphic_agrees_with_brute_force_oracle(example1, goto, stretched):
+    rng = np.random.default_rng(20)
+    # the Kronecker modules for lam = 1, 2 share iso_profile and every hom
+    # dimension below, so only the search over Hom can tell them apart
+    K = make_ring(["x", "y"], ["x^2", "xy", "y^2"], 3)
+    M1, M2 = _kronecker_module(K, 1), _kronecker_module(K, 2)
+    assert M1.iso_profile() == M2.iso_profile()
+    for T in (residue_field(K), regular_module(K)):
+        assert hom_dim(M1, T) == hom_dim(M2, T) and hom_dim(T, M1) == hom_dim(T, M2)
+    assert hom_dim(M1, M1) == hom_dim(M2, M2) and hom_dim(M1, M2) == hom_dim(M2, M1)
+    pairs = [(M1, M2), (direct_sum(M1, M1), direct_sum(M1, M2))]
+    x = goto.element_from_string("x")
+    level2 = filt_enumerate(_cyclic(goto, "x"), 2, x_element=x)[1]
+    modules = [regular_module(example1), _cyclic(stretched, "x"), M1, direct_sum(M1, M2)]
+    modules += [node.module for node in level2[1:]]  # End of level2[0] has dim 12
+    pairs += [(M, _random_conjugate(M, rng)) for M in modules]
+    pairs += [(level2[0].module, _random_conjugate(node.module, rng)) for node in level2[1:]]
+    verdicts = []
+    for M, N in pairs:
+        p = M.algebra.p
+        assert hom_dim(M, N) <= 10
+        result = is_isomorphic(M, N)
+        assert bool(result) == is_isomorphic_brute(M.action, N.action, p)
+        verdicts.append(bool(result))
+        if result:
+            H = result.witness.matrix
+            assert linalg.rank_mod(H, p) == M.dim
+            assert not ((N.action @ H - H @ M.action) % p).any()
+    assert verdicts.count(True) == len(modules)
+    assert verdicts.count(False) == len(pairs) - len(modules)
+
+
 def test_is_isomorphic_budget_exhaustion_raises(pair):
     k = residue_field(pair)
     M = direct_sum(direct_sum(k, k), direct_sum(k, k))
     M5 = direct_sum(M, k)
     with pytest.raises(SearchInconclusive):
         is_isomorphic(M5, direct_sum(M, k), budget=0)
+
+
+def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
+    R = regular_module(example1)
+    assert is_isomorphic(R, R)
+    broken = lambda N, lift, imgs: np.zeros((N.dim, N.dim), dtype=np.int64)
+    monkeypatch.setattr(modules, "_hom_matrices", broken)
+    with pytest.raises(RuntimeError, match="not an isomorphism"):
+        is_isomorphic(R, R)
 
 
 def test_iso_profile_is_permutation_invariant(example1):
