@@ -83,9 +83,6 @@ class IdealSubspace:
     def contains(self, v: np.ndarray) -> bool:
         return linalg.contains_vector(self.basis, v)
 
-    def contains_ideal(self, other: "IdealSubspace") -> bool:
-        return linalg.is_subspace(other.basis, self.basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IdealSubspace)
@@ -270,15 +267,9 @@ class LocalAlgebra:
         """Minimal generators of m: lexicographically first basis completion
         of m^2 inside m over the stored basis order."""
         if self._generator_set is None:
-            m2 = self.maxideal().power(2)
-            chosen: list[np.ndarray] = []
-            span = m2.basis
-            for i in range(1, self.dim):
-                v = self.basis_vector(i)
-                if not linalg.contains_vector(span, v):
-                    chosen.append(v)
-                    span = linalg.subspace_sum(span, PrimeFieldMatrix(v.reshape(-1, 1), self.p))
-            self._generator_set = PrimeFieldMatrix.from_columns(chosen, self.dim, self.p)
+            m = self.maxideal()
+            picks = linalg.greedy_completion(m.power(2).basis, m.basis)
+            self._generator_set = PrimeFieldMatrix(m.basis.array[:, picks], self.p)
         return self._generator_set
 
     def maxideal_powers(self) -> list[IdealSubspace]:
@@ -346,13 +337,8 @@ class LocalAlgebra:
         p = self.p
 
         def combos():
-            for n in range(1, p**e):
-                digits = []
-                k = n
-                for _ in range(e):
-                    digits.append(k % p)
-                    k //= p
-                yield np.array(digits, dtype=np.int64)
+            for block in linalg.digit_blocks(1, p**e, p, e):
+                yield from block
 
         for a in combos():
             x = (gens.array @ a) % p
@@ -528,30 +514,11 @@ def quotient_ring(A: LocalAlgebra, ideal: IdealSubspace) -> QuotientRing:
     """
     if ideal.ambient is not A:
         raise ValueError("ideal does not live in this algebra")
-    rr = linalg.rref(ideal.basis.transpose())
-    pivots = set(rr.pivots)
-    if 0 in pivots:
+    proj, lift, keep = linalg.complement_projection(ideal.basis)
+    if 0 not in keep:
         raise ValueError("cannot form the quotient by the unit ideal")
-    keep = [i for i in range(A.dim) if i not in pivots]
-    d = len(keep)
-    reducer = rr.matrix.array[: rr.rank]  # rows reduce pivot coordinates
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v = v.copy() % A.p
-        for r, c in enumerate(rr.pivots):
-            v = (v - v[c] * reducer[r]) % A.p
-        return v[keep]
-
-    proj = np.stack([project(np.eye(A.dim, dtype=np.int64)[:, i]) for i in range(A.dim)], axis=1)
-    lift = np.zeros((A.dim, d), dtype=np.int64)
-    for j, c in enumerate(keep):
-        lift[c, j] = 1
-    table = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(i, d):
-            v = project(A.mult(lift[:, i], lift[:, j]))
-            table[i, j] = v
-            table[j, i] = v
+    # the product of surviving basis elements e_i e_j is table[i, j], projected
+    table = (A.table[keep][:, keep] @ proj.T) % A.p
     labels = [f"[{A.labels[c]}]" for c in keep]
     B = LocalAlgebra(A.p, table, labels)
     return QuotientRing(

@@ -13,7 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import LocalAlgebra, from_presentation, idealization, quotient_ring, tensor_product
+from .algebra import (
+    AlgebraClass,
+    AlgebraInvariants,
+    LocalAlgebra,
+    from_presentation,
+    idealization,
+    quotient_ring,
+    tensor_product,
+)
 from .diagnose import (
     VERDICT_HYPERSURFACE,
     VERDICT_PAIR,
@@ -73,28 +81,29 @@ def goto_ring(p: int = 2) -> LocalAlgebra:
     return make_ring(["x", "y"], ["x^3", "x^2y^2", "y^3"], p)
 
 
-def analyze_payload(A: LocalAlgebra) -> dict:
-    """The `analyze` report body: invariants plus classification flags."""
-    inv = A.invariants()
-    cls = A.classify()
-    return {
+def invariants_payload(inv: AlgebraInvariants, cls: AlgebraClass) -> tuple[dict, dict]:
+    """The report fields for invariants and for classification flags,
+    shared by `analyze` and `diagnose`."""
+    invariants = {
         "length": inv.length,
         "edim": inv.edim,
         "hilbert": list(inv.hilbert),
         "socle_dim": inv.socle_dim,
         "top_socle_degree": inv.top_socle_degree,
-        "classify": {
-            "field": cls.is_field,
-            "hypersurface": cls.is_hypersurface,
-            "gorenstein": cls.is_gorenstein,
-            "stretched": cls.is_stretched,
-        },
-        "basis": list(A.labels),
     }
+    flags = {
+        "field": cls.is_field,
+        "hypersurface": cls.is_hypersurface,
+        "gorenstein": cls.is_gorenstein,
+        "stretched": cls.is_stretched,
+    }
+    return invariants, flags
 
 
-# worker count for the enumeration-based entries, set by run_corpus
-_WORKERS = 1
+def analyze_payload(A: LocalAlgebra) -> dict:
+    """The `analyze` report body: invariants plus classification flags."""
+    invariants, flags = invariants_payload(A.invariants(), A.classify())
+    return {**invariants, "classify": flags, "basis": list(A.labels)}
 
 
 @dataclass
@@ -228,7 +237,7 @@ def _check_filt_base_change():
     I = complement_ideal(A, x)
     qr = quotient_ring(A, I)
     X = cyclic_module(A, A.principal_ideal(x))
-    levels = filt_enumerate(X, 3, x_element=x, workers=_WORKERS)
+    levels = filt_enumerate(X, 3, x_element=x)
     checked = []
     for level_nodes in levels:
         for node in level_nodes:
@@ -243,7 +252,7 @@ def _check_filt_length_additive():
     for A, xt in ((pair_ring(), "x"), (dual_numbers(), "x")):
         x = A.element_from_string(xt)
         X = cyclic_module(A, A.principal_ideal(x))
-        levels = filt_enumerate(X, 3, x_element=x, workers=_WORKERS)
+        levels = filt_enumerate(X, 3, x_element=x)
         for level_nodes in levels:
             for node in level_nodes:
                 results.append(node.module.dim == node.level * X.dim)
@@ -313,9 +322,7 @@ CORPUS = [
 ]
 
 
-def run_corpus(workers: int = 1) -> list[CorpusResult]:
-    global _WORKERS
-    _WORKERS = workers
+def run_corpus() -> list[CorpusResult]:
     out = []
     for id_, description, fn in sorted(CORPUS, key=lambda e: e[0]):
         try:

@@ -12,8 +12,8 @@ diagnose, verify-paper. Ring definition files are plain text:
 
 Polynomials follow the parser grammar (juxtaposition products, "^" powers,
 no "*" token). Reports are JSON with sorted keys and schema version 1;
-given the same input and configuration they are byte-identical across runs
-and worker counts. Elapsed time goes to stderr only.
+given the same input and configuration they are byte-identical across runs.
+Elapsed time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import LocalAlgebra, NotLocalError, from_presentation
-from .catalog import analyze_payload, run_corpus
+from .catalog import analyze_payload, invariants_payload, run_corpus
 from .diagnose import VERDICT_INCONCLUSIVE, DiagnosisReport, diagnose
 from .extensions import (
     EnumerationBudgetExceeded,
@@ -109,6 +109,11 @@ def load_ring(path: str, p_override: Optional[int] = None) -> RingFile:
                 raise CliError(f"{path}:{lineno}: bad characteristic '{tok}'")
         elif tok.startswith("vars="):
             variables = [v.strip() for v in tok[5:].split(",") if v.strip()]
+            for i, name in enumerate(variables):
+                if not name.isidentifier():
+                    raise CliError(f"{path}:{lineno}: '{name}' is not a valid variable name")
+                if name in variables[:i]:
+                    raise CliError(f"{path}:{lineno}: duplicate variable '{name}'")
         else:
             raise CliError(f"{path}:{lineno}: unexpected token '{tok}' in header")
     if p is None or not variables:
@@ -283,9 +288,7 @@ def _cmd_filt(args) -> tuple[dict, list[str], int]:
     X = cyclic_module(A, A.principal_ideal(x))
     exceeded = False
     try:
-        levels = filt_enumerate(
-            X, args.depth, x_element=x, budget=args.budget, seed=args.seed, workers=args.workers
-        )
+        levels = filt_enumerate(X, args.depth, x_element=x, budget=args.budget, seed=args.seed)
     except EnumerationBudgetExceeded as exc:
         levels = exc.partial_levels
         exceeded = True
@@ -326,9 +329,7 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
     A = rf.algebra
     x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
-    verdict = ext_closure_contains_k(
-        A, x, args.depth, budget=args.budget, seed=args.seed, workers=args.workers
-    )
+    verdict = ext_closure_contains_k(A, x, args.depth, budget=args.budget, seed=args.seed)
     results = {"element": A.render_element(x), **_census_payload(verdict)}
     lines = [
         f"contains_k = {verdict.contains_k} through level {verdict.depth} "
@@ -392,22 +393,12 @@ def _cmd_matrix_check(args) -> tuple[dict, list[str], int]:
 
 
 def _diagnosis_payload(A: LocalAlgebra, rep: DiagnosisReport) -> dict:
+    invariants, flags = invariants_payload(rep.invariants, rep.classification)
     payload = {
         "verdict": rep.verdict,
         "applicable": list(rep.applicable),
-        "invariants": {
-            "length": rep.invariants.length,
-            "edim": rep.invariants.edim,
-            "hilbert": list(rep.invariants.hilbert),
-            "socle_dim": rep.invariants.socle_dim,
-            "top_socle_degree": rep.invariants.top_socle_degree,
-        },
-        "classify": {
-            "field": rep.classification.is_field,
-            "hypersurface": rep.classification.is_hypersurface,
-            "gorenstein": rep.classification.is_gorenstein,
-            "stretched": rep.classification.is_stretched,
-        },
+        "invariants": invariants,
+        "classify": flags,
         "pair": [A.render_element(rep.pair[0]), A.render_element(rep.pair[1])]
         if rep.pair is not None
         else None,
@@ -428,13 +419,7 @@ def _diagnosis_payload(A: LocalAlgebra, rep: DiagnosisReport) -> dict:
 
 def _cmd_diagnose(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
-    rep = diagnose(
-        rf.algebra,
-        depth=args.depth,
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    rep = diagnose(rf.algebra, depth=args.depth, budget=args.budget, seed=args.seed)
     results = _diagnosis_payload(rf.algebra, rep)
     lines = [f"verdict: {rep.verdict}"]
     if len(rep.applicable) > 1:
@@ -451,7 +436,7 @@ def _cmd_diagnose(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_verify_paper(args) -> tuple[dict, list[str], int]:
-    results_list = run_corpus(workers=args.workers)
+    results_list = run_corpus()
     entries = [
         {
             "id": r.id,
@@ -507,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--depth", type=_int_at_least(1), default=3, help="filt/closure levels (default 3)")
         sp.add_argument("--budget", type=int, default=1 << 20, help="cocycle cap per level")
         sp.add_argument("--seed", type=int, default=0, help="isomorphism-search seed")
-        sp.add_argument("--workers", type=int, default=1, help="enumeration worker threads")
 
     sp = sub.add_parser("analyze", help="invariants and classification")
     common(sp)
@@ -561,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-paper", help="run the built-in verification corpus")
     common(sp, ring_file=False)
-    sp.add_argument("--workers", type=int, default=1, help="enumeration worker threads")
     sp.set_defaults(handler=_cmd_verify_paper)
 
     return parser

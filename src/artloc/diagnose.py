@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .algebra import AlgebraClass, AlgebraInvariants, LocalAlgebra, Presentation
 from .extensions import ClosureVerdict, ext_closure_contains_k
 from .modules import betti_numbers, cyclic_module
@@ -48,16 +49,13 @@ def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
     if A.dim == 1:
         return None
     m2 = A.maxideal().power(2)
-    for code in range(1, p ** (A.dim - 1)):
-        coords = np.zeros(A.dim, dtype=np.int64)
-        k = code
-        for i in range(1, A.dim):
-            coords[i] = k % p
-            k //= p
-        if m2.contains(coords):
-            continue
-        if A.annihilator(coords) == A.principal_ideal(coords):
-            return coords
+    for block in linalg.digit_blocks(1, p ** (A.dim - 1), p, A.dim - 1):
+        for digits in block:
+            coords = np.concatenate([[0], digits])
+            if m2.contains(coords):
+                continue
+            if A.annihilator(coords) == A.principal_ideal(coords):
+                return coords
     return None
 
 
@@ -97,7 +95,6 @@ def diagnose(
     depth: int = 3,
     budget: int = 1 << 20,
     seed: int = 0,
-    workers: int = 1,
 ) -> DiagnosisReport:
     if presentation is None:
         presentation = A.presentation
@@ -151,9 +148,7 @@ def diagnose(
 
     report.verdict = report.applicable[0]
     if report.verdict == VERDICT_PAIR:
-        report.census = ext_closure_contains_k(
-            A, report.pair[0], depth, budget=budget, seed=seed, workers=workers
-        )
+        report.census = ext_closure_contains_k(A, report.pair[0], depth, budget=budget, seed=seed)
     if (
         report.verdict == VERDICT_STRETCHED_GORENSTEIN
         and VERDICT_PAIR not in report.applicable

@@ -9,7 +9,6 @@ closure of R/(x) by scanning every node for a k-summand.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -127,14 +126,6 @@ class FiltNode:
     presentation: Optional[FreePresentation] = None
 
 
-def _digits(n: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(n % p)
-        n //= p
-    return tuple(out)
-
-
 def _base_presentation(A: LocalAlgebra, x: np.ndarray, X: FpModule) -> FreePresentation:
     """The 1x1 presentation (x) of the canonical cyclic module R/(x)."""
     ideal = A.principal_ideal(x)
@@ -199,14 +190,14 @@ def filt_enumerate(
     x_element: Optional[np.ndarray] = None,
     budget: int = DEFAULT_COCYCLE_BUDGET,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[list[FiltNode]]:
     """Levels 1..n of filt(X), each a deduplicated, canonically sorted list.
 
     Every cocycle of Ext^1(X, Y) is enumerated for every class Y one level
-    down (the full vector space, zero included). Isomorphism tests that
-    stay inconclusive keep candidates as distinct classes rather than
-    merging them. Worker count never changes the output."""
+    down (the full vector space, zero included), in base-p digit order of
+    the cocycle coordinates, and each middle term is deduplicated as soon
+    as it is built. Isomorphism tests that stay inconclusive keep
+    candidates as distinct classes rather than merging them."""
     if X.dim == 0:
         raise ValueError("X must be nonzero")
     if n < 1:
@@ -221,28 +212,17 @@ def filt_enumerate(
         required = sum(counts)
         if required > budget:
             raise EnumerationBudgetExceeded(levels, lev, required, budget)
-        tasks = [
-            (yi, ci)
-            for yi in range(len(prev))
-            for ci in range(counts[yi])
-        ]
-
-        def build(task: tuple[int, int]):
-            yi, ci = task
-            es = spaces[yi]
-            return yi, extension_from_cocycle(es, _digits(ci, A.p, es.dim))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(build, tasks, chunksize=16))
-        else:
-            results = [build(t) for t in tasks]
-
         classes: list[FiltNode] = []
         seen_bytes: set = set()
         buckets: dict = {}
         tests = [node.module for node in prev] + [X]
-        for yi, witness in results:
+        candidates = (
+            (ynode, extension_from_cocycle(es, coeffs))
+            for ynode, es, count in zip(prev, spaces, counts)
+            for block in linalg.digit_blocks(0, count, A.p, es.dim)
+            for coeffs in block
+        )
+        for ynode, witness in candidates:
             M = witness.middle
             fp = M.fingerprint()
             if fp in seen_bytes:
@@ -267,7 +247,6 @@ def filt_enumerate(
                     continue  # never merge without a witness
             if matched:
                 continue
-            ynode = prev[yi]
             pres = None
             if base is not None and ynode.presentation is not None:
                 pres = _triangular_step(ynode.presentation, witness, x_element, base)
@@ -419,13 +398,8 @@ def complement_ideal(A: LocalAlgebra, x: np.ndarray) -> IdealSubspace:
     if not A.is_in_maxideal(xv) or A.maxideal().power(2).contains(xv) or not np.any(xv):
         raise ValueError("x must be a minimal generator of the maximal ideal")
     span = linalg.subspace_sum(A.principal_ideal(xv).basis, A.maxideal().power(2).basis)
-    chosen = []
-    for i in range(1, A.dim):
-        v = A.basis_vector(i)
-        if not linalg.contains_vector(span, v):
-            chosen.append(v)
-            span = linalg.subspace_sum(span, PrimeFieldMatrix(v.reshape(-1, 1), p))
-    I = A.ideal(chosen)
+    m = A.maxideal().basis
+    I = A.ideal([m.column(j) for j in linalg.greedy_completion(span, m)])
     if linalg.subspace_sum(A.principal_ideal(xv).basis, I.basis) != A.maxideal().basis:
         raise LiftFailure("(x) + I failed to recover the maximal ideal")
     return I
@@ -502,7 +476,6 @@ def ext_closure_contains_k(
     *,
     budget: int = DEFAULT_COCYCLE_BUDGET,
     seed: int = 0,
-    workers: int = 1,
 ) -> ClosureVerdict:
     """Search every filt level <= max_n of R/(x) for a k-summand."""
     p = A.p
@@ -516,9 +489,7 @@ def ext_closure_contains_k(
     X = quotient_module(regular_module(A), A.principal_ideal(xv).basis).module
     complete = True
     try:
-        levels = filt_enumerate(
-            X, max_n, x_element=xv, budget=budget, seed=seed, workers=workers
-        )
+        levels = filt_enumerate(X, max_n, x_element=xv, budget=budget, seed=seed)
     except EnumerationBudgetExceeded as exc:
         levels = exc.partial_levels
         complete = False

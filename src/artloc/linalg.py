@@ -291,6 +291,45 @@ def column_space(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(a[:rank].T, m.p)
 
 
+def greedy_completion(span: PrimeFieldMatrix, candidates: PrimeFieldMatrix) -> list[int]:
+    """Indices of the candidate columns a left-to-right greedy scan keeps to
+    extend span(span): those earning a pivot past the span block in
+    rref([span | candidates]), each lying outside the span of all earlier
+    columns."""
+    aug = np.hstack([span.array, candidates.array])
+    _, pivots = _row_reduce(aug, span.p)
+    return [c - span.cols for c in pivots if c >= span.cols]
+
+
+def complement_projection(span: PrimeFieldMatrix) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(proj, lift, keep) for F_p^n -> F_p^n / span(span) in the canonical
+    complement coordinates keep, the non-pivot rows of rref(span^T); lift
+    is the coordinate section of proj.
+
+    Reducing v by the rref rows one pivot c at a time subtracts v[c] * row.
+    Each row is zero at every other pivot, so the steps do not interact and
+    the whole reduction is v - rows^T (v at the pivots): one product."""
+    a = span.array.T.copy()
+    rank, pivots = _row_reduce(a, span.p)
+    pivot_set = set(pivots)
+    keep = [i for i in range(span.rows) if i not in pivot_set]
+    eye = np.eye(span.rows, dtype=np.int64)
+    proj = (eye[keep] - a[:rank, keep].T @ eye[pivots]) % span.p
+    return proj, eye[:, keep], keep
+
+
+def digit_blocks(start: int, stop: int, p: int, width: int):
+    """Base-p digit rows (little-endian: digit i is (n // p^i) % p) of the
+    integers start..stop-1, yielded in blocks of at most 4096 rows."""
+    for lo in range(start, stop, 4096):
+        nums = np.arange(lo, min(lo + 4096, stop), dtype=np.int64)
+        out = np.zeros((nums.size, width), dtype=np.int64)
+        for d in range(width):
+            out[:, d] = nums % p
+            nums //= p
+        yield out
+
+
 def contains_vector(basis: PrimeFieldMatrix, v: np.ndarray) -> bool:
     return solve(basis, v) is not None
 

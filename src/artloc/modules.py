@@ -214,30 +214,10 @@ def quotient_module(M: FpModule, subspace: PrimeFieldMatrix) -> QuotientModule:
     """M / W for an action-invariant subspace W, with canonical complement
     coordinates (non-pivot rows of the rref of W)."""
     A = M.algebra
-    p = A.p
-    W = linalg.column_space(subspace)
-    rr = linalg.rref(W.transpose())
-    pivots = list(rr.pivots)
-    keep = [i for i in range(M.dim) if i not in set(pivots)]
-    reducer = rr.matrix.array[: rr.rank]
-
-    def project_vec(v: np.ndarray) -> np.ndarray:
-        v = v.copy() % p
-        for r, c in enumerate(pivots):
-            v = (v - v[c] * reducer[r]) % p
-        return v[keep]
-
-    pm = np.stack(
-        [project_vec(np.eye(M.dim, dtype=np.int64)[:, i]) for i in range(M.dim)], axis=1
-    ) if M.dim else np.zeros((0, 0), dtype=np.int64)
-    lift = np.zeros((M.dim, len(keep)), dtype=np.int64)
-    for j, c in enumerate(keep):
-        lift[c, j] = 1
-    action = np.stack([(pm @ M.action[i] @ lift) % p for i in range(A.dim)]) if M.dim else np.zeros(
-        (A.dim, 0, 0), dtype=np.int64
-    )
+    proj, lift, _ = linalg.complement_projection(subspace)
+    action = (proj @ M.action @ lift) % A.p
     Q = FpModule(A, action, validate=True)
-    return QuotientModule(Q, ModuleMap(M, Q, pm, validate=True), PrimeFieldMatrix(lift, p))
+    return QuotientModule(Q, ModuleMap(M, Q, proj, validate=True), PrimeFieldMatrix(lift, A.p))
 
 
 class SubModule(NamedTuple):
@@ -368,11 +348,7 @@ def minimal_generators(M: FpModule, subspace: Optional[PrimeFieldMatrix] = None)
         return [cols.column(j) for j in range(cols.cols)]
     mw = np.hstack([(M.action[i] @ cols.array) % p for i in range(1, A.dim)])
     span = linalg.column_space(PrimeFieldMatrix(mw, p))
-    # one elimination: candidates that earn a pivot past the m*W block are
-    # exactly the greedy picks against span(mW) + earlier picks
-    aug = PrimeFieldMatrix(np.hstack([span.array, cols.array]), p)
-    rr = linalg.rref(aug)
-    return [cols.column(j - span.cols) for j in rr.pivots if j >= span.cols]
+    return [cols.column(j) for j in linalg.greedy_completion(span, cols)]
 
 
 def _cover_matrix(M: FpModule, gens: Sequence[np.ndarray]) -> np.ndarray:
@@ -444,18 +420,6 @@ def minimal_presentation(M: FpModule) -> FreePresentation:
 # -- derived functors ---------------------------------------------------------------------
 
 
-def _coset_representatives(ker: PrimeFieldMatrix, im: PrimeFieldMatrix) -> list[np.ndarray]:
-    """Canonical vectors of ker completing im to ker (greedy over ker columns)."""
-    reps = []
-    span = linalg.column_space(im)
-    for j in range(ker.cols):
-        v = ker.column(j)
-        if not linalg.contains_vector(span, v):
-            reps.append(v)
-            span = linalg.subspace_sum(span, PrimeFieldMatrix(v.reshape(-1, 1), ker.p))
-    return reps
-
-
 def tor(M: FpModule, N: FpModule, i: int) -> tuple[int, list[np.ndarray]]:
     """Tor_i(M, N): dimension and coset representatives in N^{b_i} coordinates."""
     if i < 0:
@@ -467,8 +431,8 @@ def tor(M: FpModule, N: FpModule, i: int) -> tuple[int, list[np.ndarray]]:
         ker = PrimeFieldMatrix.identity(res.betti[0] * N.dim, p)
     else:
         ker = linalg.kernel_basis(res.differential(i).acting_on(N))
-    im = linalg.column_space(D_next)
-    reps = _coset_representatives(ker, im)
+    # canonical coset representatives: the ker columns completing im to ker
+    reps = [ker.column(j) for j in linalg.greedy_completion(linalg.column_space(D_next), ker)]
     return len(reps), reps
 
 
@@ -494,7 +458,7 @@ class Ext1Space:
         Z = linalg.kernel_basis(z_map)
         b_map = self.d1.transpose().acting_on(L)
         B = linalg.column_space(b_map)
-        self.reps = [r.reshape(self.beta1, L.dim).T for r in _coset_representatives(Z, B)]
+        self.reps = [Z.column(j).reshape(self.beta1, L.dim).T for j in linalg.greedy_completion(B, Z)]
         self.dim = len(self.reps)
 
     def cocycle(self, coeffs: Sequence[int]) -> np.ndarray:
@@ -523,12 +487,8 @@ def canonical_fingerprint(M: FpModule) -> tuple:
 def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
     """A witness v in socle(M) \\ mM when k is a direct summand, else None."""
     soc = M.socle_subspace()
-    rad = M.radical_subspace()
-    for j in range(soc.cols):
-        v = soc.column(j)
-        if not linalg.contains_vector(rad, v):
-            return v
-    return None
+    picks = linalg.greedy_completion(M.radical_subspace(), soc)
+    return soc.column(picks[0]) if picks else None
 
 
 def jordan_type(M: FpModule, t: np.ndarray) -> tuple[int, ...]:
@@ -654,16 +614,6 @@ class IsoResult:
 EXHAUSTIVE_COMBO_BUDGET = 1 << 17
 
 
-def _digit_block(start: int, stop: int, p: int, width: int) -> np.ndarray:
-    """Base-p digit rows (little-endian) for the integers start..stop-1."""
-    nums = np.arange(start, stop, dtype=np.int64)
-    out = np.zeros((nums.size, width), dtype=np.int64)
-    for d in range(width):
-        out[:, d] = nums % p
-        nums //= p
-    return out
-
-
 def _find_unit_combo(stack: np.ndarray, coeff_blocks, p: int) -> Optional[np.ndarray]:
     """First coefficient row whose combination of the stacked square
     matrices is invertible, or None."""
@@ -726,9 +676,7 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
         def monic_blocks():
             for lead in range(r):
                 tail = r - lead - 1
-                total = p**tail
-                for start in range(0, total, 4096):
-                    digits = _digit_block(start, min(start + 4096, total), p, tail)
+                for digits in linalg.digit_blocks(0, p**tail, p, tail):
                     block = np.zeros((digits.shape[0], r), dtype=np.int64)
                     block[:, lead] = 1
                     block[:, lead + 1 :] = digits

@@ -156,3 +156,36 @@ def is_isomorphic_brute(M_action: np.ndarray, N_action: np.ndarray, p: int) -> b
         if rank_fp(H, p) == n:
             return True
     return False
+
+
+def greedy_picks(span_vectors, candidates, p: int) -> list[int]:
+    """Indices of the candidates a per-vector greedy scan keeps: each kept
+    one raises the rank of the span vectors plus the candidates kept so far."""
+    basis = [list(v) for v in span_vectors]
+    picks = []
+    for j, v in enumerate(candidates):
+        if rank_fp(basis + [list(v)], p) > rank_fp(basis, p):
+            picks.append(j)
+            basis.append(list(v))
+    return picks
+
+
+def base_p_digits(n: int, p: int, width: int) -> list[int]:
+    """Little-endian base-p digits of n, truncated to width."""
+    return [(n // p**i) % p for i in range(width)]
+
+
+def project_by_pivots(span_vectors, p: int, n: int) -> tuple[np.ndarray, list[int]]:
+    """(proj, keep) for F_p^n -> F_p^n / span: keep is the non-pivot
+    coordinates of the rref of the span vectors, and each unit vector is
+    reduced against the rref rows one pivot at a time."""
+    a, pivots = _rref_fp(span_vectors, p)
+    keep = [i for i in range(n) if i not in pivots]
+    cols = []
+    for i in range(n):
+        v = np.zeros(n, dtype=np.int64)
+        v[i] = 1
+        for r, c in enumerate(pivots):
+            v = (v - v[c] * a[r]) % p
+        cols.append(v[keep])
+    return np.array(cols, dtype=np.int64).reshape(n, len(keep)).T, keep

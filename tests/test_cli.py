@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import artloc.cli as cli
 from artloc.cli import CliError, load_ring, main, parse_module_expr, resolve_element
@@ -56,6 +58,13 @@ def test_load_ring_error_positions(tmp_path):
         load_ring(bad_rel)
     assert ":2:" in str(err.value)
     assert "juxtaposition" in str(err.value)
+    duplicate = _write(tmp_path, "# x twice\np=2 vars=x,y,x\nx^2\ny^2\n")
+    with pytest.raises(CliError) as err:
+        load_ring(duplicate)
+    assert str(err.value) == f"{duplicate}:2: duplicate variable 'x'"
+    with pytest.raises(CliError) as err:
+        load_ring(_write(tmp_path, "p=2 vars=x,2x\nx^2\n"))
+    assert ":1: '2x' is not a valid variable name" in str(err.value)
 
 
 def test_load_ring_rejects_bad_headers(tmp_path):
@@ -245,10 +254,13 @@ def test_bad_relation_reports_position(tmp_path, capsys):
         ["filt", "example1.ring", "--element", "1"],
         ["filt", "example1.ring", "--depth", "0"],
         ["resolve", "example1.ring", "--module", "k", "--steps", "-1"],
+        ["analyze", "p=2 vars=x,y,x\nx^2\ny^2\n"],
     ],
 )
-def test_bad_flag_values_exit_2_without_traceback(argv):
-    argv = [argv[0], _ring(argv[1]), *argv[2:], "--quiet"]
+def test_bad_flag_values_exit_2_without_traceback(argv, tmp_path):
+    """argv[1] names a corpus ring file, or is the text of a ring file."""
+    ring = _ring(argv[1]) if argv[1].endswith(".ring") else _write(tmp_path, argv[1])
+    argv = [argv[0], ring, *argv[2:], "--quiet"]
     out = subprocess.run(
         [sys.executable, "-m", "artloc", *argv], capture_output=True, text=True, timeout=60
     )
@@ -297,3 +309,58 @@ def test_verify_paper_human_lines(capsys):
     lines = [l for l in out.out.splitlines() if l.startswith("ok  ")]
     assert len(lines) >= 20
     assert "0 failed" in out.out
+
+
+_JUNK = st.sampled_from(["*", "(", ")", "^^", "@", "=", "x^", "1/2", "--", "p=", "vars=", "2x"])
+
+
+@st.composite
+def _ring_text(draw):
+    """Ring files from a small grammar: a header with one or two variables,
+    pure powers and mixed relations with exponents up to 3, a binding, and
+    junk tokens or a bad header now and then."""
+    def rare():
+        return draw(st.integers(0, 5)) == 5
+
+    variables = draw(st.lists(st.sampled_from(["x", "y", "t"]), min_size=1, max_size=2, unique=True))
+    names = variables + ([draw(st.sampled_from(["x", "", "2x", "y^"]))] if rare() else [])
+    p = draw(st.sampled_from(["4", "1", "q", "65537"] if rare() else ["2", "3", "5"]))
+    header = [f"p={p}", "vars=" + ",".join(names)] + ([draw(_JUNK)] if rare() else [])
+    lines = [" ".join(draw(st.permutations(header)))]
+    for v in variables:
+        if not rare():
+            lines.append(f"{v}^{draw(st.integers(1, 3))}")
+    for _ in range(draw(st.integers(0, 2))):
+        line = ""
+        for _ in range(draw(st.integers(1, 3))):
+            line += draw(st.sampled_from(["+", "-", "+2", "-3"]))
+            line += "".join(f"{v}^{draw(st.integers(0, 3))}" for v in variables)
+        lines.append(line.lstrip("+") + (" " + draw(_JUNK) if rare() else ""))
+    if draw(st.booleans()):
+        tail = draw(st.sampled_from(["", " + 1", " =", " + z"]))
+        lines.append(f"@u = {draw(st.sampled_from(variables))}{tail}")
+    return "\n".join(lines) + "\n"
+
+
+_FLAGS = st.one_of(
+    st.just(["analyze"]),
+    st.builds(lambda n: ["resolve", "--steps", str(n)], st.integers(-1, 3)),
+    st.builds(lambda n: ["tor", "--i", str(n)], st.integers(-1, 3)),
+    st.builds(
+        lambda e: ["filt", "--depth", "2"] + (["--element", e] if e else []),
+        st.sampled_from([None, "x", "y", "1", "0", "@u", "x^2", "q"]),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ring_text(), _FLAGS)
+@example("p=2 vars=x,y\nx^2\ny^2\n", ["filt", "--depth", "2", "--element", "1"])
+@example("p=65537 vars=x\nx^2\n", ["tor", "--i", "1"])
+def test_cli_contract_holds_for_generated_inputs(tmp_path, text, flags):
+    path = _write(tmp_path, text)
+    try:
+        code = main([flags[0], path, *flags[1:], "--quiet"])
+    except SystemExit as exc:  # argparse rejects a flag value
+        code = exc.code
+    assert code in (0, 1, 2)

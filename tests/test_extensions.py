@@ -33,8 +33,6 @@ from artloc.modules import (
     residue_field,
 )
 
-from conftest import closure_element
-
 
 def _pres_from_matrix(A, x, uppers):
     """Upper-triangular presentation with diagonal x; uppers indexed by
@@ -261,13 +259,3 @@ def test_ladder_trivial_for_the_field():
 def test_ladder_refuses_higher_edim(pair):
     with pytest.raises(NotHypersurface):
         hypersurface_ladder_check(pair)
-
-
-def test_filt_deterministic_across_workers(pair):
-    x = closure_element(pair)
-    X = cyclic_module(pair, pair.principal_ideal(x))
-    serial = filt_enumerate(X, 3, x_element=x, workers=1)
-    threaded = filt_enumerate(X, 3, x_element=x, workers=3)
-    fp_serial = [[n.module.fingerprint() for n in level] for level in serial]
-    fp_threaded = [[n.module.fingerprint() for n in level] for level in threaded]
-    assert fp_serial == fp_threaded

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artloc import linalg
+from artloc.catalog import complete_intersection_ring
 from artloc.linalg import PrimeFieldMatrix
 
-from oracles import rank_fp
+from oracles import base_p_digits, greedy_picks, project_by_pivots, rank_fp
 
 
 def _mat(rows, p):
@@ -136,3 +137,70 @@ def test_kernel_columns_are_solutions(seed, p):
     a = rng.integers(0, p, size=(3, 5))
     ker = linalg.kernel_basis(PrimeFieldMatrix(a, p))
     assert not ((a @ ker.array) % p).any()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 6),
+    st.integers(0, 4),
+    st.integers(0, 6),
+)
+@example(0, 2, 4, 0, 3)
+@example(0, 3, 4, 2, 0)
+@example(1, 5, 0, 2, 2)
+def test_greedy_completion_matches_per_vector_loop(seed, p, n, s, c):
+    rng = np.random.default_rng(seed)
+    span = linalg.column_space(PrimeFieldMatrix(rng.integers(0, p, size=(n, s)), p))
+    # candidates drawn from span + two more vectors, so many are dependent
+    pool = np.hstack([span.array, rng.integers(0, p, size=(n, 2))])
+    cand = PrimeFieldMatrix(pool @ rng.integers(0, p, size=(pool.shape[1], c)), p)
+    picks = linalg.greedy_completion(span, cand)
+    assert picks == greedy_picks(span.array.T, cand.array.T, p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 6),
+    st.integers(0, 10**6),
+    st.integers(0, 300),
+)
+@example(2, 13, 0, 4096 + 7)
+@example(3, 0, 5, 2)
+def test_digit_blocks_are_little_endian_base_p(p, width, start, count):
+    blocks = list(linalg.digit_blocks(start, start + count, p, width))
+    assert all(0 < b.shape[0] <= 4096 for b in blocks)
+    rows = [row.tolist() for b in blocks for row in b]
+    assert rows == [base_p_digits(n, p, width) for n in range(start, start + count)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 6),
+    st.integers(0, 4),
+    st.booleans(),
+)
+@example(0, 2, 0, 0, False)
+@example(0, 3, 5, 0, False)
+@example(4, 5, 0, 2, True)
+def test_complement_projection_matches_pivot_loop(seed, p, n, s, invariant):
+    rng = np.random.default_rng(seed)
+    if invariant:
+        # the ideal generated by s random elements of k[x,y]/(x^2,y^2)
+        A = complete_intersection_ring(p)
+        n = A.dim
+        elements = rng.integers(0, p, size=(s, n))
+        gens = np.hstack([np.zeros((n, 0), dtype=np.int64)] + [A.mult_by(g) for g in elements])
+    else:
+        gens = rng.integers(0, p, size=(n, s))
+    W = PrimeFieldMatrix(gens, p)
+    proj, lift, keep = linalg.complement_projection(W)
+    want, want_keep = project_by_pivots(W.array.T, p, n)
+    assert keep == want_keep
+    assert proj.tolist() == want.tolist()
+    assert not ((proj @ W.array) % p).any()
+    assert ((proj @ lift) % p).tolist() == np.eye(len(keep), dtype=np.int64).tolist()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artloc.polyparse import (
     InfiniteDimensionError,
@@ -141,3 +143,57 @@ def test_standard_monomials_reject_infinite_quotients():
 def test_polynomial_multiplication_reduces_coefficients():
     f = parse_polynomial("x + y", XY, 2)
     assert dict((f * f).terms) == {(2, 0): 1, (0, 2): 1}
+
+
+
+def _assert_matches_sympy(dicts, variables, p):
+    """buchberger equals sympy's reduced grevlex basis, made monic, term by term."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(variables)
+    exprs = [
+        sum(c * sympy.prod([v**e for v, e in zip(gens, mono)]) for mono, c in d.items())
+        for d in dicts
+    ]
+    want = set()
+    for g in sympy.groebner(exprs, *gens, order="grevlex", modulus=p).exprs:
+        terms = sympy.Poly(g, *gens, modulus=p).terms()  # leading term first
+        inv = pow(int(terms[0][1]) % p, p - 2, p)
+        want.add(frozenset((mono, int(c) * inv % p) for mono, c in terms))
+    gb = buchberger([Polynomial(variables, p, d) for d in dicts])
+    assert {frozenset(g.terms.items()) for g in gb} == want
+
+
+_TERM = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.tuples(*[st.integers(1, 4)] * 3),
+    st.lists(st.lists(_TERM, min_size=1, max_size=3), max_size=3),
+)
+@example(2, 2, (1, 1, 1), [])
+def test_buchberger_matches_sympy_groebner(p, nvars, powers, extra):
+    """Pure powers make every generated ideal m-primary; the extra
+    generators have no constant term."""
+    variables = ("x", "y", "z")[:nvars]
+    dicts = []
+    for i in range(nvars):
+        mono = [0] * nvars
+        mono[i] = powers[i]
+        dicts.append({tuple(mono): 1})
+    for terms in extra:
+        d = {}
+        for mono, c in terms:
+            if any(mono[:nvars]):
+                d[mono[:nvars]] = d.get(mono[:nvars], 0) + c
+        dicts.append(d)
+    _assert_matches_sympy(dicts, variables, p)
+
+
+def test_buchberger_matches_sympy_on_the_stretched_ring():
+    # xy, xz, yz, x^3 - y^2, x^3 - z^2 over F_3
+    dicts = [{(1, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 1, 1): 1},
+             {(3, 0, 0): 1, (0, 2, 0): 2}, {(3, 0, 0): 1, (0, 0, 2): 2}]
+    _assert_matches_sympy(dicts, ("x", "y", "z"), 3)
