@@ -122,6 +122,8 @@ def load_ring(path: str, p_override: Optional[int] = None) -> RingFile:
         p = p_override
     if not linalg.is_prime(p):
         raise CliError(f"{path}:{lineno}: characteristic {p} is not prime")
+    if p >= linalg.MAX_MODULUS:
+        raise CliError(f"{path}:{lineno}: characteristic {p} is not below 2^16")
     polys = []
     for rel_lineno, rel_text in relations:
         try:
@@ -364,7 +366,7 @@ def _cmd_matrix_check(args) -> tuple[dict, list[str], int]:
     free = free_module(A, n)
     qm = quotient_module(free, linalg.column_space(T.as_linear_map()))
     pres = FreePresentation(
-        relations=T, cover=ModuleMap(free, qm.module, qm.proj.matrix, validate=False), minimal=False
+        relations=T, cover=ModuleMap(free, qm.module, qm.proj.matrix), minimal=False
     )
     verdicts = check_matrix_condition(pres, x)
     reduction: dict

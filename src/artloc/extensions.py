@@ -101,10 +101,10 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
     W = PrimeFieldMatrix.from_columns(graph_cols, Y.dim + F0.dim, p)
     qm = quotient_module(D, W)
     M = qm.module
-    inject = ModuleMap(Y, M, qm.proj.matrix[:, : Y.dim], validate=True)
+    inject = ModuleMap(Y, M, qm.proj.matrix[:, : Y.dim])
     # project factors cover0 . pr_F0 through the quotient; independent of lift
     proj_mat = (ext.cover0 @ qm.lift.array[Y.dim :, :]) % p
-    project = ModuleMap(M, X, proj_mat, validate=True)
+    project = ModuleMap(M, X, proj_mat)
     witness = ExtensionWitness(sub=Y, middle=M, quotient=X, inject=inject, project=project)
     problems = witness.verify()
     if problems:
@@ -135,7 +135,7 @@ def _base_presentation(A: LocalAlgebra, x: np.ndarray, X: FpModule) -> FreePrese
     entries = np.zeros((1, 1, A.dim), dtype=np.int64)
     entries[0, 0] = np.asarray(x, dtype=np.int64) % A.p
     T = RingMatrix(A, entries)
-    cover = ModuleMap(free_module(A, 1), X, qm.proj.matrix, validate=True)
+    cover = ModuleMap(free_module(A, 1), X, qm.proj.matrix)
     _verify_presents(T, cover)
     in_m = A.is_in_maxideal(x) and np.any(np.asarray(x) % A.p)
     return FreePresentation(relations=T, cover=cover, minimal=bool(in_m))
@@ -178,7 +178,7 @@ def _triangular_step(
     T = RingMatrix(A, entries)
     gen_cols = np.stack([(M.action[j] @ m_vec) % p for j in range(A.dim)], axis=1)
     cover_mat = np.hstack([(witness.inject.matrix @ pres_Y.cover.matrix) % p, gen_cols])
-    cover = ModuleMap(free_module(A, nprev + 1), M, cover_mat, validate=True)
+    cover = ModuleMap(free_module(A, nprev + 1), M, cover_mat)
     _verify_presents(T, cover)
     return FreePresentation(relations=T, cover=cover, minimal=False)
 
@@ -274,8 +274,8 @@ def splice_nodes(bottom: FiltNode, top: FiltNode) -> FiltNode:
     prj = np.zeros((X.dim, mid.dim), dtype=np.int64)
     prj[:, carried.dim :] = np.eye(X.dim, dtype=np.int64)
     w0 = ExtensionWitness(carried, mid, X,
-                          ModuleMap(carried, mid, inj, validate=True),
-                          ModuleMap(mid, X, prj, validate=True))
+                          ModuleMap(carried, mid, inj),
+                          ModuleMap(mid, X, prj))
     if w0.verify():
         raise LiftFailure("split step failed to verify")
     chain.append(w0)
@@ -288,8 +288,8 @@ def splice_nodes(bottom: FiltNode, top: FiltNode) -> FiltNode:
         prj = np.zeros((w.quotient.dim, new_mid.dim), dtype=np.int64)
         prj[:, M.dim :] = w.project.matrix
         lifted = ExtensionWitness(carried, new_mid, w.quotient,
-                                  ModuleMap(carried, new_mid, inj, validate=True),
-                                  ModuleMap(new_mid, w.quotient, prj, validate=True))
+                                  ModuleMap(carried, new_mid, inj),
+                                  ModuleMap(new_mid, w.quotient, prj))
         if lifted.verify():
             raise LiftFailure("spliced step failed to verify")
         chain.append(lifted)
@@ -313,7 +313,7 @@ def _block_diag_presentation(
     cover_mat = np.zeros((da + db, (na + nb) * A.dim), dtype=np.int64)
     cover_mat[:da, : na * A.dim] = pa.cover.matrix
     cover_mat[da:, na * A.dim :] = pb.cover.matrix
-    cover = ModuleMap(free_module(A, na + nb), M, cover_mat, validate=True)
+    cover = ModuleMap(free_module(A, na + nb), M, cover_mat)
     _verify_presents(T, cover)
     return FreePresentation(relations=T, cover=cover, minimal=pa.minimal and pb.minimal)
 
@@ -584,8 +584,8 @@ def hypersurface_ladder_check(A: LocalAlgebra) -> LadderReport:
             sub=Ci.module,
             middle=mid,
             quotient=Ci.module,
-            inject=ModuleMap(Ci.module, mid, f, validate=True),
-            project=ModuleMap(mid, Ci.module, g, validate=True),
+            inject=ModuleMap(Ci.module, mid, f),
+            project=ModuleMap(mid, Ci.module, g),
         )
         problems = w.verify()
         if problems:

@@ -39,7 +39,7 @@ def _inverse_table(p: int) -> np.ndarray:
     return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
 
 
-def _check_modulus(p: int) -> None:
+def check_modulus(p: int) -> None:
     if not is_prime(p) or p >= MAX_MODULUS:
         raise ValueError(f"modulus must be a prime below 2^16, got {p}")
 
@@ -89,7 +89,7 @@ class PrimeFieldMatrix:
     __slots__ = ("p", "_a")
 
     def __init__(self, data, p: int):
-        _check_modulus(p)
+        check_modulus(p)
         a = np.array(data, dtype=np.int64)
         if a.ndim == 1:
             a = a.reshape(-1, 1) if a.size else a.reshape(0, 0)
@@ -218,7 +218,7 @@ def rank_mod(a: np.ndarray, p: int) -> int:
 def invertible_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Boolean mask of which square matrices in a (B, n, n) stack are
     invertible mod p. One vectorized elimination over the whole batch."""
-    _check_modulus(p)
+    check_modulus(p)
     m = np.mod(np.asarray(mats, dtype=np.int64), p)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("expected a (batch, n, n) stack")

@@ -24,11 +24,12 @@ class SearchInconclusive(RuntimeError):
 
 
 class FpModule:
-    """Module over a LocalAlgebra: action[i] is the matrix of e_i."""
+    """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
+    shape is checked; the package's constructions preserve the axioms."""
 
     __slots__ = ("algebra", "dim", "action", "_fingerprint", "_profile", "_homdata")
 
-    def __init__(self, algebra: LocalAlgebra, action: np.ndarray, validate: bool = True):
+    def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
         action = np.mod(np.asarray(action, dtype=np.int64), algebra.p)
         if action.ndim != 3 or action.shape[0] != algebra.dim or action.shape[1] != action.shape[2]:
             raise ValueError("action tensor must have shape (dim_A, dim_M, dim_M)")
@@ -39,19 +40,6 @@ class FpModule:
         self._fingerprint: Optional[tuple] = None
         self._profile: Optional[tuple] = None
         self._homdata: Optional[tuple] = None
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        A, p = self.algebra, self.algebra.p
-        if self.dim and not np.array_equal(self.action[0], np.eye(self.dim, dtype=np.int64)):
-            raise ValueError("unit must act as the identity")
-        for i in range(A.dim):
-            for j in range(i, A.dim):
-                lhs = (self.action[i] @ self.action[j]) % p
-                rhs = np.tensordot(A.table[i, j], self.action, axes=(0, 0)) % p
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(f"action violates structure constants at (e_{i}, e_{j})")
 
     # -- basic operations ---------------------------------------------------------
 
@@ -141,11 +129,12 @@ class FpModule:
 
 
 class ModuleMap:
-    """A-linear map between modules over the same algebra."""
+    """A-linear map between modules over the same algebra. The constructor
+    checks shapes only; is_linear() checks A-linearity."""
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: FpModule, target: FpModule, matrix, validate: bool = True):
+    def __init__(self, source: FpModule, target: FpModule, matrix):
         if source.algebra is not target.algebra:
             raise ValueError("source and target live over different algebras")
         p = source.algebra.p
@@ -156,12 +145,11 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = m
-        if validate:
-            for i in range(1, source.algebra.dim):
-                lhs = (m @ source.action[i]) % p
-                rhs = (target.action[i] @ m) % p
-                if not np.array_equal(lhs, rhs):
-                    raise ValueError(f"map does not commute with e_{i}")
+
+    def is_linear(self) -> bool:
+        """Whether the matrix commutes with the action of every basis element."""
+        m = self.matrix
+        return not np.any((self.target.action @ m - m @ self.source.action) % self.source.algebra.p)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return (self.matrix @ np.asarray(v, dtype=np.int64)) % self.source.algebra.p
@@ -170,7 +158,7 @@ class ModuleMap:
         if inner.target is not self.source:
             raise ValueError("maps do not compose")
         return ModuleMap(inner.source, self.target,
-                         (self.matrix @ inner.matrix) % self.source.algebra.p, validate=False)
+                         (self.matrix @ inner.matrix) % self.source.algebra.p)
 
     def kernel(self) -> PrimeFieldMatrix:
         return linalg.kernel_basis(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
@@ -194,14 +182,14 @@ class ModuleMap:
 def regular_module(A: LocalAlgebra) -> FpModule:
     """A as a module over itself."""
     action = np.stack([A.mult_matrix(i) for i in range(A.dim)])
-    return FpModule(A, action, validate=False)
+    return FpModule(A, action)
 
 
 def free_module(A: LocalAlgebra, rank: int) -> FpModule:
     """A^rank with coordinates ordered (generator, algebra basis)."""
     eye = np.eye(rank, dtype=np.int64)
     action = np.stack([np.kron(eye, A.mult_matrix(i)) for i in range(A.dim)])
-    return FpModule(A, action, validate=False)
+    return FpModule(A, action)
 
 
 class QuotientModule(NamedTuple):
@@ -211,13 +199,14 @@ class QuotientModule(NamedTuple):
 
 
 def quotient_module(M: FpModule, subspace: PrimeFieldMatrix) -> QuotientModule:
-    """M / W for an action-invariant subspace W, with canonical complement
-    coordinates (non-pivot rows of the rref of W)."""
+    """M / W with canonical complement coordinates (non-pivot rows of the
+    rref of W). W must be action-invariant; this is not checked, and a
+    subspace that is not invariant gives an action that is not a module."""
     A = M.algebra
     proj, lift, _ = linalg.complement_projection(subspace)
     action = (proj @ M.action @ lift) % A.p
-    Q = FpModule(A, action, validate=True)
-    return QuotientModule(Q, ModuleMap(M, Q, proj, validate=True), PrimeFieldMatrix(lift, A.p))
+    Q = FpModule(A, action)
+    return QuotientModule(Q, ModuleMap(M, Q, proj), PrimeFieldMatrix(lift, A.p))
 
 
 class SubModule(NamedTuple):
@@ -236,7 +225,7 @@ def sub_module(M: FpModule, subspace: PrimeFieldMatrix) -> SubModule:
             raise ValueError("subspace is not action-invariant")
         mats.append(sol.array)
     S = FpModule(A, np.stack(mats) if mats else np.zeros((A.dim, 0, 0), dtype=np.int64))
-    return SubModule(S, ModuleMap(S, M, W.array, validate=True))
+    return SubModule(S, ModuleMap(S, M, W.array))
 
 
 def direct_sum(M: FpModule, N: FpModule) -> FpModule:
@@ -247,7 +236,7 @@ def direct_sum(M: FpModule, N: FpModule) -> FpModule:
     action = np.zeros((A.dim, d, d), dtype=np.int64)
     action[:, : M.dim, : M.dim] = M.action
     action[:, M.dim :, M.dim :] = N.action
-    return FpModule(A, action, validate=False)
+    return FpModule(A, action)
 
 
 def cyclic_module(A: LocalAlgebra, ideal: IdealSubspace) -> FpModule:
@@ -301,13 +290,6 @@ class RingMatrix:
     def as_linear_map(self) -> PrimeFieldMatrix:
         """The induced map A^cols -> A^rows on free-module coordinates."""
         return self.acting_on(regular_module(self.algebra))
-
-    def all_entries_in(self, subspace: PrimeFieldMatrix) -> bool:
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if not linalg.contains_vector(subspace, self.entries[r, c]):
-                    return False
-        return True
 
     def __repr__(self) -> str:
         return f"RingMatrix({self.rows}x{self.cols} over dim {self.algebra.dim})"
@@ -413,7 +395,7 @@ def betti_numbers(M: FpModule, steps: int) -> list[int]:
 def minimal_presentation(M: FpModule) -> FreePresentation:
     res = minimal_free_resolution(M, 1)
     A = M.algebra
-    cover = ModuleMap(free_module(A, res.betti[0]), M, res.covers[0], validate=True)
+    cover = ModuleMap(free_module(A, res.betti[0]), M, res.covers[0])
     return FreePresentation(relations=res.differential(1), cover=cover, minimal=True)
 
 
@@ -513,7 +495,7 @@ def jordan_type(M: FpModule, t: np.ndarray) -> tuple[int, ...]:
 def matlis_dual(M: FpModule) -> FpModule:
     """Hom_k(M, k) with the transposed action."""
     action = np.transpose(M.action, (0, 2, 1))
-    return FpModule(M.algebra, action, validate=False)
+    return FpModule(M.algebra, action)
 
 
 def base_change(M: FpModule, qr: QuotientRing) -> FpModule:
@@ -534,7 +516,7 @@ def base_change(M: FpModule, qr: QuotientRing) -> FpModule:
             for j in range(B.dim)
         ]
     ) if qm.module.dim else np.zeros((B.dim, 0, 0), dtype=np.int64)
-    return FpModule(B, action, validate=True)
+    return FpModule(B, action)
 
 
 # -- hom spaces and isomorphism testing ------------------------------------------------------
@@ -599,7 +581,7 @@ def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
 
 
 def hom_space(M: FpModule, N: FpModule) -> list[ModuleMap]:
-    return [ModuleMap(M, N, h, validate=False) for h in hom_space_matrices(M, N)]
+    return [ModuleMap(M, N, h) for h in hom_space_matrices(M, N)]
 
 
 @dataclass
@@ -645,7 +627,7 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
     if M.dim != N.dim:
         return IsoResult(False, None)
     if M.dim == 0:
-        return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64), validate=False))
+        return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
     if M.fingerprint()[:2] != N.fingerprint()[:2]:
         return IsoResult(False, None)
     if M.iso_profile() != N.iso_profile():
@@ -664,10 +646,10 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
     r = len(keep)
 
     def lifted(coeffs: np.ndarray) -> IsoResult:
-        H = _hom_matrices(N, lift, np.tensordot(coeffs, imgs, axes=(0, 0)) % p)
-        if np.any((N.action @ H - H @ M.action) % p) or linalg.rank_mod(H, p) != M.dim:
+        H = ModuleMap(M, N, _hom_matrices(N, lift, np.tensordot(coeffs, imgs, axes=(0, 0)) % p))
+        if not H.is_linear() or linalg.rank_mod(H.matrix, p) != M.dim:
             raise RuntimeError("lifted top-space witness is not an isomorphism")
-        return IsoResult(True, ModuleMap(M, N, H, validate=False))
+        return IsoResult(True, H)
 
     # scaling preserves invertibility, so scanning monic combinations
     # (first nonzero coefficient 1) covers every candidate up to units

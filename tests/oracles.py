@@ -189,3 +189,53 @@ def project_by_pivots(span_vectors, p: int, n: int) -> tuple[np.ndarray, list[in
             v = (v - v[c] * a[r]) % p
         cols.append(v[keep])
     return np.array(cols, dtype=np.int64).reshape(n, len(keep)).T, keep
+
+
+def module_axioms_hold(table, action, p: int) -> bool:
+    """Whether action[i] (the matrix of basis element e_i) is a module over
+    the algebra with structure constants table: e_0 acts as the identity and
+    action[i] @ action[j] == sum_k table[i, j, k] action[k] for every i, j."""
+    table = np.asarray(table, dtype=np.int64) % p
+    action = np.asarray(action, dtype=np.int64) % p
+    d, n = table.shape[0], action.shape[1]
+    if action.shape != (d, n, n) or not np.array_equal(action[0], np.eye(n, dtype=np.int64)):
+        return False
+    for i in range(d):
+        for j in range(d):
+            rhs = np.zeros((n, n), dtype=np.int64)
+            for k in range(d):
+                rhs = (rhs + table[i, j, k] * action[k]) % p
+            if not np.array_equal((action[i] @ action[j]) % p, rhs):
+                return False
+    return True
+
+
+def commutes_with_action(source_action, target_action, matrix, p: int) -> bool:
+    """Whether matrix (target x source) intertwines the two actions."""
+    for a, b in zip(np.asarray(source_action), np.asarray(target_action)):
+        if np.any((b @ matrix - matrix @ a) % p):
+            return False
+    return True
+
+
+def tensor_table(s_table, t_table, p: int) -> np.ndarray:
+    """Structure constants of S (x) T over F_p on the basis e_i (x) f_j,
+    ordered lexicographically by (i, j), one product at a time."""
+    ds, dt = s_table.shape[0], t_table.shape[0]
+    d = ds * dt
+    out = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k, l in itertools.product(range(ds), range(dt), range(ds), range(dt)):
+        for x, y in itertools.product(range(ds), range(dt)):
+            out[i * dt + j, k * dt + l, x * dt + y] = s_table[i, k, x] * t_table[j, l, y] % p
+    return out
+
+
+def idealization_table(s_table, action, p: int) -> np.ndarray:
+    """Structure constants of S x N on the basis (S-basis, N-basis): S acts
+    on N through action[i] from either side, and N * N = 0."""
+    ds, n = s_table.shape[0], action.shape[1]
+    out = np.zeros((ds + n, ds + n, ds + n), dtype=np.int64)
+    out[:ds, :ds, :ds] = s_table
+    for i, j, k in itertools.product(range(ds), range(n), range(n)):
+        out[i, ds + j, ds + k] = out[ds + j, i, ds + k] = action[i, k, j] % p
+    return out

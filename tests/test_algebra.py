@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,16 @@ from artloc.algebra import (
     quotient_ring,
     tensor_product,
 )
+from artloc import catalog
 from artloc.catalog import dual_numbers, make_ring
+from artloc.cli import load_ring
+from artloc.extensions import complement_ideal
 from artloc.modules import matlis_dual, regular_module
-from artloc.polyparse import InfiniteDimensionError, parse_polynomial
+from artloc.polyparse import InfiniteDimensionError, Polynomial, parse_polynomial
 
-from oracles import hom_dim_kron, quotient_dim
+from oracles import hom_dim_kron, idealization_table, quotient_dim, tensor_table
+
+RINGS = Path(__file__).resolve().parent.parent / "rings"
 
 
 def test_example1_invariants(example1):
@@ -121,12 +128,43 @@ def test_check_axioms_accepts_corpus_rings(example1, stretched, pair):
         assert check_axioms(A) == []
 
 
+def test_check_axioms_accepts_every_ring_file():
+    paths = sorted(RINGS.glob("*.ring"))
+    assert len(paths) == 7
+    for path in paths:
+        assert check_axioms(load_ring(str(path)).algebra) == [], path.name
+
+
+def test_check_axioms_accepts_every_constructed_ring():
+    pair = catalog.pair_ring()
+    x = pair.element_from_string("x")
+    rings = [
+        catalog.example1_ring(), catalog.example1_ring(3), catalog.stretched_ring(),
+        catalog.stretched_ring(5), pair, catalog.dual_numbers(3, "t"),
+        catalog.hypersurface_ring(3, 4), catalog.complete_intersection_ring(3, 2, 3),
+        catalog.goto_ring(), idealization(pair, matlis_dual(regular_module(pair)).action),
+        tensor_product(dual_numbers(var="x"), dual_numbers(var="y")),
+        tensor_product(pair, catalog.hypersurface_ring(2, 3)),
+        quotient_ring(pair, complement_ideal(pair, x)).algebra,
+        quotient_ring(pair, pair.principal_ideal(x)).algebra,
+    ]
+    for A in rings:
+        assert check_axioms(A) == [], A
+
+
+def test_table_constructors_match_loop_oracles(pair, stretched):
+    for S, T in ((pair, catalog.goto_ring()), (stretched, dual_numbers(3)), (dual_numbers(2), pair)):
+        assert tensor_product(S, T).table.tobytes() == tensor_table(S.table, T.table, S.p).tobytes()
+    for S in (pair, stretched):
+        for N in (matlis_dual(regular_module(S)), regular_module(S)):
+            got = idealization(S, N.action).table
+            assert got.tobytes() == idealization_table(S.table, N.action, S.p).tobytes()
+
+
 def test_check_axioms_flags_tampered_table(pair):
     table = pair.table.copy()
     table[1, 2] = pair.basis_vector(0)  # make x*y a unit: breaks ideal closure
-    with pytest.raises(NotLocalError):
-        LocalAlgebra(pair.p, table, pair.labels)
-    bad = LocalAlgebra(pair.p, table, pair.labels, validate=False)
+    bad = LocalAlgebra(pair.p, table, pair.labels)
     problems = check_axioms(bad)
     assert problems
     assert any("e_1" in msg or "span" in msg for msg in problems)
@@ -136,6 +174,12 @@ def test_from_presentation_rejects_non_primary_ideals():
     rels = [parse_polynomial("x^2", ("x", "y"), 2)]
     with pytest.raises((InfiniteDimensionError, NotLocalError)):
         from_presentation(("x", "y"), rels)
+
+
+def test_from_presentation_rejects_bad_moduli():
+    for p in (4, 65537):
+        with pytest.raises(ValueError):
+            from_presentation(("x",), [Polynomial(("x",), p, {(2,): 1})])
 
 
 def test_from_presentation_rejects_unit_ideal():

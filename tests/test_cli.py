@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import artloc.cli as cli
+from artloc.algebra import check_axioms
 from artloc.cli import CliError, load_ring, main, parse_module_expr, resolve_element
 
 RINGS = Path(__file__).resolve().parent.parent / "rings"
@@ -65,6 +66,9 @@ def test_load_ring_error_positions(tmp_path):
     with pytest.raises(CliError) as err:
         load_ring(_write(tmp_path, "p=2 vars=x,2x\nx^2\n"))
     assert ":1: '2x' is not a valid variable name" in str(err.value)
+    with pytest.raises(CliError) as err:
+        load_ring(_write(tmp_path, "p=65537 vars=x\nx^2\n"))
+    assert ":1: characteristic 65537 is not below 2^16" in str(err.value)
 
 
 def test_load_ring_rejects_bad_headers(tmp_path):
@@ -364,3 +368,9 @@ def test_cli_contract_holds_for_generated_inputs(tmp_path, text, flags):
     except SystemExit as exc:  # argparse rejects a flag value
         code = exc.code
     assert code in (0, 1, 2)
+    # a ring that loads is trusted from then on, so its table must be sound
+    try:
+        A = load_ring(path).algebra
+    except (CliError, ValueError):
+        return
+    assert check_axioms(A) == []

@@ -33,6 +33,8 @@ from artloc.modules import (
     residue_field,
 )
 
+from oracles import commutes_with_action, module_axioms_hold
+
 
 def _pres_from_matrix(A, x, uppers):
     """Upper-triangular presentation with diagonal x; uppers indexed by
@@ -46,7 +48,7 @@ def _pres_from_matrix(A, x, uppers):
     T = RingMatrix(A, entries)
     free = free_module(A, n)
     qm = quotient_module(free, linalg.column_space(T.as_linear_map()))
-    cover = ModuleMap(free, qm.module, qm.proj.matrix, validate=False)
+    cover = ModuleMap(free, qm.module, qm.proj.matrix)
     return FreePresentation(relations=T, cover=cover, minimal=False)
 
 
@@ -85,6 +87,15 @@ def test_filt_chain_links_and_witnesses(filt_pool):
                     assert step.verify() == []
                 if node.chain:
                     assert node.chain[-1].middle is node.module
+
+
+def test_filt_nodes_are_modules_with_linear_witnesses(filt_pool):
+    for A, _, levels in filt_pool.values():
+        for node in (node for level in levels for node in level):
+            assert module_axioms_hold(A.table, node.module.action, A.p)
+            for step in node.chain:
+                for f in (step.inject, step.project):
+                    assert commutes_with_action(f.source.action, f.target.action, f.matrix, A.p)
 
 
 def test_filt_requires_the_canonical_cyclic_module(pair):

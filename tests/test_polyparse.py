@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from artloc.algebra import check_axioms, from_presentation
 from artloc.polyparse import (
     InfiniteDimensionError,
     PolyParseError,
@@ -165,18 +166,18 @@ def _assert_matches_sympy(dicts, variables, p):
 
 _TERM = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 4))
 
-
-@settings(deadline=None, max_examples=40)
-@given(
+# (p, nvars, pure-power exponents, extra generators as term lists)
+_M_PRIMARY = (
     st.sampled_from([2, 3, 5]),
     st.integers(1, 3),
     st.tuples(*[st.integers(1, 4)] * 3),
     st.lists(st.lists(_TERM, min_size=1, max_size=3), max_size=3),
 )
-@example(2, 2, (1, 1, 1), [])
-def test_buchberger_matches_sympy_groebner(p, nvars, powers, extra):
-    """Pure powers make every generated ideal m-primary; the extra
-    generators have no constant term."""
+
+
+def _m_primary_ideal(nvars, powers, extra):
+    """Variables and exponent dicts of a generated ideal. Pure powers make it
+    m-primary; the extra generators have no constant term."""
     variables = ("x", "y", "z")[:nvars]
     dicts = []
     for i in range(nvars):
@@ -189,7 +190,24 @@ def test_buchberger_matches_sympy_groebner(p, nvars, powers, extra):
             if any(mono[:nvars]):
                 d[mono[:nvars]] = d.get(mono[:nvars], 0) + c
         dicts.append(d)
+    return variables, dicts
+
+
+@settings(deadline=None, max_examples=40)
+@given(*_M_PRIMARY)
+@example(2, 2, (1, 1, 1), [])
+def test_buchberger_matches_sympy_groebner(p, nvars, powers, extra):
+    variables, dicts = _m_primary_ideal(nvars, powers, extra)
     _assert_matches_sympy(dicts, variables, p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(*_M_PRIMARY)
+def test_from_presentation_tables_satisfy_the_axioms(p, nvars, powers, extra):
+    """LocalAlgebra trusts from_presentation's table; check_axioms certifies it."""
+    variables, dicts = _m_primary_ideal(nvars, powers, extra)
+    A = from_presentation(variables, [Polynomial(variables, p, d) for d in dicts])
+    assert check_axioms(A) == []
 
 
 def test_buchberger_matches_sympy_on_the_stretched_ring():
