@@ -159,13 +159,13 @@ class LocalAlgebra:
         v[i] = 1
         return v
 
-    def mult_matrix(self, i: int) -> np.ndarray:
-        """Matrix of multiplication by the basis element e_i."""
+    def mult_matrices(self) -> np.ndarray:
+        """The (dim, dim, dim) stack whose i-th matrix multiplies by e_i."""
         if self._mult_matrices is None:
             m = np.transpose(self.table, (0, 2, 1)).copy()
             m.setflags(write=False)
             self._mult_matrices = m
-        return self._mult_matrices[i]
+        return self._mult_matrices
 
     def mult_by(self, v: np.ndarray) -> np.ndarray:
         """Matrix of multiplication by the element with coordinates v."""
@@ -246,7 +246,7 @@ class LocalAlgebra:
         """(0 : m), the simultaneous kernel of all maximal-ideal actions."""
         if self.dim == 1:
             return self.unit_ideal()
-        stacked = np.vstack([self.mult_matrix(i) for i in range(1, self.dim)])
+        stacked = self.mult_matrices()[1:].reshape(-1, self.dim)
         return IdealSubspace(self, linalg.kernel_basis(PrimeFieldMatrix(stacked, self.p)))
 
     # -- invariants ------------------------------------------------------------------
@@ -363,7 +363,7 @@ def check_axioms(A: LocalAlgebra) -> list[str]:
             if not np.array_equal(t[i, j], t[j, i]):
                 problems.append(f"e_{i} * e_{j} != e_{j} * e_{i}")
     # associativity via multiplication matrices: M_i M_j = sum_k t[i,j,k] M_k
-    mats = np.stack([A.mult_matrix(k) for k in range(d)])
+    mats = A.mult_matrices()
     for i in range(d):
         for j in range(i, d):
             lhs = (mats[i] @ mats[j]) % p

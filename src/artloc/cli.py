@@ -290,7 +290,7 @@ def _cmd_filt(args) -> tuple[dict, list[str], int]:
     X = cyclic_module(A, A.principal_ideal(x))
     exceeded = False
     try:
-        levels = filt_enumerate(X, args.depth, x_element=x, budget=args.budget, seed=args.seed)
+        levels = filt_enumerate(X, args.depth, x_element=x, budget=args.budget)
     except EnumerationBudgetExceeded as exc:
         levels = exc.partial_levels
         exceeded = True
@@ -331,7 +331,7 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
     A = rf.algebra
     x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
-    verdict = ext_closure_contains_k(A, x, args.depth, budget=args.budget, seed=args.seed)
+    verdict = ext_closure_contains_k(A, x, args.depth, budget=args.budget)
     results = {"element": A.render_element(x), **_census_payload(verdict)}
     lines = [
         f"contains_k = {verdict.contains_k} through level {verdict.depth} "
@@ -421,7 +421,7 @@ def _diagnosis_payload(A: LocalAlgebra, rep: DiagnosisReport) -> dict:
 
 def _cmd_diagnose(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
-    rep = diagnose(rf.algebra, depth=args.depth, budget=args.budget, seed=args.seed)
+    rep = diagnose(rf.algebra, depth=args.depth, budget=args.budget)
     results = _diagnosis_payload(rf.algebra, rep)
     lines = [f"verdict: {rep.verdict}"]
     if len(rep.applicable) > 1:
@@ -492,8 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def enumflags(sp):
         sp.add_argument("--depth", type=_int_at_least(1), default=3, help="filt/closure levels (default 3)")
-        sp.add_argument("--budget", type=int, default=1 << 20, help="cocycle cap per level")
-        sp.add_argument("--seed", type=int, default=0, help="isomorphism-search seed")
+        sp.add_argument("--budget", type=_int_at_least(1), default=1 << 20, help="cocycle cap per level")
 
     sp = sub.add_parser("analyze", help="invariants and classification")
     common(sp)
@@ -562,7 +561,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {}
-    for key in ("depth", "budget", "seed", "steps", "i", "module", "left", "right", "element", "upper"):
+    for key in ("depth", "budget", "steps", "i", "module", "left", "right", "element", "upper"):
         if hasattr(args, key) and getattr(args, key) is not None:
             config[key] = getattr(args, key)
     report = {"schema": 1, "command": args.command, "config": config, "results": results}

@@ -94,7 +94,6 @@ def diagnose(
     *,
     depth: int = 3,
     budget: int = 1 << 20,
-    seed: int = 0,
 ) -> DiagnosisReport:
     if presentation is None:
         presentation = A.presentation
@@ -148,7 +147,7 @@ def diagnose(
 
     report.verdict = report.applicable[0]
     if report.verdict == VERDICT_PAIR:
-        report.census = ext_closure_contains_k(A, report.pair[0], depth, budget=budget, seed=seed)
+        report.census = ext_closure_contains_k(A, report.pair[0], depth, budget=budget)
     if (
         report.verdict == VERDICT_STRETCHED_GORENSTEIN
         and VERDICT_PAIR not in report.applicable

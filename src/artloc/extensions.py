@@ -25,6 +25,7 @@ from .modules import (
     RingMatrix,
     SearchInconclusive,
     canonical_fingerprint,
+    cover_matrix,
     direct_sum,
     ext1,
     free_module,
@@ -91,14 +92,7 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
     phi = ext.cocycle(coeffs)
     F0 = free_module(A, ext.beta0)
     D = direct_sum(Y, F0)
-    d1lin = ext.d1.as_linear_map().array
-    graph_cols = []
-    for b in range(ext.beta1):
-        for j in range(A.dim):
-            y_part = (Y.action[j] @ phi[:, b]) % p
-            f_part = (-d1lin[:, b * A.dim + j]) % p
-            graph_cols.append(np.concatenate([y_part, f_part]))
-    W = PrimeFieldMatrix.from_columns(graph_cols, Y.dim + F0.dim, p)
+    W = PrimeFieldMatrix(np.vstack([cover_matrix(Y, phi.T), -ext.d1.as_linear_map().array]), p)
     qm = quotient_module(D, W)
     M = qm.module
     inject = ModuleMap(Y, M, qm.proj.matrix[:, : Y.dim])
@@ -176,7 +170,7 @@ def _triangular_step(
         entries[i, nprev] = negB[i * A.dim : (i + 1) * A.dim]
     entries[nprev, nprev] = np.asarray(x, dtype=np.int64) % p
     T = RingMatrix(A, entries)
-    gen_cols = np.stack([(M.action[j] @ m_vec) % p for j in range(A.dim)], axis=1)
+    gen_cols = cover_matrix(M, m_vec[None])
     cover_mat = np.hstack([(witness.inject.matrix @ pres_Y.cover.matrix) % p, gen_cols])
     cover = ModuleMap(free_module(A, nprev + 1), M, cover_mat)
     _verify_presents(T, cover)
@@ -189,7 +183,6 @@ def filt_enumerate(
     *,
     x_element: Optional[np.ndarray] = None,
     budget: int = DEFAULT_COCYCLE_BUDGET,
-    seed: int = 0,
 ) -> list[list[FiltNode]]:
     """Levels 1..n of filt(X), each a deduplicated, canonically sorted list.
 
@@ -213,7 +206,7 @@ def filt_enumerate(
         if required > budget:
             raise EnumerationBudgetExceeded(levels, lev, required, budget)
         classes: list[FiltNode] = []
-        seen_bytes: set = set()
+        seen_bytes: set[bytes] = set()
         buckets: dict = {}
         tests = [node.module for node in prev] + [X]
         candidates = (
@@ -224,15 +217,14 @@ def filt_enumerate(
         )
         for ynode, witness in candidates:
             M = witness.middle
-            fp = M.fingerprint()
-            if fp in seen_bytes:
+            raw = M.action.tobytes()
+            if raw in seen_bytes:
                 continue
-            seen_bytes.add(fp)
+            seen_bytes.add(raw)
             # bucket on iso invariants so candidates only ever face their
             # plausible classmates; hom dims against the previous level's
             # canonical classes separate most remaining distinct classes
             key = (
-                fp[1],
                 M.iso_profile(),
                 tuple(hom_dim(M, T) for T in tests),
                 tuple(hom_dim(T, M) for T in tests),
@@ -240,7 +232,7 @@ def filt_enumerate(
             matched = False
             for idx in buckets.get(key, ()):
                 try:
-                    if is_isomorphic(classes[idx].module, M, seed=seed).isomorphic:
+                    if is_isomorphic(classes[idx].module, M).isomorphic:
                         matched = True
                         break
                 except SearchInconclusive:
@@ -475,7 +467,6 @@ def ext_closure_contains_k(
     max_n: int,
     *,
     budget: int = DEFAULT_COCYCLE_BUDGET,
-    seed: int = 0,
 ) -> ClosureVerdict:
     """Search every filt level <= max_n of R/(x) for a k-summand."""
     p = A.p
@@ -489,7 +480,7 @@ def ext_closure_contains_k(
     X = quotient_module(regular_module(A), A.principal_ideal(xv).basis).module
     complete = True
     try:
-        levels = filt_enumerate(X, max_n, x_element=xv, budget=budget, seed=seed)
+        levels = filt_enumerate(X, max_n, x_element=xv, budget=budget)
     except EnumerationBudgetExceeded as exc:
         levels = exc.partial_levels
         complete = False

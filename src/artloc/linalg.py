@@ -184,10 +184,6 @@ class PrimeFieldMatrix:
     def transpose(self) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix(self._a.T, self.p)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product mod p."""
-        return (self._a @ np.asarray(v, dtype=np.int64)) % self.p
-
     def hstack(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
         self._coerce(other)
         if self.rows != other.rows:

@@ -27,7 +27,7 @@ class FpModule:
     """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
     shape is checked; the package's constructions preserve the axioms."""
 
-    __slots__ = ("algebra", "dim", "action", "_fingerprint", "_profile", "_homdata")
+    __slots__ = ("algebra", "dim", "action", "_profile", "_homdata")
 
     def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
         action = np.mod(np.asarray(action, dtype=np.int64), algebra.p)
@@ -37,7 +37,6 @@ class FpModule:
         self.algebra = algebra
         self.dim = action.shape[1]
         self.action = action
-        self._fingerprint: Optional[tuple] = None
         self._profile: Optional[tuple] = None
         self._homdata: Optional[tuple] = None
 
@@ -48,32 +47,21 @@ class FpModule:
         v = np.asarray(v, dtype=np.int64) % self.algebra.p
         return np.tensordot(v, self.action, axes=(0, 0)) % self.algebra.p
 
-    def radical_subspace(self) -> PrimeFieldMatrix:
-        """Canonical basis of mM."""
-        if self.dim == 0 or self.algebra.dim == 1:
-            return PrimeFieldMatrix.zeros(self.dim, 0, self.algebra.p)
-        stacked = np.hstack([self.action[i] for i in range(1, self.algebra.dim)])
+    def radical_subspace(self, subspace: Optional[PrimeFieldMatrix] = None) -> PrimeFieldMatrix:
+        """Canonical basis of mW, W the span of subspace (default: W = M)."""
+        W = np.eye(self.dim, dtype=np.int64) if subspace is None else subspace.array
+        # the blocks e_i W (i >= 1) side by side; the products are written
+        # straight into that layout because on the large free modules of a
+        # resolution a second, stacked copy raises peak memory
+        blocks = (self.dim, self.algebra.dim - 1, W.shape[1])
+        stacked = np.empty((self.dim, blocks[1] * blocks[2]), dtype=np.int64)
+        np.matmul(self.action[1:], W, out=stacked.reshape(blocks).transpose(1, 0, 2))
         return linalg.column_space(PrimeFieldMatrix(stacked, self.algebra.p))
 
     def socle_subspace(self) -> PrimeFieldMatrix:
         """Canonical basis of (0 :_M m)."""
-        if self.dim == 0:
-            return PrimeFieldMatrix.zeros(0, 0, self.algebra.p)
-        if self.algebra.dim == 1:
-            return PrimeFieldMatrix.identity(self.dim, self.algebra.p)
-        stacked = np.vstack([self.action[i] for i in range(1, self.algebra.dim)])
+        stacked = self.action[1:].reshape((self.algebra.dim - 1) * self.dim, self.dim)
         return linalg.kernel_basis(PrimeFieldMatrix(stacked, self.algebra.p))
-
-    def fingerprint(self) -> tuple:
-        """(dim, action rank profile, raw bytes): equal modules compare equal,
-        and the first two components are isomorphism invariants."""
-        if self._fingerprint is None:
-            ranks = tuple(
-                PrimeFieldMatrix(self.action[i], self.algebra.p).rank
-                for i in range(1, self.algebra.dim)
-            )
-            self._fingerprint = (self.dim, ranks, self.action.tobytes())
-        return self._fingerprint
 
     def iso_profile(self) -> tuple:
         """Cheap isomorphism invariants, used to separate modules before any
@@ -85,27 +73,15 @@ class FpModule:
         rad: list[int] = []
         span = PrimeFieldMatrix.identity(self.dim, p)
         while span.cols:
-            if self.algebra.dim == 1:
-                break
-            nxt = np.hstack([(self.action[i] @ span.array) % p
-                             for i in range(1, self.algebra.dim)])
-            span = linalg.column_space(PrimeFieldMatrix(nxt, p))
+            span = self.radical_subspace(span)
             rad.append(span.cols)
-            if rad[-1] == 0:
-                break
         soc: list[int] = []
         known = PrimeFieldMatrix.zeros(self.dim, 0, p)
         while known.cols < self.dim:
-            if self.algebra.dim == 1:
-                soc.append(self.dim)
-                break
-            if known.cols == 0:
-                funcs = PrimeFieldMatrix.identity(self.dim, p)
-            else:
-                funcs = linalg.kernel_basis(known.transpose())
-            stacked = np.vstack([(funcs.transpose().array @ self.action[i]) % p
-                                 for i in range(1, self.algebra.dim)])
-            known = linalg.kernel_basis(PrimeFieldMatrix(stacked, p))
+            # functionals vanishing on the socle-series term found so far
+            funcs = linalg.kernel_basis(known.transpose()).array.T
+            stacked = (funcs @ self.action[1:]) % p
+            known = linalg.kernel_basis(PrimeFieldMatrix(stacked.reshape(-1, self.dim), p))
             soc.append(known.cols)
         powers = []
         for i in range(1, self.algebra.dim):
@@ -181,15 +157,12 @@ class ModuleMap:
 
 def regular_module(A: LocalAlgebra) -> FpModule:
     """A as a module over itself."""
-    action = np.stack([A.mult_matrix(i) for i in range(A.dim)])
-    return FpModule(A, action)
+    return free_module(A, 1)
 
 
 def free_module(A: LocalAlgebra, rank: int) -> FpModule:
     """A^rank with coordinates ordered (generator, algebra basis)."""
-    eye = np.eye(rank, dtype=np.int64)
-    action = np.stack([np.kron(eye, A.mult_matrix(i)) for i in range(A.dim)])
-    return FpModule(A, action)
+    return FpModule(A, np.kron(np.eye(rank, dtype=np.int64)[None], A.mult_matrices()))
 
 
 class QuotientModule(NamedTuple):
@@ -318,31 +291,21 @@ def minimal_generators(M: FpModule, subspace: Optional[PrimeFieldMatrix] = None)
     Greedy over the canonical basis columns against m*(submodule), so the
     choice is deterministic. Nakayama makes the count equal dim W/mW.
     """
-    A = M.algebra
-    p = A.p
     if subspace is None:
-        cols = PrimeFieldMatrix.identity(M.dim, p)
+        cols = PrimeFieldMatrix.identity(M.dim, M.algebra.p)
     else:
         cols = linalg.column_space(subspace)
     if cols.cols == 0:
         return []
-    if A.dim == 1:
-        return [cols.column(j) for j in range(cols.cols)]
-    mw = np.hstack([(M.action[i] @ cols.array) % p for i in range(1, A.dim)])
-    span = linalg.column_space(PrimeFieldMatrix(mw, p))
-    return [cols.column(j) for j in linalg.greedy_completion(span, cols)]
+    return [cols.column(j) for j in linalg.greedy_completion(M.radical_subspace(cols), cols)]
 
 
-def _cover_matrix(M: FpModule, gens: Sequence[np.ndarray]) -> np.ndarray:
-    """Matrix of A^len(gens) -> M sending e_g (x) e_j to e_j * gens[g]."""
-    A = M.algebra
-    cols = []
-    for g in gens:
-        for j in range(A.dim):
-            cols.append((M.action[j] @ g) % A.p)
-    if not cols:
-        return np.zeros((M.dim, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+def cover_matrix(M: FpModule, imgs: np.ndarray) -> np.ndarray:
+    """The (..., dim_M, g * dim_A) matrix of A^g -> M sending e_k (x) e_j to
+    e_j * imgs[..., k, :], columns generator major, algebra basis minor."""
+    imgs = np.asarray(imgs, dtype=np.int64)
+    ev = np.einsum("jnm,...km->...nkj", M.action, imgs)
+    return ev.reshape(imgs.shape[:-2] + (M.dim, imgs.shape[-2] * M.algebra.dim)) % M.algebra.p
 
 
 class Resolution:
@@ -355,7 +318,7 @@ class Resolution:
         self.algebra = A
         gens = minimal_generators(M)
         self.betti: list[int] = [len(gens)]
-        self.covers: list[np.ndarray] = [_cover_matrix(M, gens)]
+        self.covers: list[np.ndarray] = [cover_matrix(M, np.reshape(gens, (len(gens), M.dim)))]
         self.differentials: list[RingMatrix] = []
         current = PrimeFieldMatrix(self.covers[0], p)
         for _ in range(steps):
@@ -379,9 +342,6 @@ class Resolution:
     def differential(self, i: int) -> RingMatrix:
         """d_i: A^b_i -> A^b_{i-1}, defined for 1 <= i <= steps."""
         return self.differentials[i - 1]
-
-    def betti_number(self, i: int) -> int:
-        return self.betti[i]
 
 
 def minimal_free_resolution(M: FpModule, steps: int) -> Resolution:
@@ -420,8 +380,8 @@ def tor(M: FpModule, N: FpModule, i: int) -> tuple[int, list[np.ndarray]]:
 
 class Ext1Space:
     """Ext^1(X, L) with representative cocycles against a fixed minimal
-    resolution of X. Each representative is a (dim_L, b1) matrix giving the
-    images of the b1 free generators of F_1."""
+    resolution of X. reps[t] is a (dim_L, b1) matrix giving the images of
+    the b1 free generators of F_1."""
 
     def __init__(self, X: FpModule, L: FpModule):
         if X.algebra is not L.algebra:
@@ -440,16 +400,14 @@ class Ext1Space:
         Z = linalg.kernel_basis(z_map)
         b_map = self.d1.transpose().acting_on(L)
         B = linalg.column_space(b_map)
-        self.reps = [Z.column(j).reshape(self.beta1, L.dim).T for j in linalg.greedy_completion(B, Z)]
-        self.dim = len(self.reps)
+        picks = linalg.greedy_completion(B, Z)
+        self.reps = Z.array[:, picks].T.reshape(len(picks), self.beta1, L.dim).transpose(0, 2, 1)
+        self.dim = len(picks)
 
     def cocycle(self, coeffs: Sequence[int]) -> np.ndarray:
         """The (dim_L, beta1) cocycle matrix for coordinates in the basis."""
         p = self.X.algebra.p
-        phi = np.zeros((self.L.dim, self.beta1), dtype=np.int64)
-        for c, rep in zip(coeffs, self.reps):
-            phi = (phi + (c % p) * rep) % p
-        return phi
+        return np.tensordot(np.asarray(coeffs, dtype=np.int64) % p, self.reps, axes=1) % p
 
 
 def ext1(X: FpModule, L: FpModule) -> Ext1Space:
@@ -460,10 +418,11 @@ def ext1(X: FpModule, L: FpModule) -> Ext1Space:
 
 
 def canonical_fingerprint(M: FpModule) -> tuple:
-    """Sort key for module lists: dimension, sorted action-rank profile,
-    then the raw action bytes as a final deterministic tiebreak."""
-    dim, ranks, raw = M.fingerprint()
-    return (dim, tuple(sorted(ranks)), raw)
+    """Sort key for module lists: dimension, sorted action ranks (the first
+    entries of the power profiles), then the raw action bytes as a final
+    deterministic tiebreak."""
+    powers = M.iso_profile()[3]
+    return (M.dim, tuple(sorted(prof[0] for prof in powers)), M.action.tobytes())
 
 
 def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
@@ -559,10 +518,7 @@ def _generator_images(M: FpModule, N: FpModule) -> tuple[np.ndarray, np.ndarray]
 
 def _hom_matrices(N: FpModule, lift: np.ndarray, imgs: np.ndarray) -> np.ndarray:
     """The (..., dim_N, dim_M) matrices of the homs with generator images imgs."""
-    # e_j * n_i columns, laid out (generator major, algebra basis minor)
-    ev = np.einsum("jnm,...im->...nij", N.action, imgs)
-    ev = ev.reshape(imgs.shape[:-2] + (N.dim, imgs.shape[-2] * N.algebra.dim)) % N.algebra.p
-    return (ev @ lift) % N.algebra.p
+    return (cover_matrix(N, imgs) @ lift) % N.algebra.p
 
 
 def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
@@ -594,6 +550,7 @@ class IsoResult:
 
 
 EXHAUSTIVE_COMBO_BUDGET = 1 << 17
+SAMPLE_BUDGET = 1 << 14
 
 
 def _find_unit_combo(stack: np.ndarray, coeff_blocks, p: int) -> Optional[np.ndarray]:
@@ -609,17 +566,18 @@ def _find_unit_combo(stack: np.ndarray, coeff_blocks, p: int) -> Optional[np.nda
     return None
 
 
-def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14) -> IsoResult:
+def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     """Decide M = N by searching the image of Hom(M, N) in Hom_k(M/mM, N/mN).
 
     By Nakayama, a hom between modules of equal dimension is an isomorphism
     iff its top map is invertible, and that image has dimension r at most
     mu(M) mu(N). The scan over monic combinations of r independent top maps
     is exhaustive (hence definite) when their count fits
-    EXHAUSTIVE_COMBO_BUDGET; otherwise seeded random sampling raises
-    SearchInconclusive on budget exhaustion, which is distinct from a
-    definite no. Only the winning combination is lifted to a matrix, and
-    it is checked to be A-linear and invertible before it is returned.
+    EXHAUSTIVE_COMBO_BUDGET; otherwise at most SAMPLE_BUDGET random
+    combinations, drawn with the fixed seed 0, are tried, and running out
+    raises SearchInconclusive, which is distinct from a definite no. Only
+    the winning combination is lifted to a matrix, and it is checked to be
+    A-linear and invertible before it is returned.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
@@ -628,8 +586,6 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
         return IsoResult(False, None)
     if M.dim == 0:
         return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
-    if M.fingerprint()[:2] != N.fingerprint()[:2]:
-        return IsoResult(False, None)
     if M.iso_profile() != N.iso_profile():
         return IsoResult(False, None)
     lift, imgs = _generator_images(M, N)
@@ -667,7 +623,8 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0, budget: int = 1 << 14
         coeffs = _find_unit_combo(stack, monic_blocks(), p)
         return IsoResult(False, None) if coeffs is None else lifted(coeffs)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    budget = SAMPLE_BUDGET
 
     def sample_blocks(total):
         done = 0

@@ -239,3 +239,16 @@ def idealization_table(s_table, action, p: int) -> np.ndarray:
     for i, j, k in itertools.product(range(ds), range(n), range(n)):
         out[i, ds + j, ds + k] = out[ds + j, i, ds + k] = action[i, k, j] % p
     return out
+
+
+def cover_columns(action, imgs, p: int) -> np.ndarray:
+    """Columns e_j * imgs[g], g major and j minor, one product at a time."""
+    n = action.shape[1]
+    cols = [(action[j] @ g) % p for g in np.asarray(imgs) for j in range(action.shape[0])]
+    return np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
+
+
+def free_action(mult, rank: int) -> np.ndarray:
+    """Action on A^rank: one Kronecker product per basis element of A."""
+    eye = np.eye(rank, dtype=np.int64)
+    return np.stack([np.kron(eye, m) for m in mult])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ import artloc.cli as cli
 from artloc.algebra import check_axioms
 from artloc.cli import CliError, load_ring, main, parse_module_expr, resolve_element
 
-RINGS = Path(__file__).resolve().parent.parent / "rings"
+ROOT = Path(__file__).resolve().parent.parent
+RINGS = ROOT / "rings"
 
 
 def _ring(name: str) -> str:
@@ -257,6 +259,7 @@ def test_bad_relation_reports_position(tmp_path, capsys):
         ["tor", "example1.ring", "--left", "k", "--right", "k", "--i", "-1"],
         ["filt", "example1.ring", "--element", "1"],
         ["filt", "example1.ring", "--depth", "0"],
+        ["filt", "pair.ring", "--budget", "0"],
         ["resolve", "example1.ring", "--module", "k", "--steps", "-1"],
         ["analyze", "p=2 vars=x,y,x\nx^2\ny^2\n"],
     ],
@@ -271,6 +274,17 @@ def test_bad_flag_values_exit_2_without_traceback(argv, tmp_path):
     assert out.returncode == 2
     assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_readme_examples_exit_0(monkeypatch, capsys):
+    """Every command of README's Examples block runs as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "artloc" for argv in commands)
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        assert main([*argv[1:], "--quiet"]) == 0, argv
 
 
 def test_json_reports_are_deterministic(tmp_path):

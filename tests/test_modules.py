@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artloc import linalg, modules
-from artloc.catalog import complete_intersection_ring, hypersurface_ring, make_ring
+from artloc.catalog import complete_intersection_ring, hypersurface_ring, make_ring, pair_ring
 from artloc.modules import (
     FpModule,
     ModuleMap,
@@ -16,6 +16,7 @@ from artloc.modules import (
     SearchInconclusive,
     base_change,
     betti_numbers,
+    cover_matrix,
     cyclic_module,
     direct_sum,
     ext1,
@@ -38,7 +39,15 @@ from artloc.modules import (
 from artloc.algebra import quotient_ring
 from artloc.extensions import complement_ideal, filt_enumerate
 
-from oracles import commutes_with_action, hom_dim_kron, is_isomorphic_brute, module_axioms_hold
+from conftest import closure_element
+from oracles import (
+    commutes_with_action,
+    cover_columns,
+    free_action,
+    hom_dim_kron,
+    is_isomorphic_brute,
+    module_axioms_hold,
+)
 
 
 def _cyclic(A, text):
@@ -49,6 +58,33 @@ def test_regular_and_residue_dimensions(example1):
     assert regular_module(example1).dim == 6
     assert residue_field(example1).dim == 1
     assert free_module(example1, 3).dim == 18
+
+
+def test_module_products_match_loop_oracles(example1, goto):
+    """free_module, cover_matrix, radical_subspace and Ext1Space.cocycle
+    give the arrays of the per-element loops they replaced, byte for byte."""
+    rng = np.random.default_rng(5)
+    for A in (example1, goto, pair_ring(5)):
+        p = A.p
+        for rank in (0, 1, 3):
+            got = free_module(A, rank).action
+            assert got.tobytes() == free_action(regular_module(A).action, rank).tobytes()
+        k = residue_field(A)
+        for M in (k, regular_module(A), _cyclic(A, "x")):
+            imgs = rng.integers(0, p, size=(2, 3, M.dim))
+            got = cover_matrix(M, imgs)
+            assert got.tobytes() == np.stack([cover_columns(M.action, g, p) for g in imgs]).tobytes()
+            assert cover_matrix(M, imgs[0, :0]).shape == (M.dim, 0)
+            W = rng.integers(0, p, size=(M.dim, 2))
+            mw = np.hstack([(M.action[i] @ W) % p for i in range(1, A.dim)])
+            expect = linalg.column_space(linalg.PrimeFieldMatrix(mw, p))
+            assert M.radical_subspace(linalg.PrimeFieldMatrix(W, p)) == expect
+            es = ext1(M, k)
+            for coeffs in rng.integers(0, p, size=(3, es.dim)):
+                phi = np.zeros((k.dim, es.beta1), dtype=np.int64)
+                for c, rep in zip(coeffs, es.reps):
+                    phi = (phi + c * rep) % p
+                assert es.cocycle(coeffs).tobytes() == phi.tobytes()
 
 
 def test_module_action_validation(dual):
@@ -343,12 +379,32 @@ def test_is_isomorphic_agrees_with_brute_force_oracle(example1, goto, stretched)
     assert verdicts.count(False) == len(pairs) - len(modules)
 
 
-def test_is_isomorphic_budget_exhaustion_raises(pair):
+def test_is_isomorphic_budget_exhaustion_raises(pair, monkeypatch):
     k = residue_field(pair)
     M = direct_sum(direct_sum(k, k), direct_sum(k, k))
     M5 = direct_sum(M, k)
+    monkeypatch.setattr(modules, "SAMPLE_BUDGET", 0)
     with pytest.raises(SearchInconclusive):
-        is_isomorphic(M5, direct_sum(M, k), budget=0)
+        is_isomorphic(M5, direct_sum(M, k))
+
+
+def test_sampling_branch_merges_classes_over_f5(monkeypatch):
+    """Over F_5 the depth-4 level of the pair ring needs top images of
+    dimension 10: 2,441,406 monic combinations, over the exhaustive budget,
+    so these merges are proved by sampled witnesses."""
+    A = pair_ring(5)
+    x = closure_element(A)
+    draws = []
+    real_rng = np.random.default_rng
+
+    def spy(seed):
+        draws.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    levels = filt_enumerate(cyclic_module(A, A.principal_ideal(x)), 4, x_element=x)
+    assert [len(level) for level in levels] == [1, 2, 3, 5]
+    assert draws and set(draws) == {0}
 
 
 def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
