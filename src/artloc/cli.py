@@ -196,10 +196,14 @@ def _auto_element(rf: RingFile) -> np.ndarray:
 
 
 def _render_matrix(A: LocalAlgebra, rm: RingMatrix) -> list[list[str]]:
-    return [
-        [A.render_element(rm.entries[i, j]) for j in range(rm.cols)]
-        for i in range(rm.rows)
-    ]
+    """Rendered entries, each distinct entry rendered once. Entries are
+    keyed by their coordinate bytes: a base-p code overflows int64, and
+    np.unique(axis=0) compares field by field, over ten times slower."""
+    flat = np.ascontiguousarray(rm.entries).reshape(rm.rows * rm.cols, A.dim)
+    keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * A.dim))).reshape(rm.rows * rm.cols)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    names = np.array([A.render_element(flat[i]) for i in first], dtype=object)
+    return names[inverse].reshape(rm.rows, rm.cols).tolist()
 
 
 def _census_payload(verdict) -> dict:

@@ -50,9 +50,8 @@ class FpModule:
     def radical_subspace(self, subspace: Optional[PrimeFieldMatrix] = None) -> PrimeFieldMatrix:
         """Canonical basis of mW, W the span of subspace (default: W = M)."""
         W = np.eye(self.dim, dtype=np.int64) if subspace is None else subspace.array
-        # the blocks e_i W (i >= 1) side by side; the products are written
-        # straight into that layout because on the large free modules of a
-        # resolution a second, stacked copy raises peak memory
+        # the blocks e_i W (i >= 1) side by side, written straight into that
+        # layout; free modules of a resolution use free_radical_subspace
         blocks = (self.dim, self.algebra.dim - 1, W.shape[1])
         stacked = np.empty((self.dim, blocks[1] * blocks[2]), dtype=np.int64)
         np.matmul(self.action[1:], W, out=stacked.reshape(blocks).transpose(1, 0, 2))
@@ -156,8 +155,8 @@ class ModuleMap:
 
 
 def regular_module(A: LocalAlgebra) -> FpModule:
-    """A as a module over itself."""
-    return free_module(A, 1)
+    """A as a module over itself: free_module(A, 1)."""
+    return FpModule(A, A.mult_matrices())
 
 
 def free_module(A: LocalAlgebra, rank: int) -> FpModule:
@@ -300,6 +299,19 @@ def minimal_generators(M: FpModule, subspace: Optional[PrimeFieldMatrix] = None)
     return [cols.column(j) for j in linalg.greedy_completion(M.radical_subspace(cols), cols)]
 
 
+def free_radical_subspace(A: LocalAlgebra, rank: int, subspace: PrimeFieldMatrix) -> PrimeFieldMatrix:
+    """free_module(A, rank).radical_subspace(subspace), formed generator block
+    by generator block: e_i acts on each block of dim_A coordinates as on A,
+    so the (rank*dim_A)^2 action matrices are never built."""
+    d, k = A.dim, subspace.cols
+    W = subspace.array.reshape(rank, d, k)
+    # stacked[(g, a), (i, c)] = (e_i W[g])[a, c], the layout of radical_subspace
+    stacked = np.empty((rank * d, (d - 1) * k), dtype=np.int64)
+    out = stacked.reshape(rank, d, d - 1, k).transpose(2, 0, 1, 3)
+    np.matmul(A.mult_matrices()[1:, None], W, out=out)
+    return linalg.column_space(PrimeFieldMatrix(stacked, A.p))
+
+
 def cover_matrix(M: FpModule, imgs: np.ndarray) -> np.ndarray:
     """The (..., dim_M, g * dim_A) matrix of A^g -> M sending e_k (x) e_j to
     e_j * imgs[..., k, :], columns generator major, algebra basis minor."""
@@ -309,7 +321,12 @@ def cover_matrix(M: FpModule, imgs: np.ndarray) -> np.ndarray:
 
 
 class Resolution:
-    """Minimal free resolution ... -> A^b2 -> A^b1 -> A^b0 -> M -> 0."""
+    """Minimal free resolution ... -> A^b2 -> A^b1 -> A^b0 -> M -> 0.
+
+    Each step picks the syzygies as minimal_generators would on A^b_prev:
+    greedy over the canonical column_space basis of ker against m*ker,
+    where m*ker is formed per generator block by free_radical_subspace.
+    """
 
     def __init__(self, M: FpModule, steps: int):
         A = M.algebra
@@ -323,14 +340,11 @@ class Resolution:
         current = PrimeFieldMatrix(self.covers[0], p)
         for _ in range(steps):
             b_prev = self.betti[-1]
-            F_prev = free_module(A, b_prev)
             ker = linalg.kernel_basis(current)
-            sygens = minimal_generators(F_prev, ker)
-            b = len(sygens)
-            entries = np.zeros((b_prev, b, A.dim), dtype=np.int64)
-            for k, v in enumerate(sygens):
-                entries[:, k, :] = v.reshape(b_prev, A.dim)
-            d = RingMatrix(A, entries)
+            cols = linalg.column_space(ker)
+            picks = linalg.greedy_completion(free_radical_subspace(A, b_prev, cols), cols)
+            b = len(picks)
+            d = RingMatrix(A, cols.array[:, picks].reshape(b_prev, A.dim, b).transpose(0, 2, 1))
             lin = d.as_linear_map()
             # exactness: the chosen generators must span the kernel exactly
             if linalg.column_space(lin).cols != ker.cols or not linalg.is_subspace(lin, ker):

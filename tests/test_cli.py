@@ -4,15 +4,19 @@ import json
 import shlex
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import artloc.cli as cli
 from artloc.algebra import check_axioms
+from artloc.catalog import complete_intersection_ring, example1_ring
 from artloc.cli import CliError, load_ring, main, parse_module_expr, resolve_element
+from artloc.modules import RingMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 RINGS = ROOT / "rings"
@@ -147,6 +151,39 @@ def test_resolve_json_includes_differentials(tmp_path):
     report = json.loads(target.read_text())
     assert report["results"]["betti"] == [1, 1, 3]
     assert report["results"]["differentials"][0] == [["x"]]
+
+
+@lru_cache(maxsize=None)
+def _render_ring(name, p):
+    return {"ci": complete_intersection_ring, "example1": example1_ring}[name](p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5, 65521]),
+    st.sampled_from(["ci", "example1"]),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(1, 4),
+)
+@example(0, 65521, "example1", 3, 2, 3)
+@example(0, 5, "ci", 0, 3, 2)
+@example(0, 3, "example1", 2, 0, 2)
+def test_render_matrix_matches_per_entry_rendering(seed, p, name, rows, cols, distinct):
+    """Rendering each distinct entry once gives the per-entry lists, also
+    over F_65521, where p^dim passes 2^63 and base-p codes would collide."""
+    A = _render_ring(name, p)
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, p, size=(distinct, A.dim))
+    if A.dim >= 5 and p > 2**12:
+        # its base-p code is 2^64, which wraps to the code of 0 in int64
+        wrap = [(2**64 - p**4) // p**i % p for i in range(4)] + [1] + [0] * (A.dim - 5)
+        assert sum(c * p**i for i, c in enumerate(wrap)) == 2**64
+        pool = np.vstack([pool, np.zeros(A.dim, dtype=np.int64), wrap])
+    rm = RingMatrix(A, pool[rng.integers(0, len(pool), size=(rows, cols))])
+    want = [[A.render_element(rm.entries[i, j]) for j in range(cols)] for i in range(rows)]
+    assert cli._render_matrix(A, rm) == want
 
 
 def test_tor_command(capsys):

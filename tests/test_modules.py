@@ -8,10 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artloc import linalg, modules
-from artloc.catalog import complete_intersection_ring, hypersurface_ring, make_ring, pair_ring
+from artloc.catalog import (
+    complete_intersection_ring,
+    example1_ring,
+    goto_ring,
+    hypersurface_ring,
+    make_ring,
+    pair_ring,
+    stretched_ring,
+)
 from artloc.modules import (
     FpModule,
     ModuleMap,
+    Resolution,
     RingMatrix,
     SearchInconclusive,
     base_change,
@@ -21,6 +30,7 @@ from artloc.modules import (
     direct_sum,
     ext1,
     free_module,
+    free_radical_subspace,
     hom_dim,
     hom_space,
     hom_space_matrices,
@@ -28,6 +38,7 @@ from artloc.modules import (
     jordan_type,
     matlis_dual,
     minimal_free_resolution,
+    minimal_generators,
     minimal_presentation,
     quotient_module,
     regular_module,
@@ -179,6 +190,106 @@ def test_betti_numbers_frozen(example1, dual, pair, ci):
     assert betti_numbers(residue_field(ci), 4) == [1, 2, 3, 4, 5]
     assert betti_numbers(residue_field(example1), 4) == [1, 4, 15, 56, 209]
     assert betti_numbers(_cyclic(example1, "x"), 4) == [1, 1, 3, 11, 41]
+
+
+def test_benchmark_pins(example1, stretched):
+    """The Betti and Tor values the resolve-tor benchmark jobs pin."""
+    assert betti_numbers(residue_field(example1), 5) == [1, 4, 15, 56, 209, 780]
+    k = residue_field(stretched)
+    assert tor(k, k, 5)[0] == 144
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_ring(name, p):
+    if name == "field":
+        return hypersurface_ring(p, 1)
+    return {
+        "example1": example1_ring,
+        "stretched": stretched_ring,
+        "pair": pair_ring,
+        "goto": goto_ring,
+        "ci": complete_intersection_ring,
+    }[name](p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.sampled_from(["example1", "stretched", "pair", "goto", "ci", "field"]),
+)
+@example(0, 2, 0, 0, "example1")
+@example(0, 3, 2, 3, "field")
+@example(1, 5, 3, 4, "goto")
+def test_free_radical_subspace_matches_free_module(seed, p, rank, k, name):
+    """m*W per generator block equals m*W through the dense free module."""
+    A = _corpus_ring(name, p)
+    rng = np.random.default_rng(seed)
+    W = rng.integers(0, p, size=(rank * A.dim, k))
+    W[:, rng.random(k) < 0.3] = 0
+    W = linalg.PrimeFieldMatrix(W, p)
+    got = free_radical_subspace(A, rank, W)
+    assert got.tobytes() == free_module(A, rank).radical_subspace(W).tobytes()
+
+
+def _reference_resolution(M, steps):
+    """The resolution built step by step through the dense free module
+    A^b_prev and minimal_generators: (covers[0], betti, differentials)."""
+    A, p = M.algebra, M.algebra.p
+    gens = minimal_generators(M)
+    cover = cover_matrix(M, np.reshape(gens, (len(gens), M.dim)))
+    betti, diffs = [len(gens)], []
+    current = linalg.PrimeFieldMatrix(cover, p)
+    for _ in range(steps):
+        b_prev = betti[-1]
+        sygens = minimal_generators(free_module(A, b_prev), linalg.kernel_basis(current))
+        entries = np.zeros((b_prev, len(sygens), A.dim), dtype=np.int64)
+        for j, v in enumerate(sygens):
+            entries[:, j, :] = v.reshape(b_prev, A.dim)
+        d = RingMatrix(A, entries)
+        diffs.append(d)
+        betti.append(len(sygens))
+        current = d.as_linear_map()
+    return cover, betti, diffs
+
+
+def test_resolution_matches_dense_free_module_reference(example1, stretched, goto):
+    for A in (example1, stretched, goto):
+        for M in (residue_field(A), _cyclic(A, "x")):
+            res = Resolution(M, 3)
+            cover, betti, diffs = _reference_resolution(M, 3)
+            assert res.covers[0].tobytes() == cover.tobytes()
+            assert res.betti == betti
+            for got, want in zip(res.differentials, diffs, strict=True):
+                assert got.entries.shape == want.entries.shape
+                assert got.entries.tobytes() == want.entries.tobytes()
+
+
+def test_resolution_builds_no_free_module(example1, monkeypatch):
+    k = residue_field(example1)
+
+    def refuse(A, rank):
+        raise AssertionError("Resolution built a dense free module")
+
+    monkeypatch.setattr(modules, "free_module", refuse)
+    assert Resolution(k, 4).betti == [1, 4, 15, 56, 209]
+
+
+def test_resolutions_of_free_modules_and_over_a_field(example1, goto):
+    for A in (example1, goto):
+        assert betti_numbers(regular_module(A), 3) == [1, 0, 0, 0]
+        zero = minimal_free_resolution(free_module(A, 0), 2)
+        assert zero.betti == [0, 0, 0]
+        assert [d.entries.shape for d in zero.differentials] == [(0, 0, A.dim)] * 2
+        assert betti_numbers(free_module(A, 2), 2) == [2, 0, 0]
+    for p in (2, 3, 5):
+        F = _corpus_ring("field", p)
+        assert F.dim == 1
+        assert betti_numbers(residue_field(F), 3) == [1, 0, 0, 0]
+        assert betti_numbers(free_module(F, 3), 2) == [3, 0, 0]
+        assert betti_numbers(free_module(F, 0), 2) == [0, 0, 0]
 
 
 def test_resolution_differentials_compose_to_zero(example1):
