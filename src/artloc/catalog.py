@@ -236,8 +236,7 @@ def _check_filt_base_change():
     x = A.element_from_string("x")
     I = complement_ideal(A, x)
     qr = quotient_ring(A, I)
-    X = cyclic_module(A, A.principal_ideal(x))
-    levels = filt_enumerate(X, 3, x_element=x)
+    levels = filt_enumerate(A, x, 3)
     checked = []
     for level_nodes in levels:
         for node in level_nodes:
@@ -251,8 +250,8 @@ def _check_filt_length_additive():
     results = []
     for A, xt in ((pair_ring(), "x"), (dual_numbers(), "x")):
         x = A.element_from_string(xt)
-        X = cyclic_module(A, A.principal_ideal(x))
-        levels = filt_enumerate(X, 3, x_element=x)
+        levels = filt_enumerate(A, x, 3)
+        X = levels[0][0].module
         for level_nodes in levels:
             for node in level_nodes:
                 results.append(node.module.dim == node.level * X.dim)
@@ -262,8 +261,7 @@ def _check_filt_length_additive():
 def _check_presentation_level1():
     A = pair_ring()
     x = A.element_from_string("x")
-    X = cyclic_module(A, A.principal_ideal(x))
-    node = filt_enumerate(X, 1, x_element=x)[0][0]
+    node = filt_enumerate(A, x, 1)[0][0]
     pres = build_presentation_matrix(node)
     got = (pres.relations.rows, np.array_equal(pres.relations.entries[0, 0], x))
     return got == (1, True), "1x1 matrix (x)", str(got)

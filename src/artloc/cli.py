@@ -32,6 +32,7 @@ from .algebra import LocalAlgebra, NotLocalError, from_presentation
 from .catalog import analyze_payload, invariants_payload, run_corpus
 from .diagnose import VERDICT_INCONCLUSIVE, DiagnosisReport, diagnose
 from .extensions import (
+    DEFAULT_COCYCLE_BUDGET,
     EnumerationBudgetExceeded,
     check_matrix_condition,
     ext_closure_contains_k,
@@ -42,7 +43,6 @@ from .extensions import (
 from .modules import (
     FpModule,
     FreePresentation,
-    ModuleMap,
     RingMatrix,
     cyclic_module,
     ext1,
@@ -291,10 +291,9 @@ def _cmd_filt(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
     A = rf.algebra
     x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
-    X = cyclic_module(A, A.principal_ideal(x))
     exceeded = False
     try:
-        levels = filt_enumerate(X, args.depth, x_element=x, budget=args.budget)
+        levels = filt_enumerate(A, x, args.depth, budget=args.budget)
     except EnumerationBudgetExceeded as exc:
         levels = exc.partial_levels
         exceeded = True
@@ -308,9 +307,7 @@ def _cmd_filt(args) -> tuple[dict, list[str], int]:
                     {
                         "dim": node.module.dim,
                         "splits_off_k": splits_off_k(node.module) is not None,
-                        "presentation": _render_matrix(A, node.presentation.relations)
-                        if node.presentation
-                        else None,
+                        "presentation": _render_matrix(A, node.presentation.relations),
                     }
                     for node in nodes
                 ],
@@ -367,11 +364,8 @@ def _cmd_matrix_check(args) -> tuple[dict, list[str], int]:
         for i, e in enumerate(col):
             entries[i, j] = e
     T = RingMatrix(A, entries)
-    free = free_module(A, n)
-    qm = quotient_module(free, linalg.column_space(T.as_linear_map()))
-    pres = FreePresentation(
-        relations=T, cover=ModuleMap(free, qm.module, qm.proj.matrix), minimal=False
-    )
+    qm = quotient_module(free_module(A, n), linalg.column_space(T.as_linear_map()))
+    pres = FreePresentation(T, qm.proj.matrix)
     verdicts = check_matrix_condition(pres, x)
     reduction: dict
     try:
@@ -496,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def enumflags(sp):
         sp.add_argument("--depth", type=_int_at_least(1), default=3, help="filt/closure levels (default 3)")
-        sp.add_argument("--budget", type=_int_at_least(1), default=1 << 20, help="cocycle cap per level")
+        sp.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_COCYCLE_BUDGET, help="cocycle cap per level")
 
     sp = sub.add_parser("analyze", help="invariants and classification")
     common(sp)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraClass, AlgebraInvariants, LocalAlgebra, Presentation
-from .extensions import ClosureVerdict, ext_closure_contains_k
+from .extensions import DEFAULT_COCYCLE_BUDGET, ClosureVerdict, ext_closure_contains_k
 from .modules import betti_numbers, cyclic_module
 from .polyparse import Polynomial, normal_form
 
@@ -89,14 +89,8 @@ def goto_check(A: LocalAlgebra, presentation: Presentation) -> Optional[tuple[st
 
 
 def diagnose(
-    A: LocalAlgebra,
-    presentation: Optional[Presentation] = None,
-    *,
-    depth: int = 3,
-    budget: int = 1 << 20,
+    A: LocalAlgebra, *, depth: int = 3, budget: int = DEFAULT_COCYCLE_BUDGET
 ) -> DiagnosisReport:
-    if presentation is None:
-        presentation = A.presentation
     inv = A.invariants()
     cls = A.classify()
     report = DiagnosisReport(
@@ -126,8 +120,8 @@ def diagnose(
         witness = cyclic_module(A, A.principal_ideal(bb))
         report.bounded_betti_sequence = betti_numbers(witness, 6)
 
-    if presentation is not None:
-        hit = goto_check(A, presentation)
+    if A.presentation is not None:
+        hit = goto_check(A, A.presentation)
         if hit is not None:
             report.applicable.append(VERDICT_GOTO)
             report.goto_variable, report.goto_l = hit

@@ -1,10 +1,10 @@
 """Extensions, filtration categories, and triangular presentations.
 
 The enumeration engine: build middle terms of short exact sequences
-0 -> Y -> M -> X -> 0 from Ext^1 cocycles, expand the levels filt^n(X) up
-to isomorphism, attach the upper-triangular presentation with diagonal x
-when X = R/(x), and decide bounded-depth membership of k in the extension
-closure of R/(x) by scanning every node for a k-summand.
+0 -> Y -> M -> X -> 0 from Ext^1 cocycles, expand the levels filt^n(X) of
+X = R/(x) up to isomorphism, each node carrying its upper-triangular
+presentation with diagonal x, and decide bounded-depth membership of k in
+the extension closure of R/(x) by scanning every node for a k-summand.
 """
 
 from __future__ import annotations
@@ -108,36 +108,29 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
 
 @dataclass
 class FiltNode:
-    """Iso-class representative at one level of filt^n(X).
+    """Iso-class representative at one level of filt^n(R/(x)).
 
     chain holds the n-1 extension steps that realize the filtration;
-    presentation is the upper-triangular matrix with diagonal x, present
-    whenever X was given as R/(x)."""
+    presentation is the upper-triangular matrix with diagonal x."""
 
     level: int
     module: FpModule
     chain: tuple[ExtensionWitness, ...]
-    presentation: Optional[FreePresentation] = None
+    presentation: FreePresentation
 
 
-def _base_presentation(A: LocalAlgebra, x: np.ndarray, X: FpModule) -> FreePresentation:
-    """The 1x1 presentation (x) of the canonical cyclic module R/(x)."""
-    ideal = A.principal_ideal(x)
-    qm = quotient_module(regular_module(A), ideal.basis)
-    if qm.module.action.tobytes() != X.action.tobytes():
-        raise ValueError("X must be the canonical cyclic module R/(x)")
-    entries = np.zeros((1, 1, A.dim), dtype=np.int64)
-    entries[0, 0] = np.asarray(x, dtype=np.int64) % A.p
-    T = RingMatrix(A, entries)
-    cover = ModuleMap(free_module(A, 1), X, qm.proj.matrix)
-    _verify_presents(T, cover)
-    in_m = A.is_in_maxideal(x) and np.any(np.asarray(x) % A.p)
-    return FreePresentation(relations=T, cover=cover, minimal=bool(in_m))
+def _base_presentation(A: LocalAlgebra, x: np.ndarray) -> tuple[FpModule, FreePresentation]:
+    """The canonical cyclic module R/(x) and its 1x1 presentation (x)."""
+    qm = quotient_module(regular_module(A), A.principal_ideal(x).basis)
+    pres = FreePresentation(RingMatrix(A, np.reshape(x, (1, 1, A.dim))), qm.proj.matrix)
+    _verify_presents(pres)
+    return qm.module, pres
 
 
-def _verify_presents(T: RingMatrix, cover: ModuleMap) -> None:
+def _verify_presents(pres: FreePresentation) -> None:
     """Exactness of A^c -> A^r -> M -> 0: image of T equals kernel of cover."""
-    if linalg.column_space(T.as_linear_map()) != linalg.column_space(cover.kernel()):
+    kernel = linalg.kernel_basis(PrimeFieldMatrix(pres.cover, pres.relations.algebra.p))
+    if linalg.column_space(pres.relations.as_linear_map()) != linalg.column_space(kernel):
         raise LiftFailure("matrix image does not match the cover kernel")
 
 
@@ -151,7 +144,7 @@ def _triangular_step(
     A = pres_Y.relations.algebra
     p = A.p
     M = witness.middle
-    u = base.cover.matrix[:, 0]
+    u = base.cover[:, 0]
     m_vec = linalg.solve(PrimeFieldMatrix(witness.project.matrix, p), u)
     if m_vec is None:
         raise LiftFailure("could not lift the generator of R/(x) through the projection")
@@ -159,44 +152,38 @@ def _triangular_step(
     y0 = linalg.solve(PrimeFieldMatrix(witness.inject.matrix, p), xm)
     if y0 is None:
         raise LiftFailure("x*m does not land in the submodule")
-    B = linalg.solve(PrimeFieldMatrix(pres_Y.cover.matrix, p), y0)
+    B = linalg.solve(PrimeFieldMatrix(pres_Y.cover, p), y0)
     if B is None:
         raise LiftFailure("syzygy element does not lift through the free cover of Y")
     nprev = pres_Y.relations.rows
     entries = np.zeros((nprev + 1, nprev + 1, A.dim), dtype=np.int64)
     entries[:nprev, :nprev] = pres_Y.relations.entries
-    negB = (-B) % p
-    for i in range(nprev):
-        entries[i, nprev] = negB[i * A.dim : (i + 1) * A.dim]
-    entries[nprev, nprev] = np.asarray(x, dtype=np.int64) % p
-    T = RingMatrix(A, entries)
+    entries[:nprev, nprev] = -B.reshape(nprev, A.dim)
+    entries[nprev, nprev] = x
     gen_cols = cover_matrix(M, m_vec[None])
-    cover_mat = np.hstack([(witness.inject.matrix @ pres_Y.cover.matrix) % p, gen_cols])
-    cover = ModuleMap(free_module(A, nprev + 1), M, cover_mat)
-    _verify_presents(T, cover)
-    return FreePresentation(relations=T, cover=cover, minimal=False)
+    cover = np.hstack([(witness.inject.matrix @ pres_Y.cover) % p, gen_cols])
+    pres = FreePresentation(RingMatrix(A, entries), cover)
+    _verify_presents(pres)
+    return pres
 
 
 def filt_enumerate(
-    X: FpModule,
-    n: int,
-    *,
-    x_element: Optional[np.ndarray] = None,
-    budget: int = DEFAULT_COCYCLE_BUDGET,
+    A: LocalAlgebra, x: np.ndarray, n: int, *, budget: int = DEFAULT_COCYCLE_BUDGET
 ) -> list[list[FiltNode]]:
-    """Levels 1..n of filt(X), each a deduplicated, canonically sorted list.
+    """Levels 1..n of filt(X) for X = R/(x), each a deduplicated, canonically
+    sorted list of nodes carrying their triangular presentations.
 
     Every cocycle of Ext^1(X, Y) is enumerated for every class Y one level
     down (the full vector space, zero included), in base-p digit order of
     the cocycle coordinates, and each middle term is deduplicated as soon
     as it is built. Isomorphism tests that stay inconclusive keep
     candidates as distinct classes rather than merging them."""
-    if X.dim == 0:
-        raise ValueError("X must be nonzero")
     if n < 1:
         raise ValueError("need at least one level")
-    A = X.algebra
-    base = _base_presentation(A, x_element, X) if x_element is not None else None
+    x = np.asarray(x, dtype=np.int64) % A.p
+    X, base = _base_presentation(A, x)
+    if X.dim == 0:
+        raise ValueError("x must lie in the maximal ideal (R/(x) is zero)")
     levels: list[list[FiltNode]] = [[FiltNode(1, X, (), base)]]
     for lev in range(2, n + 1):
         prev = levels[-1]
@@ -239,9 +226,7 @@ def filt_enumerate(
                     continue  # never merge without a witness
             if matched:
                 continue
-            pres = None
-            if base is not None and ynode.presentation is not None:
-                pres = _triangular_step(ynode.presentation, witness, x_element, base)
+            pres = _triangular_step(ynode.presentation, witness, x, base)
             buckets.setdefault(key, []).append(len(classes))
             classes.append(FiltNode(lev, M, ynode.chain + (witness,), pres))
         order = sorted(range(len(classes)), key=lambda i: canonical_fingerprint(classes[i].module))
@@ -286,46 +271,29 @@ def splice_nodes(bottom: FiltNode, top: FiltNode) -> FiltNode:
             raise LiftFailure("spliced step failed to verify")
         chain.append(lifted)
         carried = new_mid
-    pres = None
-    if bottom.presentation is not None and top.presentation is not None:
-        pres = _block_diag_presentation(bottom.presentation, top.presentation, carried)
+    pres = _block_diag_presentation(bottom.presentation, top.presentation)
     return FiltNode(bottom.level + top.level, carried, tuple(chain), pres)
 
 
-def _block_diag_presentation(
-    pa: FreePresentation, pb: FreePresentation, M: FpModule
-) -> FreePresentation:
+def _block_diag_presentation(pa: FreePresentation, pb: FreePresentation) -> FreePresentation:
     A = pa.relations.algebra
     na, nb = pa.relations.rows, pb.relations.rows
     entries = np.zeros((na + nb, na + nb, A.dim), dtype=np.int64)
     entries[:na, :na] = pa.relations.entries
     entries[na:, na:] = pb.relations.entries
-    T = RingMatrix(A, entries)
-    da, db = pa.cover.target.dim, pb.cover.target.dim
-    cover_mat = np.zeros((da + db, (na + nb) * A.dim), dtype=np.int64)
-    cover_mat[:da, : na * A.dim] = pa.cover.matrix
-    cover_mat[da:, na * A.dim :] = pb.cover.matrix
-    cover = ModuleMap(free_module(A, na + nb), M, cover_mat)
-    _verify_presents(T, cover)
-    return FreePresentation(relations=T, cover=cover, minimal=pa.minimal and pb.minimal)
+    da, db = pa.cover.shape[0], pb.cover.shape[0]
+    cover = np.zeros((da + db, (na + nb) * A.dim), dtype=np.int64)
+    cover[:da, : na * A.dim] = pa.cover
+    cover[da:, na * A.dim :] = pb.cover
+    pres = FreePresentation(RingMatrix(A, entries), cover)
+    _verify_presents(pres)
+    return pres
 
 
-def build_presentation_matrix(node: FiltNode, x_element: Optional[np.ndarray] = None) -> FreePresentation:
-    """Triangular presentation of a node, verified against the node's module
-    by a cokernel computation plus an isomorphism check."""
+def build_presentation_matrix(node: FiltNode) -> FreePresentation:
+    """The node's triangular presentation, certified against the node's
+    module by a cokernel computation plus an isomorphism check."""
     pres = node.presentation
-    if pres is None:
-        if x_element is None:
-            raise ValueError("node carries no presentation and no x was supplied")
-        if node.chain:
-            X = node.chain[-1].quotient
-        else:
-            X = node.module
-        A = X.algebra
-        base = _base_presentation(A, x_element, X)
-        pres = base
-        for w in node.chain:
-            pres = _triangular_step(pres, w, x_element, base)
     A = pres.relations.algebra
     free = free_module(A, pres.relations.rows)
     coker = quotient_module(free, linalg.column_space(pres.relations.as_linear_map())).module
@@ -428,8 +396,7 @@ def strict_upper_reduction(pres: FreePresentation) -> ReducedPresentation:
     before = linalg.column_space(pres.relations.as_linear_map())
     if linalg.column_space(reduced.as_linear_map()) != before:
         raise LiftFailure("column operations changed the column space")
-    new_pres = FreePresentation(relations=reduced, cover=pres.cover, minimal=pres.minimal)
-    return ReducedPresentation(new_pres, I)
+    return ReducedPresentation(FreePresentation(reduced, pres.cover), I)
 
 
 # -- the extension closure question -------------------------------------------------------
@@ -477,10 +444,9 @@ def ext_closure_contains_k(
         raise ValueError("x must lie in the maximal ideal")
     if A.maxideal().power(2).contains(xv):
         raise ValueError("x must be a minimal generator (not in m^2)")
-    X = quotient_module(regular_module(A), A.principal_ideal(xv).basis).module
     complete = True
     try:
-        levels = filt_enumerate(X, max_n, x_element=xv, budget=budget)
+        levels = filt_enumerate(A, xv, max_n, budget=budget)
     except EnumerationBudgetExceeded as exc:
         levels = exc.partial_levels
         complete = False

@@ -160,24 +160,6 @@ class PrimeFieldMatrix:
         if not isinstance(other, PrimeFieldMatrix) or other.p != self.p:
             raise DimensionMismatch("operands must share a modulus")
 
-    def __matmul__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        self._coerce(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return PrimeFieldMatrix(self._a @ other._a, self.p)
-
-    def __add__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        self._coerce(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return PrimeFieldMatrix(self._a + other._a, self.p)
-
-    def __sub__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        self._coerce(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        return PrimeFieldMatrix(self._a - other._a, self.p)
-
     def scale(self, c: int) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix(self._a * (c % self.p), self.p)
 
@@ -247,13 +229,10 @@ def kernel_basis(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """
     a = m.array.copy()
     rank, pivots = _row_reduce(a, m.p)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for r, c in enumerate(pivots):
-            basis[c, k] = (-a[r, f]) % m.p
+    free = np.delete(np.arange(m.cols), pivots)
+    basis = np.zeros((m.cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -a[:rank, free] % m.p
     return PrimeFieldMatrix(basis, m.p)
 
 

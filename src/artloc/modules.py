@@ -96,9 +96,6 @@ class FpModule:
         self._profile = (self.dim, tuple(rad), tuple(soc), tuple(powers))
         return self._profile
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def __repr__(self) -> str:
         return f"FpModule(dim={self.dim} over p={self.algebra.p})"
 
@@ -125,15 +122,6 @@ class ModuleMap:
         """Whether the matrix commutes with the action of every basis element."""
         m = self.matrix
         return not np.any((self.target.action @ m - m @ self.source.action) % self.source.algebra.p)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return (self.matrix @ np.asarray(v, dtype=np.int64)) % self.source.algebra.p
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        if inner.target is not self.source:
-            raise ValueError("maps do not compose")
-        return ModuleMap(inner.source, self.target,
-                         (self.matrix @ inner.matrix) % self.source.algebra.p)
 
     def kernel(self) -> PrimeFieldMatrix:
         return linalg.kernel_basis(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
@@ -269,11 +257,11 @@ class RingMatrix:
 
 @dataclass
 class FreePresentation:
-    """Exact A^b1 -> A^b0 -> M -> 0; relations holds the b0 x b1 matrix."""
+    """Exact A^b1 -> A^b0 -> M -> 0: relations is the b0 x b1 matrix and
+    cover the (dim_M, b0 * dim_A) matrix of A^b0 -> M, as in Resolution.covers."""
 
     relations: RingMatrix
-    cover: ModuleMap  # free_module(A, b0) -> M
-    minimal: bool
+    cover: np.ndarray
 
     @property
     def betti0(self) -> int:
@@ -368,9 +356,7 @@ def betti_numbers(M: FpModule, steps: int) -> list[int]:
 
 def minimal_presentation(M: FpModule) -> FreePresentation:
     res = minimal_free_resolution(M, 1)
-    A = M.algebra
-    cover = ModuleMap(free_module(A, res.betti[0]), M, res.covers[0])
-    return FreePresentation(relations=res.differential(1), cover=cover, minimal=True)
+    return FreePresentation(res.differential(1), res.covers[0])
 
 
 # -- derived functors ---------------------------------------------------------------------

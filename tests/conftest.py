@@ -15,7 +15,6 @@ from artloc.catalog import (
     stretched_ring,
 )
 from artloc.extensions import ext_closure_contains_k, filt_enumerate
-from artloc.modules import cyclic_module
 
 
 @pytest.fixture(scope="session")
@@ -91,8 +90,7 @@ def filt_pool(example1, stretched, pair, dual, ci, goto, y3ring):
     pool = {}
     for name, A, depth, expected_counts in specs:
         x = closure_element(A)
-        X = cyclic_module(A, A.principal_ideal(x))
-        levels = filt_enumerate(X, depth, x_element=x)
+        levels = filt_enumerate(A, x, depth)
         assert [len(level) for level in levels] == expected_counts
         pool[name] = (A, x, levels)
     return pool

@@ -47,17 +47,22 @@ def rank_fp(rows, p: int) -> int:
     return len(_rref_fp(rows, p)[1])
 
 
+def kernel_basis_loop(rows, p: int, ncols: int) -> np.ndarray:
+    """The (ncols, nullity) null-space basis read off the rref one entry at a
+    time: free variables set to unit vectors in increasing column order."""
+    a, pivots = _rref_fp(rows, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((ncols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+        for r, c in enumerate(pivots):
+            basis[c, k] = (-a[r, f]) % p
+    return basis
+
+
 def null_space_fp(rows, p: int, ncols: int) -> list[np.ndarray]:
     """Basis of {v : rows v = 0} in F_p^ncols, one free variable each."""
-    a, pivots = _rref_fp(rows, p)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -a[r, f] % p
-        basis.append(v)
-    return basis
+    return list(kernel_basis_loop(rows, p, ncols).T)
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:

@@ -7,7 +7,6 @@ from artloc import linalg
 from artloc.catalog import hypersurface_ring
 from artloc.extensions import (
     EnumerationBudgetExceeded,
-    FiltNode,
     NotHypersurface,
     build_presentation_matrix,
     check_matrix_condition,
@@ -21,9 +20,7 @@ from artloc.extensions import (
 )
 from artloc.modules import (
     FreePresentation,
-    ModuleMap,
     RingMatrix,
-    cyclic_module,
     direct_sum,
     ext1,
     free_module,
@@ -46,10 +43,8 @@ def _pres_from_matrix(A, x, uppers):
     for (i, j), val in uppers.items():
         entries[i, j] = val
     T = RingMatrix(A, entries)
-    free = free_module(A, n)
-    qm = quotient_module(free, linalg.column_space(T.as_linear_map()))
-    cover = ModuleMap(free, qm.module, qm.proj.matrix)
-    return FreePresentation(relations=T, cover=cover, minimal=False)
+    qm = quotient_module(free_module(A, n), linalg.column_space(T.as_linear_map()))
+    return FreePresentation(relations=T, cover=qm.proj.matrix)
 
 
 def test_extension_from_cocycle_splits_iff_zero(ci):
@@ -98,13 +93,6 @@ def test_filt_nodes_are_modules_with_linear_witnesses(filt_pool):
                     assert commutes_with_action(f.source.action, f.target.action, f.matrix, A.p)
 
 
-def test_filt_requires_the_canonical_cyclic_module(pair):
-    x = pair.element_from_string("x")
-    k = residue_field(pair)
-    with pytest.raises(ValueError):
-        filt_enumerate(k, 2, x_element=x)
-
-
 def test_filt_presentations_are_triangular(filt_pool):
     for name in ("pair", "example1"):
         A, x, levels = filt_pool[name]
@@ -126,16 +114,13 @@ def test_presentation_matrix_frozen_for_dual_regular(dual, filt_pool):
     assert rendered == [["x", "1"], ["0", "x"]]
 
 
-def test_build_presentation_matrix_needs_an_element(pair, filt_pool):
-    _, x, levels = filt_pool["pair"]
-    node = levels[1][0]
-    rebuilt = build_presentation_matrix(node, x_element=x)
-    assert rebuilt.relations.rows == 2
-    orphan = FiltNode(
-        level=node.level, module=node.module, chain=node.chain, presentation=None
-    )
-    with pytest.raises(ValueError):
-        build_presentation_matrix(orphan)
+def test_build_presentation_matrix_certifies_every_node(filt_pool):
+    for _, _, levels in filt_pool.values():
+        for node in (node for level in levels for node in level):
+            pres = build_presentation_matrix(node)
+            assert pres is node.presentation
+            assert pres.relations.rows == pres.relations.cols == node.level
+            assert pres.cover.shape == (node.module.dim, node.level * node.module.algebra.dim)
 
 
 def test_check_matrix_condition_frozen_examples(dual, pair):
@@ -198,10 +183,8 @@ def test_splice_lands_in_the_sum_level(pair, filt_pool):
 
 
 def test_budget_exhaustion_carries_partial_levels(pair):
-    x = pair.element_from_string("x")
-    X = cyclic_module(pair, pair.principal_ideal(x))
     with pytest.raises(EnumerationBudgetExceeded) as err:
-        filt_enumerate(X, 3, x_element=x, budget=2)
+        filt_enumerate(pair, pair.element_from_string("x"), 3, budget=2)
     exc = err.value
     assert exc.level == 3
     assert exc.required == 6

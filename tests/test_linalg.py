@@ -9,7 +9,7 @@ from artloc import linalg
 from artloc.catalog import complete_intersection_ring
 from artloc.linalg import PrimeFieldMatrix
 
-from oracles import base_p_digits, greedy_picks, project_by_pivots, rank_fp
+from oracles import base_p_digits, greedy_picks, kernel_basis_loop, project_by_pivots, rank_fp
 
 
 def _mat(rows, p):
@@ -137,6 +137,39 @@ def test_kernel_columns_are_solutions(seed, p):
     a = rng.integers(0, p, size=(3, 5))
     ker = linalg.kernel_basis(PrimeFieldMatrix(a, p))
     assert not ((a @ ker.array) % p).any()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(["random", "zero", "full"]),
+)
+@example(0, 2, 0, 4, "random")
+@example(0, 3, 4, 0, "random")
+@example(0, 5, 0, 0, "zero")
+@example(1, 3, 3, 5, "zero")
+@example(2, 5, 5, 5, "full")
+@example(3, 2, 6, 3, "full")
+def test_kernel_basis_matches_per_entry_loop(seed, p, rows, cols, kind):
+    """Byte for byte against the loop over free columns and pivots, on
+    random, zero and full-rank matrices, with empty shapes among them."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols))
+    if kind == "zero":
+        a[:] = 0
+    elif kind == "full":
+        # an invertible corner makes the rank min(rows, cols)
+        r = min(rows, cols)
+        a[:r, :r] = np.triu(a[:r, :r], 1) + np.diag(rng.integers(1, p, size=r))
+    got = linalg.kernel_basis(PrimeFieldMatrix(a, p)).array
+    want = kernel_basis_loop(a, p, cols)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    if kind == "full":
+        assert got.shape[1] == cols - min(rows, cols)
 
 
 @settings(deadline=None, max_examples=60)

@@ -469,8 +469,7 @@ def test_is_isomorphic_agrees_with_brute_force_oracle(example1, goto, stretched)
         assert hom_dim(M1, T) == hom_dim(M2, T) and hom_dim(T, M1) == hom_dim(T, M2)
     assert hom_dim(M1, M1) == hom_dim(M2, M2) and hom_dim(M1, M2) == hom_dim(M2, M1)
     pairs = [(M1, M2), (direct_sum(M1, M1), direct_sum(M1, M2))]
-    x = goto.element_from_string("x")
-    level2 = filt_enumerate(_cyclic(goto, "x"), 2, x_element=x)[1]
+    level2 = filt_enumerate(goto, goto.element_from_string("x"), 2)[1]
     modules = [regular_module(example1), _cyclic(stretched, "x"), M1, direct_sum(M1, M2)]
     modules += [node.module for node in level2[1:]]  # End of level2[0] has dim 12
     pairs += [(M, _random_conjugate(M, rng)) for M in modules]
@@ -513,7 +512,7 @@ def test_sampling_branch_merges_classes_over_f5(monkeypatch):
         return real_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", spy)
-    levels = filt_enumerate(cyclic_module(A, A.principal_ideal(x)), 4, x_element=x)
+    levels = filt_enumerate(A, x, 4)
     assert [len(level) for level in levels] == [1, 2, 3, 5]
     assert draws and set(draws) == {0}
 
