@@ -173,10 +173,18 @@ def filt_enumerate(
     """Levels 1..n of filt(X) for X = R/(x), each a deduplicated, canonically
     sorted list of nodes carrying their triangular presentations.
 
-    Every cocycle of Ext^1(X, Y) is enumerated for every class Y one level
-    down (the full vector space, zero included), in base-p digit order of
-    the cocycle coordinates, and each middle term is deduplicated as soon
-    as it is built. Isomorphism tests that stay inconclusive keep
+    For every class Y one level down, the monic cocycles of Ext^1(X, Y) are
+    enumerated: zero, and those whose top nonzero coordinate is 1, i.e. the
+    integers n = 0 and n in [p^j, 2 p^j) for j < dim read as little-endian
+    base-p digits, in increasing n. Each middle term is deduplicated as
+    soon as it is built, and a class keeps its first member. This loses
+    nothing against scanning the full vector space in digit order: for a
+    unit lambda, xi and lambda xi have isomorphic middle terms, and within
+    the orbit {lambda xi} the top nonzero digit decides the order, so the
+    monic member comes first. So when every isomorphism test is conclusive,
+    the first member of every class, with its chain and presentation, is
+    the same; at p = 2 every cocycle is monic. The budget still counts all
+    p^dim cocycles per class. Isomorphism tests that stay inconclusive keep
     candidates as distinct classes rather than merging them."""
     if n < 1:
         raise ValueError("need at least one level")
@@ -188,8 +196,7 @@ def filt_enumerate(
     for lev in range(2, n + 1):
         prev = levels[-1]
         spaces = [ext1(X, node.module) for node in prev]
-        counts = [A.p ** es.dim for es in spaces]
-        required = sum(counts)
+        required = sum(A.p**es.dim for es in spaces)
         if required > budget:
             raise EnumerationBudgetExceeded(levels, lev, required, budget)
         classes: list[FiltNode] = []
@@ -198,8 +205,9 @@ def filt_enumerate(
         tests = [node.module for node in prev] + [X]
         candidates = (
             (ynode, extension_from_cocycle(es, coeffs))
-            for ynode, es, count in zip(prev, spaces, counts)
-            for block in linalg.digit_blocks(0, count, A.p, es.dim)
+            for ynode, es in zip(prev, spaces)
+            for lo, hi in [(0, 1)] + [(A.p**j, 2 * A.p**j) for j in range(es.dim)]
+            for block in linalg.digit_blocks(lo, hi, A.p, es.dim)
             for coeffs in block
         )
         for ynode, witness in candidates:

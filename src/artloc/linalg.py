@@ -50,30 +50,39 @@ def _row_reduce(a: np.ndarray, p: int, pivot_cols: Optional[int] = None) -> tupl
     Pivots are searched only in the first `pivot_cols` columns (all columns
     by default), which lets callers reduce augmented blocks [M | B].
     Returns (rank, pivot column indices).
+
+    Only the columns live in a[:, :pivot_cols] are visited: row operations
+    keep an all-zero column zero. The pivot is any nonzero entry at or below
+    row r (argmax, a single call): every pivot is eliminated above and below,
+    so the result is the reduced echelon form, which is unique, and so are
+    its pivot columns. For [M | B] the left block is rref(M) either way; the
+    right block's rows below the rank are all zero exactly when M X = B is
+    consistent, and then its rows above the rank are rref(M) X, also unique.
     """
-    rows, cols = a.shape
-    limit = cols if pivot_cols is None else pivot_cols
+    rows = a.shape[0]
+    limit = a.shape[1] if pivot_cols is None else pivot_cols
     inv = _inverse_table(p)
     r = 0
     pivots: list[int] = []
-    for c in range(limit):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    for c in a[:, :limit].any(axis=0).nonzero()[0].tolist():
+        col = a[:, c]  # a view: it follows the row operations
+        k = r + int(col[r:].argmax())
+        piv = int(col[k])
+        if piv == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r, c:] = (a[r, c:] * inv[a[r, c]]) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        if piv != 1:
+            a[r, c:] = a[r, c:] * int(inv[piv]) % p
+        hit = col.nonzero()[0]
+        if hit.size > 1:
+            hit = hit[hit != r]
             # row r is zero left of c, so elimination never touches those columns
-            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+            a[hit, c:] = (a[hit, c:] - col[hit, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
+        if r == rows:
+            break
     return r, pivots
 
 
@@ -244,6 +253,7 @@ def solve(m: PrimeFieldMatrix, b: np.ndarray) -> Optional[np.ndarray]:
     sol = solve_matrix(m, PrimeFieldMatrix(b.reshape(-1, 1), m.p))
     return None if sol is None else sol.array[:, 0].copy()
 
+
 def solve_matrix(m: PrimeFieldMatrix, b: PrimeFieldMatrix) -> Optional[PrimeFieldMatrix]:
     """Solve m X = b column by column; None if any column is inconsistent."""
     if m.p != b.p or m.rows != b.rows:
@@ -254,8 +264,7 @@ def solve_matrix(m: PrimeFieldMatrix, b: PrimeFieldMatrix) -> Optional[PrimeFiel
     if np.any(aug[rank:, m.cols:]):
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, m.cols:]
+    x[pivots] = aug[:rank, m.cols:]
     return PrimeFieldMatrix(x, m.p)
 
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from artloc import linalg
-from artloc.catalog import hypersurface_ring
+from artloc import extensions, linalg
+from artloc.catalog import hypersurface_ring, pair_ring, stretched_ring
 from artloc.extensions import (
     EnumerationBudgetExceeded,
     NotHypersurface,
@@ -21,6 +21,7 @@ from artloc.extensions import (
 from artloc.modules import (
     FreePresentation,
     RingMatrix,
+    canonical_fingerprint,
     direct_sum,
     ext1,
     free_module,
@@ -30,7 +31,8 @@ from artloc.modules import (
     residue_field,
 )
 
-from oracles import commutes_with_action, module_axioms_hold
+from conftest import closure_element
+from oracles import base_p_digits, commutes_with_action, module_axioms_hold
 
 
 def _pres_from_matrix(A, x, uppers):
@@ -190,6 +192,65 @@ def test_budget_exhaustion_carries_partial_levels(pair):
     assert exc.required == 6
     assert exc.budget == 2
     assert [len(level) for level in exc.partial_levels] == [1, 2]
+
+
+def _filt_by_every_cocycle(A, x, n):
+    """Levels 1..n of filt(R/(x)) from every cocycle of the full vector
+    space, in little-endian base-p order; a class keeps its first member
+    (pairwise is_isomorphic against the kept ones, in order), and each
+    level is sorted by canonical_fingerprint."""
+    X = quotient_module(regular_module(A), A.principal_ideal(x).basis).module
+    levels = [[X]]
+    for _ in range(2, n + 1):
+        kept = []
+        for Y in levels[-1]:
+            es = ext1(X, Y)
+            for m in range(A.p**es.dim):
+                M = extension_from_cocycle(es, base_p_digits(m, A.p, es.dim)).middle
+                if not any(is_isomorphic(K, M).isomorphic for K in kept):
+                    kept.append(M)
+        levels.append(sorted(kept, key=canonical_fingerprint))
+    return levels
+
+
+@pytest.mark.parametrize("make, p, depth", [(stretched_ring, 3, 3), (pair_ring, 5, 3), (pair_ring, 2, 4)])
+def test_monic_cocycles_keep_the_first_member_of_every_class(make, p, depth, monkeypatch):
+    """Enumerating only the monic cocycles picks the same representatives,
+    in the same order, as scanning every cocycle, while building
+    1 + (p^d - 1)/(p - 1) candidates per class at p > 2 and all p^d at
+    p = 2; the budget still counts p^d."""
+    A = make(p)
+    x = closure_element(A)
+    want = _filt_by_every_cocycle(A, x, depth)
+    built = []
+    real = extensions.extension_from_cocycle
+
+    def spy(es, coeffs):
+        built.append(es.L)
+        return real(es, coeffs)
+
+    monkeypatch.setattr(extensions, "extension_from_cocycle", spy)
+    levels = filt_enumerate(A, x, depth)
+    assert [[node.module.action.tobytes() for node in level] for level in levels] == [
+        [M.action.tobytes() for M in level] for level in want
+    ]
+    X = levels[0][0].module
+    required = 0
+    for level in levels[:-1]:
+        dims = [ext1(X, node.module).dim for node in level]
+        per_class = [1 + (p**d - 1) // (p - 1) for d in dims]  # p^d at p = 2
+        made = [sum(Y is node.module for Y in built) for node in level]
+        assert made == per_class
+        required = sum(p**d for d in dims)
+    assert (required > sum(per_class)) == (p > 2)
+    monkeypatch.undo()
+    with pytest.raises(EnumerationBudgetExceeded) as err:
+        filt_enumerate(A, x, depth, budget=required - 1)
+    assert err.value.level == depth and err.value.required == required
+    assert [len(level) for level in err.value.partial_levels] == [len(l) for l in want[:-1]]
+    assert [len(level) for level in filt_enumerate(A, x, depth, budget=required)] == [
+        len(level) for level in want
+    ]
 
 
 def test_closure_negative_census(closure_pair, closure_y3):

@@ -9,7 +9,14 @@ from artloc import linalg
 from artloc.catalog import complete_intersection_ring
 from artloc.linalg import PrimeFieldMatrix
 
-from oracles import base_p_digits, greedy_picks, kernel_basis_loop, project_by_pivots, rank_fp
+from oracles import (
+    _rref_fp,
+    base_p_digits,
+    greedy_picks,
+    kernel_basis_loop,
+    project_by_pivots,
+    rank_fp,
+)
 
 
 def _mat(rows, p):
@@ -237,3 +244,102 @@ def test_complement_projection_matches_pivot_loop(seed, p, n, s, invariant):
     assert proj.tolist() == want.tolist()
     assert not ((proj @ W.array) % p).any()
     assert ((proj @ lift) % p).tolist() == np.eye(len(keep), dtype=np.int64).tolist()
+
+
+def _sparse(rng, p, rows, cols, zero_lines):
+    """A rows x cols matrix mod p with at least 80% zero entries, nonzero
+    entries drawn from all units, and `zero_lines` rows and columns forced
+    to zero."""
+    a = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.2)
+    if rows and cols:
+        a[rng.integers(0, rows, size=zero_lines)] = 0
+        a[:, rng.integers(0, cols, size=zero_lines)] = 0
+    keep = int(0.2 * a.size)
+    live = np.flatnonzero(a)
+    a.flat[live[keep:]] = 0
+    return a.astype(np.int64)
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    want = np.asarray(want, dtype=np.int64)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _check_against_rref_oracle(p, a, rhs, span):
+    """rref, kernel_basis, column_space, solve_matrix and greedy_completion
+    of `a` byte for byte against Gauss-Jordan elimination in the oracle."""
+    cols = a.shape[1]
+    m = PrimeFieldMatrix(a, p)
+    want, pivots = _rref_fp(a, p)
+    rr = linalg.rref(m)
+    assert _same(rr.matrix.array, want)
+    assert rr.pivots == tuple(pivots) and rr.rank == len(pivots)
+    assert _same(linalg.kernel_basis(m).array, kernel_basis_loop(a, p, cols))
+    want_t, pivots_t = _rref_fp(a.T, p)
+    assert _same(linalg.column_space(m).array, want_t[: len(pivots_t)].T)
+    # solve: [a | rhs] is consistent iff its full rref has no pivot in rhs
+    aug, aug_pivots = _rref_fp(np.hstack([a, rhs]), p)
+    sol = linalg.solve_matrix(m, PrimeFieldMatrix(rhs, p))
+    if any(c >= cols for c in aug_pivots):
+        assert sol is None
+    else:
+        x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
+        x[aug_pivots] = aug[: len(aug_pivots), cols:]
+        assert sol is not None and _same(sol.array, x)
+        assert not ((a @ sol.array - rhs) % p).any()
+    # greedy completion: pivots of rref([span | a]) past the span block
+    _, both = _rref_fp(np.hstack([span, a]), p)
+    picks = linalg.greedy_completion(PrimeFieldMatrix(span, p), m)
+    assert picks == [c - span.shape[1] for c in both if c >= span.shape[1]]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5, 65521]),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@example(0, 2, 0, 5, 0, True)
+@example(1, 3, 6, 0, 0, False)
+@example(2, 65521, 0, 0, 0, True)
+@example(3, 5, 8, 8, 2, False)
+@example(4, 65521, 9, 7, 1, True)
+def test_kernel_functions_match_rref_oracle(seed, p, rows, cols, zero_lines, consistent):
+    """Sparse matrices with zero rows and columns and zero-size shapes; the
+    solve right-hand side is a consistent image a @ x or a random (mostly
+    inconsistent) block, so pivots are searched only in the first cols
+    columns of [a | rhs]."""
+    rng = np.random.default_rng(seed)
+    a = _sparse(rng, p, rows, cols, zero_lines)
+    assert np.count_nonzero(a) <= 0.2 * a.size
+    k = int(rng.integers(0, 4))
+    if consistent:
+        rhs = (a @ _sparse(rng, p, cols, k, 0)) % p
+    else:
+        rhs = rng.integers(0, p, size=(rows, k))
+    span = _sparse(rng, p, rows, int(rng.integers(0, 4)), 0)
+    _check_against_rref_oracle(p, a, rhs, span)
+
+
+def test_kernel_functions_match_rref_oracle_on_argmax_pivots():
+    """Columns whose first nonzero at or below the pivot row is not the
+    largest residue, so the kernel's argmax pivot is a different row from
+    the oracle's first nonzero one; with dead and late-dying columns and an
+    inconsistent right-hand side among them."""
+    cases = [
+        (5, [[2, 1, 0], [4, 3, 0], [0, 0, 0]]),
+        (3, [[0, 1, 1, 0], [1, 0, 2, 0], [2, 0, 1, 0], [0, 0, 0, 0]]),
+        (65521, [[0, 0, 7], [3, 0, 1], [65520, 0, 2], [1, 0, 0]]),
+        (5, [[1, 2, 0, 0, 3], [0, 0, 0, 0, 0], [0, 0, 1, 0, 4], [0, 0, 3, 0, 2]]),
+    ]
+    for p, rows in cases:
+        a = np.array(rows, dtype=np.int64)
+        assert any(c[np.flatnonzero(c)[0]] != c.max() for c in a.T if c.any())
+        n = a.shape[0]
+        inconsistent = np.zeros((n, 1), dtype=np.int64)
+        inconsistent[-1, 0] = 1
+        for rhs in (inconsistent, (a @ np.ones((a.shape[1], 2), dtype=np.int64)) % p):
+            _check_against_rref_oracle(p, a, rhs, np.eye(n, 1, dtype=np.int64))
