@@ -21,6 +21,7 @@ from .modules import (
     Ext1Space,
     FpModule,
     FreePresentation,
+    HomSequenceKeys,
     ModuleMap,
     RingMatrix,
     SearchInconclusive,
@@ -29,7 +30,6 @@ from .modules import (
     direct_sum,
     ext1,
     free_module,
-    hom_dim,
     is_isomorphic,
     quotient_module,
     regular_module,
@@ -167,6 +167,30 @@ def _triangular_step(
     return pres
 
 
+def _monic_blocks(p: int, dim: int):
+    """Monic cocycle coordinates in increasing order as little-endian base-p
+    integers: zero, then n in [p^j, 2 p^j) for j < dim (top nonzero digit 1),
+    regrouped into blocks of at most 4096 rows."""
+    pending = np.zeros((0, dim), dtype=np.int64)
+    for lo, hi in [(0, 1)] + [(p**j, 2 * p**j) for j in range(dim)]:
+        for block in linalg.digit_blocks(lo, hi, p, dim):
+            pending = np.concatenate([pending, block])
+            while pending.shape[0] >= 4096:
+                yield pending[:4096]
+                pending = pending[4096:]
+    if pending.shape[0]:
+        yield pending
+
+
+def _merges(cls: FpModule, M: FpModule) -> bool:
+    """Whether M is isomorphic to the class representative; an inconclusive
+    test never merges without a witness."""
+    try:
+        return is_isomorphic(cls, M).isomorphic
+    except SearchInconclusive:
+        return False
+
+
 def filt_enumerate(
     A: LocalAlgebra, x: np.ndarray, n: int, *, budget: int = DEFAULT_COCYCLE_BUDGET
 ) -> list[list[FiltNode]]:
@@ -202,41 +226,27 @@ def filt_enumerate(
         classes: list[FiltNode] = []
         seen_bytes: set[bytes] = set()
         buckets: dict = {}
-        tests = [node.module for node in prev] + [X]
-        candidates = (
-            (ynode, extension_from_cocycle(es, coeffs))
-            for ynode, es in zip(prev, spaces)
-            for lo, hi in [(0, 1)] + [(A.p**j, 2 * A.p**j) for j in range(es.dim)]
-            for block in linalg.digit_blocks(lo, hi, A.p, es.dim)
-            for coeffs in block
-        )
-        for ynode, witness in candidates:
-            M = witness.middle
-            raw = M.action.tobytes()
-            if raw in seen_bytes:
-                continue
-            seen_bytes.add(raw)
-            # bucket on iso invariants so candidates only ever face their
-            # plausible classmates; hom dims against the previous level's
-            # canonical classes separate most remaining distinct classes
-            key = (
-                M.iso_profile(),
-                tuple(hom_dim(M, T) for T in tests),
-                tuple(hom_dim(T, M) for T in tests),
-            )
-            matched = False
-            for idx in buckets.get(key, ()):
-                try:
-                    if is_isomorphic(classes[idx].module, M).isomorphic:
-                        matched = True
-                        break
-                except SearchInconclusive:
-                    continue  # never merge without a witness
-            if matched:
-                continue
-            pres = _triangular_step(ynode.presentation, witness, x, base)
-            buckets.setdefault(key, []).append(len(classes))
-            classes.append(FiltNode(lev, M, ynode.chain + (witness,), pres))
+        # bucket on iso invariants so candidates only ever face their
+        # plausible classmates; hom dims against the previous level's
+        # canonical classes separate most remaining distinct classes
+        hom_keys = HomSequenceKeys(X, [node.module for node in prev] + [X])
+        for ynode, es in zip(prev, spaces):
+            keys_of = hom_keys.keys_for(es)
+            for block in _monic_blocks(A.p, es.dim):
+                homs_out, homs_in = keys_of(block)
+                for coeffs, out_row, in_row in zip(block, homs_out.tolist(), homs_in.tolist()):
+                    witness = extension_from_cocycle(es, coeffs)
+                    M = witness.middle
+                    raw = M.action.tobytes()
+                    if raw in seen_bytes:
+                        continue
+                    seen_bytes.add(raw)
+                    key = (M.iso_profile(), tuple(out_row), tuple(in_row))
+                    if any(_merges(classes[idx].module, M) for idx in buckets.get(key, ())):
+                        continue
+                    pres = _triangular_step(ynode.presentation, witness, x, base)
+                    buckets.setdefault(key, []).append(len(classes))
+                    classes.append(FiltNode(lev, M, ynode.chain + (witness,), pres))
         order = sorted(range(len(classes)), key=lambda i: canonical_fingerprint(classes[i].module))
         levels.append([classes[i] for i in order])
     return levels

@@ -109,6 +109,16 @@ class PrimeFieldMatrix:
         self.p = p
         self._a = a
 
+    @classmethod
+    def _own(cls, a: np.ndarray, p: int) -> "PrimeFieldMatrix":
+        """Wrap a 2-D int64 array of residues mod p that the caller has just
+        built and hands over: no copy and no reduction."""
+        a.setflags(write=False)
+        m = cls.__new__(cls)
+        m.p = p
+        m._a = a
+        return m
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -190,7 +200,7 @@ def rref(m: PrimeFieldMatrix) -> RrefResult:
     """Unique reduced row echelon form of m with rank and pivot columns."""
     a = m.array.copy()
     rank, pivots = _row_reduce(a, m.p)
-    return RrefResult(PrimeFieldMatrix(a, m.p), rank, tuple(pivots))
+    return RrefResult(PrimeFieldMatrix._own(a, m.p), rank, tuple(pivots))
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
@@ -202,32 +212,51 @@ def rank_mod(a: np.ndarray, p: int) -> int:
     return rank
 
 
-def invertible_batch(mats: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of which square matrices in a (B, n, n) stack are
-    invertible mod p. One vectorized elimination over the whole batch."""
+def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Rank mod p of each matrix in a (B, r, c) stack, from one vectorized
+    elimination over the whole batch.
+
+    Each matrix keeps its own pivot row (its rank so far); only the rows
+    from there down are live, and a column with no nonzero live entry adds
+    nothing. Only the rank is needed, so pivots are never scaled. The stack
+    is transposed first when that shortens the loop over columns."""
     check_modulus(p)
     m = np.mod(np.asarray(mats, dtype=np.int64), p)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError("expected a (batch, n, n) stack")
-    B, n, _ = m.shape
+    if m.ndim != 3:
+        raise ValueError("expected a (batch, rows, cols) stack")
+    if m.shape[1] < m.shape[2]:
+        m = np.ascontiguousarray(m.transpose(0, 2, 1))
+    B, r, c = m.shape
     inv = _inverse_table(p)
-    ok = np.ones(B, dtype=bool)
+    rank = np.zeros(B, dtype=np.int64)
     bidx = np.arange(B)
-    for c in range(n):
-        has = m[:, c:, c] != 0
-        ok &= has.any(axis=1)
-        if not ok.any():
-            break
-        # batched partial pivot: first nonzero row at or below c (dead
-        # matrices get a harmless zero pivot and stay dead)
-        pr = c + np.argmax(has, axis=1)
-        rowc = m[bidx, c, :].copy()
-        m[bidx, c, :] = m[bidx, pr, :]
-        m[bidx, pr, :] = rowc
-        m[:, c, c:] = m[:, c, c:] * inv[m[:, c, c]][:, None] % p
-        below = m[:, c + 1 :, c]
-        m[:, c + 1 :, c:] = (m[:, c + 1 :, c:] - below[..., None] * m[:, c : c + 1, c:]) % p
-    return ok
+    rows = np.arange(r)
+    for j in range(c):
+        has = (m[:, :, j] != 0) & (rows >= rank[:, None])
+        found = has.any(axis=1)
+        if not found.any():
+            continue
+        # the pivot row top leaves the live rows: row k, which dies next,
+        # moves into its slot (where nothing was found, pr = k)
+        k = np.minimum(rank, r - 1)
+        pr = np.where(found, has.argmax(axis=1), k)
+        top = m[bidx, pr]
+        m[bidx, pr] = m[bidx, k]
+        # clear column j with top. Dead rows may change too; where nothing
+        # was found, top is zero at j unless no live rows are left
+        f = m[:, :, j] * inv[top[:, j]][:, None] % p
+        m[:, :, j:] = (m[:, :, j:] - f[:, :, None] * top[:, None, j:]) % p
+        rank += found
+    return rank
+
+
+def invertible_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Boolean mask of which square matrices in a (B, n, n) stack are
+    invertible mod p: those of rank n."""
+    mats = np.asarray(mats)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("expected a (batch, n, n) stack")
+    return rank_batch(mats, p) == mats.shape[1]
 
 
 def kernel_basis(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -238,11 +267,13 @@ def kernel_basis(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """
     a = m.array.copy()
     rank, pivots = _row_reduce(a, m.p)
-    free = np.delete(np.arange(m.cols), pivots)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((m.cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     basis[pivots] = -a[:rank, free] % m.p
-    return PrimeFieldMatrix(basis, m.p)
+    return PrimeFieldMatrix._own(basis, m.p)
 
 
 def solve(m: PrimeFieldMatrix, b: np.ndarray) -> Optional[np.ndarray]:
@@ -265,14 +296,15 @@ def solve_matrix(m: PrimeFieldMatrix, b: PrimeFieldMatrix) -> Optional[PrimeFiel
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
     x[pivots] = aug[:rank, m.cols:]
-    return PrimeFieldMatrix(x, m.p)
+    return PrimeFieldMatrix._own(x, m.p)
 
 
 def column_space(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """Canonical basis of the column space (transposed rref rows)."""
     a = m.array.T.copy()
     rank, _ = _row_reduce(a, m.p)
-    return PrimeFieldMatrix(a[:rank].T, m.p)
+    # a row slice would keep all of a alive: copy only the rank rows then
+    return PrimeFieldMatrix._own((a if rank == a.shape[0] else a[:rank].copy()).T, m.p)
 
 
 def greedy_completion(span: PrimeFieldMatrix, candidates: PrimeFieldMatrix) -> list[int]:

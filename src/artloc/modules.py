@@ -540,6 +540,87 @@ def hom_space(M: FpModule, N: FpModule) -> list[ModuleMap]:
     return [ModuleMap(M, N, h) for h in hom_space_matrices(M, N)]
 
 
+class HomSequenceKeys:
+    """dim Hom(M, T) and dim Hom(T, M) for the middle terms M of the
+    extensions 0 -> Y -> M -> X -> 0, against a fixed list of tests T, read off
+    the cocycle phi_xi of each extension rather than off M.
+
+    The long exact sequences of Hom and Ext (Weibel, An Introduction to
+    Homological Algebra, 2.5 and 3.4) give
+      dim Hom(M, T) = dim Hom(X, T) + dim Hom(Y, T) - rank delta_xi,
+      delta_xi: Hom(Y, T) -> Ext^1(X, T), f -> [f phi_xi];
+      dim Hom(T, M) = dim Hom(T, Y) + dim Hom(T, X) - rank d_xi,
+      d_xi: Hom(T, X) -> Ext^1(T, Y), g -> [phi_xi g_1],
+    where g_1: F_1(T) -> F_1(X) lifts g through the minimal presentations.
+    Both images are cocycles, so the ranks are taken in cochains modulo
+    coboundaries: T^b1(X) / im d1(X)^T and Y^b1(T) / im d1(T)^T. Both maps
+    are linear in xi: keys_for(ext) builds one tensor per test and side over
+    the basis cocycles, and a block of cocycles then costs one tensordot and
+    one rank_batch each.
+    """
+
+    def __init__(self, X: FpModule, tests: Sequence[FpModule]):
+        A = X.algebra
+        p = A.p
+        self.X = X
+        self.tests = list(tests)
+        self.d1, lift = _presentation_data(X)
+        d1_lin = self.d1.as_linear_map()
+        # per test: dim Hom(X, T), the projection of T^b1(X) onto the
+        # coboundary complement, and every g in Hom(T, X) lifted to g_1
+        self._per_test = []
+        for T in self.tests:
+            proj, _, _ = linalg.complement_projection(self.d1.transpose().acting_on(T))
+            d1T, _ = _presentation_data(T)
+            _, imgs = _generator_images(T, X)
+            h, b0T, b1T = imgs.shape[0], d1T.rows, d1T.cols
+            # g_0 sends T's k-th generator to a lift in A^b0(X) of g(t_k) ...
+            g0 = (imgs @ lift.T) % p
+            g0 = g0.reshape(h, b0T, self.d1.rows, A.dim)
+            # ... so g_0 d1(T) maps F_1(T) into im d1(X), and g_1 solves d1(X) g_1 = g_0 d1(T)
+            rhs = np.einsum("gkja,abc,klc->jbgl", g0, A.mult_matrices(), d1T.entries) % p
+            g1 = linalg.solve_matrix(d1_lin, PrimeFieldMatrix(rhs.reshape(d1_lin.rows, h * b1T), p))
+            if g1 is None:
+                raise RuntimeError("a hom T -> X did not lift through the presentations")
+            self._per_test.append((hom_dim(X, T), proj, d1T, g1.array.reshape(d1_lin.cols, h, b1T)))
+
+    def keys_for(self, ext: "Ext1Space"):
+        """The function sending a (B, dim Ext^1(X, Y)) block of cocycle
+        coordinates to its (B, tests) arrays (dim Hom(M, T), dim Hom(T, M))."""
+        if ext.X is not self.X or not np.array_equal(ext.d1.entries, self.d1.entries):
+            raise ValueError("the cocycles are not taken against this X's presentation")
+        Y = ext.L
+        p = Y.algebra.p
+        e = ext.dim
+        reps = ext.reps  # (e, dim_Y, b1(X))
+        cov = cover_matrix(Y, reps.transpose(0, 2, 1))  # phi_i: F_1(X) -> Y as matrices
+        sides = []
+        for T, (hom_XT, proj_out, d1T, g1) in zip(self.tests, self._per_test):
+            homs = hom_space_matrices(Y, T)
+            f = len(homs)
+            F = np.array(homs, dtype=np.int64).reshape(f, T.dim, Y.dim)
+            # delta: column f holds f phi_i in T^b1(X), generator major
+            out = np.einsum("fty,iyl->iflt", F, reps).reshape(e, f, ext.beta1 * T.dim) @ proj_out.T
+            proj_in, _, _ = linalg.complement_projection(d1T.transpose().acting_on(Y))
+            # d: column g holds phi_i g_1 in Y^b1(T), generator major
+            rows, h, b1T = g1.shape
+            ins = (cov @ g1.reshape(rows, h * b1T)).reshape(e, Y.dim, h, b1T)
+            ins = ins.transpose(0, 2, 3, 1).reshape(e, h, b1T * Y.dim) @ proj_in.T
+            sides.append((hom_XT + f, out.transpose(0, 2, 1) % p,
+                          hom_dim(T, Y) + h, ins.transpose(0, 2, 1) % p))
+
+        def keys(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            coeffs = np.asarray(coeffs, dtype=np.int64)
+            homs_out = np.empty((coeffs.shape[0], len(sides)), dtype=np.int64)
+            homs_in = np.empty_like(homs_out)
+            for t, (base_out, out, base_in, ins) in enumerate(sides):
+                homs_out[:, t] = base_out - linalg.rank_batch(np.tensordot(coeffs, out, axes=1), p)
+                homs_in[:, t] = base_in - linalg.rank_batch(np.tensordot(coeffs, ins, axes=1), p)
+            return homs_out, homs_in
+
+        return keys
+
+
 @dataclass
 class IsoResult:
     isomorphic: bool

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from artloc import extensions, linalg
-from artloc.catalog import hypersurface_ring, pair_ring, stretched_ring
+from artloc import extensions, linalg, modules
+from artloc.catalog import example1_ring, hypersurface_ring, pair_ring, stretched_ring
 from artloc.extensions import (
     EnumerationBudgetExceeded,
     NotHypersurface,
@@ -19,12 +19,15 @@ from artloc.extensions import (
     strict_upper_reduction,
 )
 from artloc.modules import (
+    FpModule,
     FreePresentation,
+    HomSequenceKeys,
     RingMatrix,
     canonical_fingerprint,
     direct_sum,
     ext1,
     free_module,
+    hom_dim,
     is_isomorphic,
     quotient_module,
     regular_module,
@@ -32,7 +35,7 @@ from artloc.modules import (
 )
 
 from conftest import closure_element
-from oracles import base_p_digits, commutes_with_action, module_axioms_hold
+from oracles import base_p_digits, commutes_with_action, hom_dim_kron, module_axioms_hold
 
 
 def _pres_from_matrix(A, x, uppers):
@@ -251,6 +254,92 @@ def test_monic_cocycles_keep_the_first_member_of_every_class(make, p, depth, mon
     assert [len(level) for level in filt_enumerate(A, x, depth, budget=required)] == [
         len(level) for level in want
     ]
+
+
+def _assert_sequence_keys(X, tests, Y, blocks, oracle_rows=0):
+    """The keys of every cocycle in blocks equal hom_dim on the middle term;
+    the first oracle_rows of them are also checked against hom_dim_kron."""
+    es = ext1(X, Y)
+    keys_of = HomSequenceKeys(X, tests).keys_for(es)
+    checked = 0
+    for block in blocks(es):
+        homs_out, homs_in = keys_of(block)
+        assert homs_out.shape == homs_in.shape == (block.shape[0], len(tests))
+        for coeffs, out_row, in_row in zip(block, homs_out.tolist(), homs_in.tolist()):
+            M = extension_from_cocycle(es, coeffs).middle
+            assert out_row == [hom_dim(M, T) for T in tests]
+            assert in_row == [hom_dim(T, M) for T in tests]
+            if checked < oracle_rows:
+                p = M.algebra.p
+                assert out_row == [hom_dim_kron(M.action, T.action, p) for T in tests]
+                assert in_row == [hom_dim_kron(T.action, M.action, p) for T in tests]
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("ring, p", [("example1", 2), ("goto", 2), ("stretched", 3), ("pair", 5)])
+def test_sequence_keys_equal_hom_dims_on_every_candidate(ring, p, filt_pool):
+    """The bucket keys filt_enumerate reads off the cocycles are the hom
+    dimensions of every candidate middle term it builds, at every level."""
+    if ring in ("example1", "goto"):
+        A, x, levels = filt_pool[ring]
+    else:
+        A = {"stretched": stretched_ring, "pair": pair_ring}[ring](p)
+        x = closure_element(A)
+        levels = filt_enumerate(A, x, 3)
+    X = levels[0][0].module
+    candidates = 0
+    for prev in levels[:-1]:
+        tests = [node.module for node in prev] + [X]
+        for node in prev:
+            candidates += _assert_sequence_keys(
+                X, tests, node.module, lambda es: extensions._monic_blocks(A.p, es.dim), oracle_rows=2
+            )
+    assert candidates > len(levels[-1])
+
+
+def test_sequence_keys_on_split_extensions_and_empty_hom_spaces():
+    """Ext^1(X, R) = 0 on a Gorenstein ring and Ext^1(X, 0) = 0 leave only
+    the split middle term; a zero module Y or test T gives Hom(Y, T) = 0
+    and Hom(T, X) = 0, so some tensors have no columns; an empty block and
+    an empty list of tests give empty keys."""
+    A = example1_ring()
+    X = quotient_module(regular_module(A), A.principal_ideal(closure_element(A)).basis).module
+    R, k = regular_module(A), residue_field(A)
+    zero = FpModule(A, np.zeros((A.dim, 0, 0), dtype=np.int64))
+    tests = [k, R, zero, X]
+
+    def every(es):
+        digits = [base_p_digits(m, 2, es.dim) for m in range(2**es.dim)]
+        return [np.array(digits, dtype=np.int64).reshape(2**es.dim, es.dim)]
+
+    assert ext1(X, R).dim == 0 and ext1(X, zero).dim == 0 and ext1(X, k).dim > 0
+    for Y in (R, zero, k, X):
+        _assert_sequence_keys(X, tests, Y, every, oracle_rows=2)
+    keys_of = HomSequenceKeys(X, tests).keys_for(ext1(X, k))
+    assert [a.shape for a in keys_of(np.zeros((0, ext1(X, k).dim), dtype=np.int64))] == [(0, 4), (0, 4)]
+    homs_out, homs_in = HomSequenceKeys(X, []).keys_for(ext1(X, k))(np.zeros((3, ext1(X, k).dim)))
+    assert homs_out.shape == homs_in.shape == (3, 0)
+    with pytest.raises(ValueError):
+        HomSequenceKeys(X, tests).keys_for(ext1(k, R))
+
+
+def test_filt_resolves_only_modules_that_become_classes(goto, monkeypatch):
+    """Bucket keys come from the cocycles, so a minimal presentation is only
+    ever built for X or for a module kept as a class (a test one level up,
+    or a class facing an isomorphism test)."""
+    resolved = []
+    real = modules.Resolution
+
+    def spy(M, steps):
+        if steps == 1:
+            resolved.append(M)
+        return real(M, steps)
+
+    monkeypatch.setattr(modules, "Resolution", spy)
+    levels = filt_enumerate(goto, closure_element(goto), 3)
+    kept = [node.module for level in levels for node in level]
+    assert resolved and all(any(M is K for K in kept) for M in resolved)
 
 
 def test_closure_negative_census(closure_pair, closure_y3):

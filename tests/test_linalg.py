@@ -101,6 +101,70 @@ def test_invertible_batch_matches_per_matrix_rank():
         assert (flags == want).all()
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 65521]),
+    st.integers(0, 6),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(["dense", "sparse", "low-rank"]),
+)
+@example(0, 2, 0, 3, 3, "dense")
+@example(0, 3, 4, 0, 5, "dense")
+@example(0, 65521, 4, 5, 0, "dense")
+@example(0, 65521, 5, 6, 4, "low-rank")
+def test_rank_batch_matches_rank_mod(seed, p, batch, rows, cols, kind):
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, size=(batch, rows, cols))
+    if kind == "sparse":
+        mats *= rng.random(mats.shape) < 0.25
+    elif kind == "low-rank":
+        # random matrices at a large p almost surely have full rank
+        inner = int(rng.integers(0, min(rows, cols) + 1))
+        left = rng.integers(0, p, size=(batch, rows, inner))
+        mats = (left @ rng.integers(0, p, size=(batch, inner, cols))) % p
+    ranks = linalg.rank_batch(mats - p * rng.integers(-2, 3, size=mats.shape), p)
+    assert ranks.shape == (batch,)
+    assert ranks.tolist() == [linalg.rank_mod(m, p) for m in mats]
+    square = mats[:, :rows, :rows] if cols >= rows else mats[:, :cols, :cols]
+    assert linalg.invertible_batch(square, p).tolist() == [
+        linalg.rank_mod(m, p) == m.shape[0] for m in square
+    ]
+
+
+def test_rank_batch_rejects_bad_input():
+    with pytest.raises(ValueError):
+        linalg.rank_batch(np.zeros((2, 2, 2), dtype=np.int64), 4)
+    with pytest.raises(ValueError):
+        linalg.rank_batch(np.zeros((2, 2), dtype=np.int64), 2)
+    with pytest.raises(ValueError):
+        linalg.invertible_batch(np.zeros((2, 2, 3), dtype=np.int64), 2)
+
+
+def test_outside_data_is_copied_and_reduced_and_results_are_frozen():
+    data = np.array([[5, -1, 0], [2, 7, 3]], dtype=np.int64)
+    m = PrimeFieldMatrix(data, 3)
+    data[0, 0] = 1
+    assert m.array.tolist() == [[2, 2, 0], [2, 1, 0]]
+    rhs = PrimeFieldMatrix(np.array([[1], [2]]), 3)
+    made = [
+        linalg.rref(m).matrix,
+        linalg.kernel_basis(m),
+        linalg.column_space(m),
+        linalg.column_space(m.transpose()),
+        linalg.solve_matrix(m, rhs),
+    ]
+    for out in made:
+        a = out.array
+        assert a.dtype == np.int64 and not a.flags.writeable
+        assert ((a >= 0) & (a < 3)).all()
+    assert m.array.tolist() == [[2, 2, 0], [2, 1, 0]]
+    # a rank-deficient column space owns just its rank rows, not the whole buffer
+    low = linalg.column_space(PrimeFieldMatrix(np.ones((2, 40), dtype=np.int64), 3))
+    assert low.shape == (2, 1) and low.array.base.size == 2
+
+
 def test_is_prime_and_modulus_guard():
     assert linalg.is_prime(2) and linalg.is_prime(7919)
     assert not linalg.is_prime(1) and not linalg.is_prime(9)
