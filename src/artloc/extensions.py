@@ -30,6 +30,7 @@ from .modules import (
     direct_sum,
     ext1,
     free_module,
+    hom_space_matrices,
     is_isomorphic,
     quotient_module,
     regular_module,
@@ -87,12 +88,9 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
     """Middle term (Y + F_0) / {(phi(z), -d1(z))} for the cocycle with the
     given coordinates in ext.reps. The zero cocycle yields Y + X."""
     X, Y = ext.X, ext.L
-    A = X.algebra
-    p = A.p
-    phi = ext.cocycle(coeffs)
-    F0 = free_module(A, ext.beta0)
-    D = direct_sum(Y, F0)
-    W = PrimeFieldMatrix(np.vstack([cover_matrix(Y, phi.T), -ext.d1.as_linear_map().array]), p)
+    p = X.algebra.p
+    D, neg_d1 = ext.split_sum
+    W = PrimeFieldMatrix(np.vstack([cover_matrix(Y, ext.cocycle(coeffs).T), neg_d1]), p)
     qm = quotient_module(D, W)
     M = qm.module
     inject = ModuleMap(Y, M, qm.proj.matrix[:, : Y.dim])
@@ -182,6 +180,75 @@ def _monic_blocks(p: int, dim: int):
         yield pending
 
 
+def orbit_generators(ext: Ext1Space) -> tuple[np.ndarray, np.ndarray]:
+    """(gs, acts): automorphisms of Y = ext.L, namely every g and every 1 + g
+    that is invertible for g in the canonical basis of End(Y), and for each
+    the (dim, dim) matrix of xi -> [g phi_xi] on Ext^1(X, Y) coordinates."""
+    Y = ext.L
+    p = Y.algebra.p
+    homs = hom_space_matrices(Y, Y)
+    basis = np.reshape(homs, (len(homs), Y.dim, Y.dim))
+    cands = np.concatenate([basis, (basis + np.eye(Y.dim, dtype=np.int64)) % p])
+    gs = cands[linalg.invertible_batch(cands, p)]
+    acts = ext.pushforward(gs)
+    if acts is None:
+        raise LiftFailure("an automorphism of Y moved a cocycle out of Z^1")
+    return gs, acts
+
+
+def _orbit_minima(ext: Ext1Space):
+    """The least member of every orbit of the group G generated by
+    orbit_generators(ext) and the unit scalars on Ext^1(X, Y), in increasing
+    order as little-endian base-p integers, in blocks of at most 4096 rows.
+
+    Scalars are central, so every orbit is closed under them and its least
+    member is monic; the scan walks the monic cocycles in order, and one
+    that no earlier orbit covered is a minimum. Its orbit is marked in a
+    bitmap of p^dim flags by a search over monic members only: a generator
+    image is rescaled to its monic multiple, which is how the scalars act."""
+    p, e = ext.X.algebra.p, ext.dim
+    _, acts = orbit_generators(ext)
+    # a scalar matrix fixes every monic cocycle
+    moving = np.any(acts != acts[:, :1, :1] * np.eye(e, dtype=np.int64), axis=(1, 2))
+    if not moving.any():
+        yield from _monic_blocks(p, e)
+        return
+    acts = np.unique(acts[moving], axis=0)
+    step = acts.transpose(2, 0, 1).reshape(e, -1)  # rows @ step: every image side by side
+    chunk = max(1, 4096 // acts.shape[0])
+    weights = p ** np.arange(e, dtype=np.int64)
+    inv = linalg.inverse_table(p)
+    covered = np.zeros(p**e, dtype=bool)
+
+    def monic_index(rows: np.ndarray) -> np.ndarray:
+        top = e - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+        scale = inv[rows[np.arange(rows.shape[0]), top]]  # 0 on the zero row
+        return (rows * scale[:, None] % p) @ weights
+
+    pending = []
+    for block in _monic_blocks(p, e):
+        for row, n in zip(block, (block @ weights).tolist()):
+            if covered[n]:
+                continue
+            covered[n] = True
+            pending.append(row)
+            frontier = np.array([n], dtype=np.int64)
+            while frontier.size:
+                found = []
+                for lo in range(0, frontier.size, chunk):
+                    rows = frontier[lo : lo + chunk, None] // weights % p
+                    idx = np.unique(monic_index((rows @ step % p).reshape(-1, e)))
+                    idx = idx[~covered[idx]]
+                    covered[idx] = True
+                    found.append(idx)
+                frontier = np.concatenate(found)
+            if len(pending) == 4096:
+                yield np.array(pending)
+                pending = []
+    if pending:
+        yield np.array(pending)
+
+
 def _merges(cls: FpModule, M: FpModule) -> bool:
     """Whether M is isomorphic to the class representative; an inconclusive
     test never merges without a witness."""
@@ -197,18 +264,20 @@ def filt_enumerate(
     """Levels 1..n of filt(X) for X = R/(x), each a deduplicated, canonically
     sorted list of nodes carrying their triangular presentations.
 
-    For every class Y one level down, the monic cocycles of Ext^1(X, Y) are
-    enumerated: zero, and those whose top nonzero coordinate is 1, i.e. the
-    integers n = 0 and n in [p^j, 2 p^j) for j < dim read as little-endian
-    base-p digits, in increasing n. Each middle term is deduplicated as
-    soon as it is built, and a class keeps its first member. This loses
-    nothing against scanning the full vector space in digit order: for a
-    unit lambda, xi and lambda xi have isomorphic middle terms, and within
-    the orbit {lambda xi} the top nonzero digit decides the order, so the
-    monic member comes first. So when every isomorphism test is conclusive,
-    the first member of every class, with its chain and presentation, is
-    the same; at p = 2 every cocycle is monic. The budget still counts all
-    p^dim cocycles per class. Isomorphism tests that stay inconclusive keep
+    For every class Y one level down, only the least member of each orbit
+    of a group G of automorphisms of Y on Ext^1(X, Y) is built, in
+    increasing order as little-endian base-p integers (_orbit_minima). G is
+    generated by the unit scalars and orbit_generators(ext): every g and
+    every 1 + g that is invertible, g in the canonical basis of End(Y),
+    acting by xi -> [g phi_xi]. Pushing an extension out along an
+    automorphism of Y gives an isomorphic middle term, so every class is a
+    union of G-orbits and its least member is an orbit minimum. Each middle
+    term is deduplicated as soon as it is built, and a class keeps its
+    first member. So when every isomorphism test is conclusive, the first
+    member of every class, with its chain and presentation, is the one a
+    scan of every cocycle in digit order would keep. The budget still
+    counts all p^dim cocycles per class; it also bounds the orbit scan's
+    bitmap of p^dim bytes. Isomorphism tests that stay inconclusive keep
     candidates as distinct classes rather than merging them."""
     if n < 1:
         raise ValueError("need at least one level")
@@ -232,7 +301,7 @@ def filt_enumerate(
         hom_keys = HomSequenceKeys(X, [node.module for node in prev] + [X])
         for ynode, es in zip(prev, spaces):
             keys_of = hom_keys.keys_for(es)
-            for block in _monic_blocks(A.p, es.dim):
+            for block in _orbit_minima(es):
                 homs_out, homs_in = keys_of(block)
                 for coeffs, out_row, in_row in zip(block, homs_out.tolist(), homs_in.tolist()):
                     witness = extension_from_cocycle(es, coeffs)

@@ -34,8 +34,9 @@ def is_prime(p: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    # index 0 is a placeholder; p is prime and small so Fermat is fine
+def inverse_table(p: int) -> np.ndarray:
+    """inverse_table(p)[a] is the inverse of a mod p; index 0 holds 0."""
+    # p is prime and small so Fermat is fine
     return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
 
 
@@ -61,7 +62,7 @@ def _row_reduce(a: np.ndarray, p: int, pivot_cols: Optional[int] = None) -> tupl
     """
     rows = a.shape[0]
     limit = a.shape[1] if pivot_cols is None else pivot_cols
-    inv = _inverse_table(p)
+    inv = inverse_table(p)
     r = 0
     pivots: list[int] = []
     for c in a[:, :limit].any(axis=0).nonzero()[0].tolist():
@@ -227,7 +228,7 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     if m.shape[1] < m.shape[2]:
         m = np.ascontiguousarray(m.transpose(0, 2, 1))
     B, r, c = m.shape
-    inv = _inverse_table(p)
+    inv = inverse_table(p)
     rank = np.zeros(B, dtype=np.int64)
     bidx = np.arange(B)
     rows = np.arange(r)

@@ -9,6 +9,7 @@ produce identical arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -27,7 +28,7 @@ class FpModule:
     """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
     shape is checked; the package's constructions preserve the axioms."""
 
-    __slots__ = ("algebra", "dim", "action", "_profile", "_homdata")
+    __slots__ = ("algebra", "dim", "action", "_profile", "_homdata", "_radical")
 
     def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
         action = np.mod(np.asarray(action, dtype=np.int64), algebra.p)
@@ -39,6 +40,7 @@ class FpModule:
         self.action = action
         self._profile: Optional[tuple] = None
         self._homdata: Optional[tuple] = None
+        self._radical: Optional[PrimeFieldMatrix] = None
 
     # -- basic operations ---------------------------------------------------------
 
@@ -48,14 +50,20 @@ class FpModule:
         return np.tensordot(v, self.action, axes=(0, 0)) % self.algebra.p
 
     def radical_subspace(self, subspace: Optional[PrimeFieldMatrix] = None) -> PrimeFieldMatrix:
-        """Canonical basis of mW, W the span of subspace (default: W = M)."""
+        """Canonical basis of mW, W the span of subspace (default: W = M,
+        computed once and cached on the module)."""
+        if subspace is None and self._radical is not None:
+            return self._radical
         W = np.eye(self.dim, dtype=np.int64) if subspace is None else subspace.array
         # the blocks e_i W (i >= 1) side by side, written straight into that
         # layout; free modules of a resolution use free_radical_subspace
         blocks = (self.dim, self.algebra.dim - 1, W.shape[1])
         stacked = np.empty((self.dim, blocks[1] * blocks[2]), dtype=np.int64)
         np.matmul(self.action[1:], W, out=stacked.reshape(blocks).transpose(1, 0, 2))
-        return linalg.column_space(PrimeFieldMatrix(stacked, self.algebra.p))
+        span = linalg.column_space(PrimeFieldMatrix(stacked, self.algebra.p))
+        if subspace is None:
+            self._radical = span
+        return span
 
     def socle_subspace(self) -> PrimeFieldMatrix:
         """Canonical basis of (0 :_M m)."""
@@ -70,10 +78,12 @@ class FpModule:
             return self._profile
         p = self.algebra.p
         rad: list[int] = []
-        span = PrimeFieldMatrix.identity(self.dim, p)
-        while span.cols:
-            span = self.radical_subspace(span)
+        if self.dim:
+            span = self.radical_subspace()
             rad.append(span.cols)
+            while span.cols:
+                span = self.radical_subspace(span)
+                rad.append(span.cols)
         soc: list[int] = []
         known = PrimeFieldMatrix.zeros(self.dim, 0, p)
         while known.cols < self.dim:
@@ -279,12 +289,13 @@ def minimal_generators(M: FpModule, subspace: Optional[PrimeFieldMatrix] = None)
     choice is deterministic. Nakayama makes the count equal dim W/mW.
     """
     if subspace is None:
-        cols = PrimeFieldMatrix.identity(M.dim, M.algebra.p)
+        cols, rad = PrimeFieldMatrix.identity(M.dim, M.algebra.p), M.radical_subspace()
     else:
         cols = linalg.column_space(subspace)
-    if cols.cols == 0:
-        return []
-    return [cols.column(j) for j in linalg.greedy_completion(M.radical_subspace(cols), cols)]
+        if cols.cols == 0:
+            return []
+        rad = M.radical_subspace(cols)
+    return [cols.column(j) for j in linalg.greedy_completion(rad, cols)]
 
 
 def free_radical_subspace(A: LocalAlgebra, rank: int, subspace: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -403,11 +414,33 @@ class Ext1Space:
         picks = linalg.greedy_completion(B, Z)
         self.reps = Z.array[:, picks].T.reshape(len(picks), self.beta1, L.dim).transpose(0, 2, 1)
         self.dim = len(picks)
+        # Z^1 in the basis [reps | coboundaries], for coordinates of cocycles
+        self._cocycle_basis = PrimeFieldMatrix(np.hstack([Z.array[:, picks], B.array]), p)
 
     def cocycle(self, coeffs: Sequence[int]) -> np.ndarray:
         """The (dim_L, beta1) cocycle matrix for coordinates in the basis."""
         p = self.X.algebra.p
         return np.tensordot(np.asarray(coeffs, dtype=np.int64) % p, self.reps, axes=1) % p
+
+    @functools.cached_property
+    def split_sum(self) -> tuple[FpModule, np.ndarray]:
+        """(L + F_0, -d1 as a linear map F_1 -> F_0): what every middle term
+        (L + F_0) / {(phi(z), -d1(z))} shares, built once per space."""
+        A = self.X.algebra
+        return direct_sum(self.L, free_module(A, self.beta0)), (-self.d1.as_linear_map().array) % A.p
+
+    def pushforward(self, maps: np.ndarray) -> Optional[np.ndarray]:
+        """For a (k, dim_L, dim_L) stack of A-linear maps g: L -> L, the
+        (k, dim, dim) matrices of xi -> [g phi_xi] on cocycle coordinates
+        (column t is the image of reps[t]), from one solve against
+        [reps | coboundaries]; None if some g phi_xi is not a cocycle."""
+        p = self.X.algebra.p
+        k, e = maps.shape[0], self.dim
+        moved = np.einsum("gij,tjl->gtli", maps, self.reps).reshape(k * e, self.beta1 * self.L.dim)
+        sol = linalg.solve_matrix(self._cocycle_basis, PrimeFieldMatrix(moved.T, p))
+        if sol is None:
+            return None
+        return sol.array[:e].reshape(e, k, e).transpose(1, 0, 2)
 
 
 def ext1(X: FpModule, L: FpModule) -> Ext1Space:

@@ -257,3 +257,54 @@ def free_action(mult, rank: int) -> np.ndarray:
     """Action on A^rank: one Kronecker product per basis element of A."""
     eye = np.eye(rank, dtype=np.int64)
     return np.stack([np.kron(eye, m) for m in mult])
+
+
+def orbit_minima_brute(y_action, end_basis, reps, d1_entries, p: int) -> list[tuple[int, ...]]:
+    """Least member (as a little-endian base-p integer) of every orbit on
+    Ext^1(X, Y) = Z^1 / B^1 of the group generated by the unit scalars and
+    by every g and every 1 + g of rank dim Y, g in end_basis, acting by
+    xi -> [g phi_xi]. reps[t] is the (dim Y, b1) matrix of the t-th basis
+    cocycle and d1_entries the (b0, b1, dim A) first differential of X.
+
+    Classes are compared directly: each cocycle matrix is reduced against
+    the rref of the coboundaries f d1 (f sending one generator of F_0 to one
+    basis vector of Y), a reduced cocycle is looked up among all p^e
+    coordinate vectors, and orbits are closed by a plain graph search."""
+    y_action = np.asarray(y_action, dtype=np.int64) % p
+    reps = np.asarray(reps, dtype=np.int64) % p
+    e, n, b1 = reps.shape
+    eye = np.eye(n, dtype=np.int64)
+    gens = [h for B in end_basis for h in (np.asarray(B) % p, (eye + B) % p) if rank_fp(h, p) == n]
+    cobounds = []
+    for row in np.asarray(d1_entries, dtype=np.int64):
+        acts = [np.tensordot(entry, y_action, axes=(0, 0)) % p for entry in row]
+        for u in eye:
+            cobounds.append(np.stack([a @ u % p for a in acts], axis=1).reshape(-1))
+    a, pivots = _rref_fp(cobounds, p) if cobounds else (np.zeros((0, n * b1)), [])
+
+    def reduced(phi) -> tuple[int, ...]:
+        v = np.asarray(phi, dtype=np.int64).reshape(-1) % p
+        for r, c in enumerate(pivots):
+            v = (v - v[c] * a[r]) % p
+        return tuple(v.tolist())
+
+    vectors = list(itertools.product(range(p), repeat=e))
+    cocycle = {xi: sum((c * R for c, R in zip(xi, reps)), np.zeros((n, b1), dtype=np.int64)) for xi in vectors}
+    lookup = {reduced(phi): xi for xi, phi in cocycle.items()}
+    value = lambda xi: sum(c * p**i for i, c in enumerate(xi))
+    seen, minima = set(), []
+    for start in vectors:
+        if start in seen:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            xi = stack.pop()
+            images = [tuple(c * lam % p for c in xi) for lam in range(1, p)]
+            images += [lookup[reduced(g @ cocycle[xi])] for g in gens]
+            for image in images:
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        seen |= orbit
+        minima.append(min(orbit, key=value))
+    return sorted(minima, key=value)

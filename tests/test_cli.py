@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -342,6 +343,30 @@ def test_json_reports_are_deterministic(tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["filt", "example1.ring", "--depth", "3"],
+         "a7396f37d3d0862b2718ede7a55aa9a0278fd9773dfb9d47167c2a37dad539fe"),
+        (["filt", "goto.ring", "--depth", "4"],
+         "808a5a2506dfebe2e779d926e1095297f85101066d1e99bc37542598de4fa40f"),
+        (["closure", "stretched.ring", "--depth", "3"],
+         "741655e94f82d322230d72dc10992a5f8d82eb040cbc073edc33a518009bdb61"),
+        # over F_5 the depth-4 merges are proved by sampled witnesses
+        (["filt", "pair.ring", "--p", "5", "--depth", "4"],
+         "86aef7c2e68edf0c09c2fdff3bd46d4ca3d84bc0fcfcf5249de93d6f99751ff6"),
+    ],
+    ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "filt-pair5-4"],
+)
+def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
+    """Which cocycles filt builds may change; the reported classes, their
+    order, presentations and verdicts may not. These reports are pinned by
+    SHA-256 to the bytes the full scan of monic cocycles produced."""
+    target = tmp_path / "report.json"
+    assert main([argv[0], _ring(argv[1]), *argv[2:], "--json", str(target), "--quiet"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_verify_paper_module_entrypoint():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from artloc import extensions, linalg, modules
-from artloc.catalog import example1_ring, hypersurface_ring, pair_ring, stretched_ring
+from artloc.catalog import example1_ring, goto_ring, hypersurface_ring, pair_ring, stretched_ring
 from artloc.extensions import (
     EnumerationBudgetExceeded,
+    LiftFailure,
     NotHypersurface,
     build_presentation_matrix,
     check_matrix_condition,
@@ -22,20 +23,29 @@ from artloc.modules import (
     FpModule,
     FreePresentation,
     HomSequenceKeys,
+    ModuleMap,
     RingMatrix,
     canonical_fingerprint,
     direct_sum,
     ext1,
     free_module,
     hom_dim,
+    hom_space_matrices,
     is_isomorphic,
+    minimal_free_resolution,
     quotient_module,
     regular_module,
     residue_field,
 )
 
 from conftest import closure_element
-from oracles import base_p_digits, commutes_with_action, hom_dim_kron, module_axioms_hold
+from oracles import (
+    base_p_digits,
+    commutes_with_action,
+    hom_dim_kron,
+    module_axioms_hold,
+    orbit_minima_brute,
+)
 
 
 def _pres_from_matrix(A, x, uppers):
@@ -216,12 +226,16 @@ def _filt_by_every_cocycle(A, x, n):
     return levels
 
 
-@pytest.mark.parametrize("make, p, depth", [(stretched_ring, 3, 3), (pair_ring, 5, 3), (pair_ring, 2, 4)])
-def test_monic_cocycles_keep_the_first_member_of_every_class(make, p, depth, monkeypatch):
-    """Enumerating only the monic cocycles picks the same representatives,
-    in the same order, as scanning every cocycle, while building
-    1 + (p^d - 1)/(p - 1) candidates per class at p > 2 and all p^d at
-    p = 2; the budget still counts p^d."""
+@pytest.mark.parametrize(
+    "make, p, depth",
+    [(stretched_ring, 3, 3), (pair_ring, 5, 3), (pair_ring, 2, 4), (goto_ring, 2, 3), (goto_ring, 3, 3)],
+)
+def test_orbit_minima_keep_the_first_member_of_every_class(make, p, depth, monkeypatch):
+    """Enumerating only the least member of every automorphism orbit picks
+    the same representatives, in the same order, as scanning every cocycle;
+    the cocycles built for each class Y are exactly the orbit minima that a
+    brute-force closure finds, fewer at the last level than the p^d the
+    budget still counts."""
     A = make(p)
     x = closure_element(A)
     want = _filt_by_every_cocycle(A, x, depth)
@@ -229,7 +243,7 @@ def test_monic_cocycles_keep_the_first_member_of_every_class(make, p, depth, mon
     real = extensions.extension_from_cocycle
 
     def spy(es, coeffs):
-        built.append(es.L)
+        built.append((es.L, tuple(int(c) for c in coeffs)))
         return real(es, coeffs)
 
     monkeypatch.setattr(extensions, "extension_from_cocycle", spy)
@@ -240,12 +254,15 @@ def test_monic_cocycles_keep_the_first_member_of_every_class(make, p, depth, mon
     X = levels[0][0].module
     required = 0
     for level in levels[:-1]:
-        dims = [ext1(X, node.module).dim for node in level]
-        per_class = [1 + (p**d - 1) // (p - 1) for d in dims]  # p^d at p = 2
-        made = [sum(Y is node.module for Y in built) for node in level]
-        assert made == per_class
-        required = sum(p**d for d in dims)
-    assert (required > sum(per_class)) == (p > 2)
+        made = 0
+        for node in level:
+            Y = node.module
+            es = ext1(X, Y)
+            minima = orbit_minima_brute(Y.action, hom_space_matrices(Y, Y), es.reps, es.d1.entries, p)
+            assert [c for L, c in built if L is Y] == minima
+            made += len(minima)
+        required = sum(p ** ext1(X, node.module).dim for node in level)
+    assert made < required
     monkeypatch.undo()
     with pytest.raises(EnumerationBudgetExceeded) as err:
         filt_enumerate(A, x, depth, budget=required - 1)
@@ -254,6 +271,49 @@ def test_monic_cocycles_keep_the_first_member_of_every_class(make, p, depth, mon
     assert [len(level) for level in filt_enumerate(A, x, depth, budget=required)] == [
         len(level) for level in want
     ]
+
+
+@pytest.mark.parametrize("make, p", [(example1_ring, 2), (goto_ring, 2), (stretched_ring, 3), (pair_ring, 5)])
+def test_orbit_generators_are_automorphisms_that_keep_middle_terms(make, p):
+    """For every level-2 class Y, each generator of the orbit scan is an
+    A-linear automorphism of Y that maps Z^1(X, Y) into itself, and the
+    first cocycles xi and g xi have middle terms that is_isomorphic proves
+    isomorphic with a verified witness."""
+    A = make(p)
+    levels = filt_enumerate(A, closure_element(A), 2)
+    X = levels[0][0].module
+    d2 = minimal_free_resolution(X, 2).differential(2)
+    for node in levels[1]:
+        Y = node.module
+        es = ext1(X, Y)
+        gs, acts = extensions.orbit_generators(es)
+        assert len(gs) == len(acts) > 0 and acts.shape[1:] == (es.dim, es.dim)
+        firsts = [base_p_digits(m, p, es.dim) for m in range(1, min(p**es.dim, 4))]
+        for g, act in zip(gs, acts):
+            assert ModuleMap(Y, Y, g).is_linear() and linalg.rank_mod(g, p) == Y.dim
+            for rep in es.reps:
+                moved = g @ rep % p  # images of F_1's generators under g phi
+                for c in range(d2.cols):
+                    relation = sum(Y.action_of(d2.entries[k, c]) @ moved[:, k] for k in range(d2.rows))
+                    assert not np.any(relation % p)
+            for xi in firsts:
+                M = extension_from_cocycle(es, xi).middle
+                N = extension_from_cocycle(es, act @ np.array(xi) % p).middle
+                H = is_isomorphic(M, N).witness
+                assert H is not None and H.is_linear() and linalg.rank_mod(H.matrix, p) == M.dim
+
+
+def test_orbit_generators_reject_a_map_that_moves_a_cocycle_out_of_z1(filt_pool, monkeypatch):
+    """A cyclic shift of Y's basis is invertible but not A-linear, and it
+    sends a cocycle out of Z^1, so its action on Ext^1 has no coordinates:
+    LiftFailure."""
+    _, _, levels = filt_pool["example1"]
+    X, Y = levels[0][0].module, levels[1][-1].module
+    shuffle = np.roll(np.eye(Y.dim, dtype=np.int64), 1, axis=0)
+    assert not ModuleMap(Y, Y, shuffle).is_linear()
+    monkeypatch.setattr(extensions, "hom_space_matrices", lambda M, N: [shuffle])
+    with pytest.raises(LiftFailure, match="out of Z"):
+        extensions.orbit_generators(ext1(X, Y))
 
 
 def _assert_sequence_keys(X, tests, Y, blocks, oracle_rows=0):

@@ -73,7 +73,8 @@ def test_regular_and_residue_dimensions(example1):
 
 def test_module_products_match_loop_oracles(example1, goto):
     """free_module, cover_matrix, radical_subspace and Ext1Space.cocycle
-    give the arrays of the per-element loops they replaced, byte for byte."""
+    give the arrays of the per-element loops they replaced, byte for byte;
+    mM itself is computed once per module."""
     rng = np.random.default_rng(5)
     for A in (example1, goto, pair_ring(5)):
         p = A.p
@@ -90,6 +91,9 @@ def test_module_products_match_loop_oracles(example1, goto):
             mw = np.hstack([(M.action[i] @ W) % p for i in range(1, A.dim)])
             expect = linalg.column_space(linalg.PrimeFieldMatrix(mw, p))
             assert M.radical_subspace(linalg.PrimeFieldMatrix(W, p)) == expect
+            mM = M.radical_subspace()
+            assert mM is M.radical_subspace()  # cached on the module
+            assert mM == linalg.column_space(linalg.PrimeFieldMatrix(np.hstack(M.action[1:]), p))
             es = ext1(M, k)
             for coeffs in rng.integers(0, p, size=(3, es.dim)):
                 phi = np.zeros((k.dim, es.beta1), dtype=np.int64)
