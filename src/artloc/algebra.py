@@ -105,11 +105,13 @@ class IdealSubspace:
     def power(self, n: int) -> "IdealSubspace":
         if n < 0:
             raise ValueError("negative ideal power")
-        acc = self.ambient.unit_ideal()
-        for _ in range(n):
-            acc = acc.product(self)
+        if n == 0:
+            return self.ambient.unit_ideal()
+        acc = self
+        for _ in range(n - 1):
             if acc.is_zero():
                 break
+            acc = acc.product(self)
         return acc
 
     def __repr__(self) -> str:
@@ -142,6 +144,9 @@ class LocalAlgebra:
         self.presentation = presentation
         self._mult_matrices: Optional[np.ndarray] = None
         self._generator_set: Optional[PrimeFieldMatrix] = None
+        self._generator_mults: Optional[np.ndarray] = None
+        self._maxideal_square: Optional[IdealSubspace] = None
+        self._maxideal_powers: Optional[tuple[IdealSubspace, ...]] = None
         self._invariants: Optional[AlgebraInvariants] = None
 
     # -- elements ---------------------------------------------------------------
@@ -243,11 +248,12 @@ class LocalAlgebra:
         return self.colon(self.zero_ideal(), x)
 
     def socle(self) -> IdealSubspace:
-        """(0 : m), the simultaneous kernel of all maximal-ideal actions."""
+        """(0 : m), the simultaneous kernel of the actions of the minimal
+        generators of m, which generate m as an ideal."""
         if self.dim == 1:
             return self.unit_ideal()
-        stacked = self.mult_matrices()[1:].reshape(-1, self.dim)
-        return IdealSubspace(self, linalg.kernel_basis(PrimeFieldMatrix(stacked, self.p)))
+        stacked = self.generator_mults().reshape(-1, self.dim)
+        return IdealSubspace(self, linalg.kernel_basis(PrimeFieldMatrix._own(stacked, self.p)))
 
     # -- invariants ------------------------------------------------------------------
 
@@ -257,17 +263,51 @@ class LocalAlgebra:
         of m^2 inside m over the stored basis order."""
         if self._generator_set is None:
             m = self.maxideal()
-            picks = linalg.greedy_completion(m.power(2).basis, m.basis)
-            self._generator_set = PrimeFieldMatrix(m.basis.array[:, picks], self.p)
+            picks = linalg.greedy_completion(self.maxideal_square().basis, m.basis)
+            self._generator_set = PrimeFieldMatrix._own(m.basis.array[:, picks], self.p)
         return self._generator_set
 
-    def maxideal_powers(self) -> list[IdealSubspace]:
-        """[m^0, m^1, ...] down to the first zero power."""
-        powers = [self.unit_ideal()]
-        m = self.maxideal()
-        while not powers[-1].is_zero():
-            powers.append(powers[-1].product(m))
-        return powers
+    def generator_mults(self) -> np.ndarray:
+        """The (e, dim, dim) stack multiplying by each minimal generator of m."""
+        if self._generator_mults is None:
+            # the generators are unit vectors e_i, so these are table slices
+            idx = self.generator_set.array.argmax(axis=0)
+            mults = np.transpose(self.table[idx], (0, 2, 1)).copy()
+            mults.setflags(write=False)
+            self._generator_mults = mults
+        return self._generator_mults
+
+    def maxideal_square(self) -> IdealSubspace:
+        """m^2, the span of the table products e_i e_j with i, j >= 1."""
+        if self._maxideal_square is None:
+            i, j = np.triu_indices(self.dim - 1)
+            products = self.table[i + 1, j + 1].T
+            self._maxideal_square = IdealSubspace(self, PrimeFieldMatrix._own(products, self.p))
+        return self._maxideal_square
+
+    def times_maxideal(self, ideal: IdealSubspace) -> IdealSubspace:
+        """m * I for an ideal I, as the span of g * I over the minimal
+        generators g of m: m = span(g) + m^2 and m is nilpotent, so the g
+        generate m (Nakayama) and m I = sum_g g A I = sum_g g I."""
+        prods = self.generator_mults() @ ideal.basis.array % self.p  # (e, dim, dim I)
+        cols = prods.transpose(1, 0, 2).reshape(self.dim, -1)
+        return IdealSubspace(self, PrimeFieldMatrix._own(cols, self.p))
+
+    def maxideal_powers(self) -> tuple[IdealSubspace, ...]:
+        """(m^0, m^1, ...) down to the first zero power, computed once."""
+        if self._maxideal_powers is None:
+            powers = [self.unit_ideal(), self.maxideal()]
+            while not powers[-1].is_zero():
+                powers.append(self.times_maxideal(powers[-1]))
+            self._maxideal_powers = tuple(powers)
+        return self._maxideal_powers
+
+    def maxideal_power(self, k: int) -> IdealSubspace:
+        """m^k; the zero ideal past the nilpotency index."""
+        if k < 0:
+            raise ValueError("negative ideal power")
+        powers = self.maxideal_powers()
+        return powers[k] if k < len(powers) else powers[-1]
 
     def invariants(self) -> AlgebraInvariants:
         if self._invariants is None:
@@ -322,20 +362,19 @@ class LocalAlgebra:
         if e < 2:
             raise EdimTooSmallError("need edim >= 2 for an orthogonal generator pair")
         p = self.p
-
-        def combos():
-            for block in linalg.digit_blocks(1, p**e, p, e):
-                yield from block
-
-        for a in combos():
-            x = (gens.array @ a) % p
-            for b in combos():
-                # independence mod m^2 is rank 2 of the coefficient rows
-                if linalg.PrimeFieldMatrix(np.vstack([a, b]), p).rank != 2:
-                    continue
-                y = (gens.array @ b) % p
-                if not np.any(self.mult(x, y)):
-                    return x, y
+        for block in linalg.digit_blocks(1, p**e, p, e):
+            for a in block:
+                x = (gens.array @ a) % p
+                x_gens = (self.mult_by(x) @ gens.array) % p  # x * g_j
+                for bs in linalg.digit_blocks(1, p**e, p, e):
+                    # independence mod m^2: some 2x2 minor a_i b_j - a_j b_i is nonzero
+                    minors = bs[:, :, None] * a[None, None, :] - bs[:, None, :] * a[None, :, None]
+                    indep = np.any(minors % p, axis=(1, 2))
+                    # x * y = sum_j b_j (x * g_j)
+                    orthogonal = ~np.any((x_gens @ bs.T) % p, axis=0)
+                    hits = (indep & orthogonal).nonzero()[0]
+                    if hits.size:
+                        return x, (gens.array @ bs[hits[0]]) % p
         return None
 
     def __repr__(self) -> str:
@@ -376,14 +415,16 @@ def check_axioms(A: LocalAlgebra) -> list[str]:
     if d > 1 and np.any(t[1:, 1:, 0] % p):
         problems.append("span(e_1..e_{d-1}) is not closed under multiplication")
         return problems
-    m = IdealSubspace(A, PrimeFieldMatrix(np.eye(d, dtype=np.int64)[:, 1:], p))
-    power = m
-    for _ in range(d + 1):
-        if power.is_zero():
-            break
-        power = power.product(m)
-    else:
-        problems.append("maximal ideal is not nilpotent")
+    # the generator products give m^k only when the minimal generators g
+    # generate m as an ideal, i.e. g m = m^2, which Nakayama gives whenever m
+    # is nilpotent (e_1 e_1 = e_1 has no generators at all)
+    power = A.times_maxideal(A.maxideal())
+    if power == A.maxideal_square():
+        for _ in range(d):
+            if power.is_zero():
+                return problems
+            power = A.times_maxideal(power)
+    problems.append("maximal ideal is not nilpotent")
     return problems
 
 

@@ -164,7 +164,7 @@ def _check_example1_colon():
 
 def _check_stretched_socle_power():
     A = stretched_ring()
-    m3 = A.maxideal().power(3)
+    m3 = A.maxideal_power(3)
     x3 = A.principal_ideal(A.element_from_string("x^3"))
     got = (m3 == x3, m3.dim)
     return got == (True, 1), "m^3 = (x^3), dim 1", str(got)

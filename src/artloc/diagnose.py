@@ -48,7 +48,7 @@ def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
     p = A.p
     if A.dim == 1:
         return None
-    m2 = A.maxideal().power(2)
+    m2 = A.maxideal_power(2)
     for block in linalg.digit_blocks(1, p ** (A.dim - 1), p, A.dim - 1):
         for digits in block:
             coords = np.concatenate([[0], digits])

@@ -442,9 +442,9 @@ def complement_ideal(A: LocalAlgebra, x: np.ndarray) -> IdealSubspace:
     the basis so the result is canonical."""
     p = A.p
     xv = np.asarray(x, dtype=np.int64) % p
-    if not A.is_in_maxideal(xv) or A.maxideal().power(2).contains(xv) or not np.any(xv):
+    if not A.is_in_maxideal(xv) or A.maxideal_power(2).contains(xv) or not np.any(xv):
         raise ValueError("x must be a minimal generator of the maximal ideal")
-    span = linalg.subspace_sum(A.principal_ideal(xv).basis, A.maxideal().power(2).basis)
+    span = linalg.subspace_sum(A.principal_ideal(xv).basis, A.maxideal_power(2).basis)
     m = A.maxideal().basis
     I = A.ideal([m.column(j) for j in linalg.greedy_completion(span, m)])
     if linalg.subspace_sum(A.principal_ideal(xv).basis, I.basis) != A.maxideal().basis:
@@ -529,7 +529,7 @@ def ext_closure_contains_k(
         raise ValueError("x must be nonzero")
     if not A.is_in_maxideal(xv):
         raise ValueError("x must lie in the maximal ideal")
-    if A.maxideal().power(2).contains(xv):
+    if A.maxideal_power(2).contains(xv):
         raise ValueError("x must be a minimal generator (not in m^2)")
     complete = True
     try:

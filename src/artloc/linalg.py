@@ -40,8 +40,13 @@ def inverse_table(p: int) -> np.ndarray:
     return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def _is_valid_modulus(p: int) -> bool:
+    return p < MAX_MODULUS and is_prime(p)
+
+
 def check_modulus(p: int) -> None:
-    if not is_prime(p) or p >= MAX_MODULUS:
+    if not _is_valid_modulus(p):
         raise ValueError(f"modulus must be a prime below 2^16, got {p}")
 
 

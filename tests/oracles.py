@@ -104,6 +104,74 @@ def quotient_dim(gens, nvars: int, p: int, cap: int = 24):
     return None
 
 
+def hilbert_function(gens, nvars: int, p: int, cap: int = 24):
+    """(H(0), ..., H(s)) with H(i) = dim m^i/m^(i+1) of F_p[x_1..x_nvars]/(gens),
+    from dim F_p[x]/(I + M^k) = sum_{i<k} H(i): differences of the truncated
+    dims, up to the first H(i) = 0 (then m^i = m^(i+1), which is zero when I
+    is m-primary). Homogeneity is never used. None when no H(i) vanishes up
+    to the degree cap."""
+    dims = [0]
+    for degree in range(cap + 1):
+        dims.append(_truncated_dim(gens, nvars, p, degree))
+        if dims[-1] == dims[-2]:
+            return tuple(b - a for a, b in zip(dims[:-2], dims[1:-1]))
+    return None
+
+
+def _span_basis(vectors, p: int, n: int) -> np.ndarray:
+    """Canonical (n, rank) basis of the span: the nonzero rref rows, as columns."""
+    if not len(vectors):
+        return np.zeros((n, 0), dtype=np.int64)
+    a, pivots = _rref_fp(vectors, p)
+    return a[: len(pivots)].T
+
+
+def maxideal_powers_loop(table, p: int) -> list[np.ndarray]:
+    """Canonical bases of m^0, m^1, ... down to the first zero power, by the
+    per-column chain: m^(k+1) is spanned by every u * e_j with u in the basis
+    of m^k and j >= 1, one product at a time."""
+    table = np.asarray(table, dtype=np.int64) % p
+    d = table.shape[0]
+    powers = [np.eye(d, dtype=np.int64)]
+    m = [np.eye(d, dtype=np.int64)[j] for j in range(1, d)]
+    powers.append(_span_basis(m, p, d))
+    while powers[-1].shape[1]:
+        prods = [np.tensordot(u, table[:, j], axes=(0, 0)) % p for u in powers[-1].T for j in range(1, d)]
+        powers.append(_span_basis(prods, p, d))
+    return powers
+
+
+def socle_loop(table, p: int) -> np.ndarray:
+    """Canonical basis of (0 : m): the common null space of multiplication by
+    every e_j, j >= 1, as the nonzero rref rows of its kernel basis."""
+    table = np.asarray(table, dtype=np.int64) % p
+    d = table.shape[0]
+    rows = [table[j, :, k] for j in range(1, d) for k in range(d)]
+    if not rows:
+        return np.eye(d, dtype=np.int64)
+    return _span_basis(list(kernel_basis_loop(rows, p, d).T), p, d)
+
+
+def orthogonal_pair_brute(table, gens, p: int):
+    """First (x, y) = (gens a, gens b) with x y = 0 and rank [a; b] = 2, with
+    a, then b, running over the base-p digits of 1..p^e - 1 (first digit
+    least significant); None when there is none. One product at a time."""
+    table = np.asarray(table, dtype=np.int64) % p
+    gens = np.asarray(gens, dtype=np.int64) % p
+    e = gens.shape[1]
+    for na in range(1, p**e):
+        a = np.array(base_p_digits(na, p, e), dtype=np.int64)
+        x = gens @ a % p
+        for nb in range(1, p**e):
+            b = np.array(base_p_digits(nb, p, e), dtype=np.int64)
+            if rank_fp([a, b], p) != 2:
+                continue
+            y = gens @ b % p
+            if not np.any(np.tensordot(np.outer(x, y), table, axes=([0, 1], [0, 1])) % p):
+                return x, y
+    return None
+
+
 def dict_to_text(term_dict, variables) -> str:
     """Render an exponent-dict polynomial in the workbench's input grammar."""
     pieces = []

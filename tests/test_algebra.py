@@ -22,7 +22,15 @@ from artloc.extensions import complement_ideal
 from artloc.modules import matlis_dual, regular_module
 from artloc.polyparse import InfiniteDimensionError, Polynomial, parse_polynomial
 
-from oracles import hom_dim_kron, idealization_table, quotient_dim, tensor_table
+from oracles import (
+    hom_dim_kron,
+    idealization_table,
+    maxideal_powers_loop,
+    orthogonal_pair_brute,
+    quotient_dim,
+    socle_loop,
+    tensor_table,
+)
 
 RINGS = Path(__file__).resolve().parent.parent / "rings"
 
@@ -123,6 +131,20 @@ def test_orthogonal_pair_search(example1, pair, ci, dual):
         dual.find_orthogonal_generator_pair()
 
 
+def test_orthogonal_pair_search_matches_the_brute_scan(example1, pair, stretched, ci, goto, inconclusive_ring):
+    rings = [example1, pair, stretched, ci, goto, inconclusive_ring, catalog.pair_ring(5),
+             catalog.pair_ring(7), catalog.example1_ring(3), catalog.complete_intersection_ring(3, 2, 3),
+             make_ring(["x", "y"], ["x^2", "y^2"], 5), make_ring(["x", "y", "z"], ["x^2", "y^2", "z^2", "yz"], 3),
+             make_ring(["x", "y"], ["x^2-y^2", "x^3"], 5)]  # first pair (x + y, x - y)
+    for A in rings:
+        want = orthogonal_pair_brute(A.table, A.generator_set.array, A.p)
+        got = A.find_orthogonal_generator_pair()
+        if want is None:
+            assert got is None, A
+        else:
+            assert got is not None and all(np.array_equal(g, w) for g, w in zip(got, want)), A
+
+
 def test_check_axioms_accepts_corpus_rings(example1, stretched, pair):
     for A in (example1, stretched, pair):
         assert check_axioms(A) == []
@@ -168,6 +190,74 @@ def test_check_axioms_flags_tampered_table(pair):
     problems = check_axioms(bad)
     assert problems
     assert any("e_1" in msg or "span" in msg for msg in problems)
+
+
+def _table_algebra(p: int, products: dict) -> LocalAlgebra:
+    """Algebra on e_0..e_(d-1) with unit e_0 and e_i e_j = products[(i, j)]
+    (a coordinate vector, zero when absent), made commutative."""
+    d = len(next(iter(products.values())))
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        table[0, i, i] = table[i, 0, i] = 1
+    for (i, j), v in products.items():
+        table[i, j] = table[j, i] = v
+    return LocalAlgebra(p, table, [f"e{i}" for i in range(d)])
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        {(1, 1): [0, 1]},  # e_1 idempotent: m = m^2 has no minimal generators
+        {(1, 1): [0, 1, 0]},  # e_1 idempotent beside e_2 with e_2^2 = 0: g m = 0 != m^2
+        {(1, 1): [0, 0, 1], (1, 2): [0, 0, 1], (2, 2): [0, 0, 1]},  # F_2[x]/(x^2 - x^3)
+    ],
+    ids=["idempotent", "idempotent-plus-square-zero", "x2-equals-x3"],
+)
+def test_check_axioms_flags_non_nilpotent_maximal_ideal(products):
+    bad = _table_algebra(2, products)
+    assert check_axioms(bad) == ["maximal ideal is not nilpotent"]
+
+
+def _non_monomial_rings(pair, stretched, example1):
+    """Tensor products, idealizations and quotients, whose bases are not
+    standard monomials of a presentation."""
+    x1 = example1.element_from_string("x")
+    return [
+        tensor_product(pair, catalog.hypersurface_ring(2, 3)),
+        tensor_product(dual_numbers(3, "x"), stretched),
+        idealization(pair, matlis_dual(regular_module(pair)).action),
+        idealization(stretched, regular_module(stretched).action),
+        quotient_ring(example1, example1.principal_ideal(x1 + example1.element_from_string("y"))).algebra,
+        quotient_ring(stretched, stretched.principal_ideal(stretched.element_from_string("x - y"))).algebra,
+        quotient_ring(pair, complement_ideal(pair, pair.element_from_string("x"))).algebra,
+    ]
+
+
+def test_maxideal_powers_and_socle_match_the_per_column_chain(pair, stretched, example1):
+    """The generator products give the same canonical bases, byte for byte,
+    as multiplying by every basis vector of m."""
+    for A in _non_monomial_rings(pair, stretched, example1):
+        want = maxideal_powers_loop(A.table, A.p)
+        got = A.maxideal_powers()
+        assert len(got) == len(want), A
+        for k, (ideal, basis) in enumerate(zip(got, want)):
+            assert ideal.basis.shape == basis.shape and ideal.basis.array.tobytes() == basis.tobytes(), (A, k)
+            assert A.maxideal_power(k) is ideal
+            assert A.maxideal().power(k) == ideal
+        assert A.maxideal_power(len(got)).is_zero()
+        soc = socle_loop(A.table, A.p)
+        assert A.socle().basis.shape == soc.shape and A.socle().basis.array.tobytes() == soc.tobytes(), A
+        assert check_axioms(A) == [], A
+
+
+def test_long_monomial_ring_invariants():
+    """F_2[x,y]/(x^12, y^12): length 144, Hilbert function 1, 2, ..., 12, ..., 2, 1."""
+    A = make_ring(["x", "y"], ["x^12", "y^12"], 2)
+    inv = A.invariants()
+    assert inv.length == 144
+    assert inv.hilbert == tuple(range(1, 13)) + tuple(range(11, 0, -1))
+    assert inv.edim == 2
+    assert inv.socle_dim == 1
 
 
 def test_from_presentation_rejects_non_primary_ideals():

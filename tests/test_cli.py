@@ -369,6 +369,24 @@ def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (None, "41285335e0241fcf8fc7dcb98b3aca831e8e32e62a44d12fa8b9670c608f3de8"),
+        ("p=3 vars=x,y,z\nx^4+y^3z\ny^4+z^3x\nz^4+x^3y\n",
+         "c10dfa160751c540f2a86cee141d2cf8c459b9a2eca7b3576800ad70e7836963"),
+    ],
+    ids=["monomial64", "gorenstein64"],
+)
+def test_analyze_reports_on_long_rings_keep_their_pinned_bytes(text, digest, tmp_path):
+    """Length-64 rings: F_2[x,y]/(x^8, y^8) from the benchmark's ring file and
+    the Gorenstein ring of three quartics over F_3, pinned by SHA-256."""
+    ring = str(ROOT / "perfbench" / "rings" / "monomial64.ring") if text is None else _write(tmp_path, text)
+    target = tmp_path / "report.json"
+    assert main(["analyze", ring, "--json", str(target), "--quiet"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 def test_verify_paper_module_entrypoint():
     out = subprocess.run(
         [sys.executable, "-m", "artloc", "verify-paper", "--quiet", "--json", "-"],

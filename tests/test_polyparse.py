@@ -17,7 +17,7 @@ from artloc.polyparse import (
     standard_monomial_basis,
 )
 
-from oracles import quotient_dim
+from oracles import hilbert_function, quotient_dim
 
 XY = ("x", "y")
 XYZW = ("x", "y", "z", "w")
@@ -157,7 +157,7 @@ def _assert_matches_sympy(dicts, variables, p):
     ]
     want = set()
     for g in sympy.groebner(exprs, *gens, order="grevlex", modulus=p).exprs:
-        terms = sympy.Poly(g, *gens, modulus=p).terms()  # leading term first
+        terms = sympy.Poly(g, *gens, modulus=p).terms(order="grevlex")  # leading term first
         inv = pow(int(terms[0][1]) % p, p - 2, p)
         want.add(frozenset((mono, int(c) * inv % p) for mono, c in terms))
     gb = buchberger([Polynomial(variables, p, d) for d in dicts])
@@ -196,6 +196,7 @@ def _m_primary_ideal(nvars, powers, extra):
 @settings(deadline=None, max_examples=40)
 @given(*_M_PRIMARY)
 @example(2, 2, (1, 1, 1), [])
+@example(3, 2, (2, 3, 1), [[((0, 2, 0), 1), ((1, 0, 0), 2)]])  # lex and grevlex leads differ
 def test_buchberger_matches_sympy_groebner(p, nvars, powers, extra):
     variables, dicts = _m_primary_ideal(nvars, powers, extra)
     _assert_matches_sympy(dicts, variables, p)
@@ -208,6 +209,22 @@ def test_from_presentation_tables_satisfy_the_axioms(p, nvars, powers, extra):
     variables, dicts = _m_primary_ideal(nvars, powers, extra)
     A = from_presentation(variables, [Polynomial(variables, p, d) for d in dicts])
     assert check_axioms(A) == []
+
+
+@settings(deadline=None, max_examples=40)
+@given(*_M_PRIMARY)
+@example(3, 2, (4, 4, 1), [[((3, 0, 0), 1), ((0, 2, 0), 2)]])  # x^3 - y^2: not homogeneous
+@example(5, 3, (2, 3, 4), [[((1, 1, 0), 1), ((0, 0, 2), 4)], [((0, 1, 1), 1), ((3, 0, 0), 1)]])
+def test_invariants_match_the_hilbert_function_oracle(p, nvars, powers, extra):
+    """hilbert and edim against differences of truncated quotient dims:
+    dim F_p[x]/(I + M^k) = H(0) + ... + H(k-1), for any m-primary I."""
+    variables, dicts = _m_primary_ideal(nvars, powers, extra)
+    A = from_presentation(variables, [Polynomial(variables, p, d) for d in dicts])
+    want = hilbert_function(dicts, nvars, p)
+    inv = A.invariants()
+    assert inv.hilbert == want
+    assert inv.edim == (want[1] if len(want) > 1 else 0)
+    assert sum(want) == A.dim
 
 
 def test_buchberger_matches_sympy_on_the_stretched_ring():
