@@ -9,6 +9,7 @@ from tensor products, and from quotients by ideals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -92,15 +93,10 @@ class IdealSubspace:
         return IdealSubspace(self.ambient, linalg.subspace_intersection(self.basis, other.basis))
 
     def product(self, other: "IdealSubspace") -> "IdealSubspace":
+        """I J, the span of u * v over the basis vectors u of I and v of J."""
         A = self.ambient
-        if self.is_zero() or other.is_zero():
-            return A.zero_ideal()
-        cols = []
-        for i in range(self.dim):
-            u = self.basis.column(i)
-            mu = A.mult_by(u)
-            cols.append((mu @ other.basis.array) % A.p)
-        return IdealSubspace(A, linalg.column_space(PrimeFieldMatrix(np.hstack(cols), A.p)))
+        prods = linalg.span_of_products(A.mult_stack(self.basis.array), other.basis.array, A.p)
+        return IdealSubspace(A, prods)
 
     def power(self, n: int) -> "IdealSubspace":
         if n < 0:
@@ -143,7 +139,6 @@ class LocalAlgebra:
             raise ValueError("label count does not match dimension")
         self.presentation = presentation
         self._mult_matrices: Optional[np.ndarray] = None
-        self._generator_set: Optional[PrimeFieldMatrix] = None
         self._generator_mults: Optional[np.ndarray] = None
         self._maxideal_square: Optional[IdealSubspace] = None
         self._maxideal_powers: Optional[tuple[IdealSubspace, ...]] = None
@@ -172,10 +167,15 @@ class LocalAlgebra:
             self._mult_matrices = m
         return self._mult_matrices
 
+    def mult_stack(self, elements: np.ndarray) -> np.ndarray:
+        """The (k, dim, dim) stack multiplying by each column of the
+        (dim, k) array elements, reduced mod p."""
+        c = np.asarray(elements, dtype=np.int64) % self.p
+        return np.tensordot(c, self.table, axes=(0, 0)).transpose(0, 2, 1) % self.p
+
     def mult_by(self, v: np.ndarray) -> np.ndarray:
         """Matrix of multiplication by the element with coordinates v."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        return np.tensordot(v, self.table, axes=(0, 0)).T % self.p
+        return self.mult_stack(np.reshape(v, (self.dim, 1)))[0]
 
     def mult(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (self.mult_by(u) @ (np.asarray(v, dtype=np.int64) % self.p)) % self.p
@@ -219,12 +219,8 @@ class LocalAlgebra:
 
     def ideal(self, generators: Sequence[np.ndarray]) -> IdealSubspace:
         """Ideal generated by the given elements: span of g * e_i."""
-        cols = []
-        for g in generators:
-            cols.append(self.mult_by(g))  # columns are g * e_i
-        if not cols:
-            return self.zero_ideal()
-        return IdealSubspace(self, linalg.column_space(PrimeFieldMatrix(np.hstack(cols), self.p)))
+        gens = self.mult_stack(np.reshape(generators, (len(generators), self.dim)).T)
+        return IdealSubspace(self, linalg.span_of_products(gens, np.eye(self.dim, dtype=np.int64), self.p))
 
     def principal_ideal(self, v: np.ndarray) -> IdealSubspace:
         return self.ideal([v])
@@ -250,29 +246,32 @@ class LocalAlgebra:
     def socle(self) -> IdealSubspace:
         """(0 : m), the simultaneous kernel of the actions of the minimal
         generators of m, which generate m as an ideal."""
-        if self.dim == 1:
-            return self.unit_ideal()
         stacked = self.generator_mults().reshape(-1, self.dim)
         return IdealSubspace(self, linalg.kernel_basis(PrimeFieldMatrix._own(stacked, self.p)))
 
     # -- invariants ------------------------------------------------------------------
 
-    @property
+    @functools.cached_property
+    def generator_indices(self) -> np.ndarray:
+        """The basis indices i of the minimal generators e_i of m: the
+        lexicographically first basis completion of m^2 inside m over the
+        stored basis order. A module's m-action is action[generator_indices]."""
+        picks = linalg.greedy_completion(self.maxideal_square().basis, self.maxideal().basis)
+        idx = np.array(picks, dtype=np.int64) + 1
+        idx.setflags(write=False)
+        return idx
+
+    @functools.cached_property
     def generator_set(self) -> PrimeFieldMatrix:
-        """Minimal generators of m: lexicographically first basis completion
-        of m^2 inside m over the stored basis order."""
-        if self._generator_set is None:
-            m = self.maxideal()
-            picks = linalg.greedy_completion(self.maxideal_square().basis, m.basis)
-            self._generator_set = PrimeFieldMatrix._own(m.basis.array[:, picks], self.p)
-        return self._generator_set
+        """Minimal generators of m, as the columns e_i, i in generator_indices."""
+        return PrimeFieldMatrix._own(np.eye(self.dim, dtype=np.int64)[:, self.generator_indices], self.p)
 
     def generator_mults(self) -> np.ndarray:
-        """The (e, dim, dim) stack multiplying by each minimal generator of m."""
+        """The (e, dim, dim) stack multiplying by each minimal generator of m:
+        table slices, as the generators are basis vectors (never sliced out
+        of mult_matrices(), which would build the whole (dim, dim, dim) stack)."""
         if self._generator_mults is None:
-            # the generators are unit vectors e_i, so these are table slices
-            idx = self.generator_set.array.argmax(axis=0)
-            mults = np.transpose(self.table[idx], (0, 2, 1)).copy()
+            mults = np.transpose(self.table[self.generator_indices], (0, 2, 1)).copy()
             mults.setflags(write=False)
             self._generator_mults = mults
         return self._generator_mults
@@ -289,16 +288,23 @@ class LocalAlgebra:
         """m * I for an ideal I, as the span of g * I over the minimal
         generators g of m: m = span(g) + m^2 and m is nilpotent, so the g
         generate m (Nakayama) and m I = sum_g g A I = sum_g g I."""
-        prods = self.generator_mults() @ ideal.basis.array % self.p  # (e, dim, dim I)
-        cols = prods.transpose(1, 0, 2).reshape(self.dim, -1)
-        return IdealSubspace(self, PrimeFieldMatrix._own(cols, self.p))
+        return IdealSubspace(self, linalg.span_of_products(self.generator_mults(), ideal.basis.array, self.p))
 
     def maxideal_powers(self) -> tuple[IdealSubspace, ...]:
-        """(m^0, m^1, ...) down to the first zero power, computed once."""
+        """(m^0, m^1, ...) down to the first zero power, computed once.
+
+        The powers are generator products (times_maxideal), which are m^k
+        only when the generators g generate m as an ideal, i.e. when
+        g m = m^2: then m = span(g) + g m lies in the ideal (g). Raises
+        NotLocalError when that fails or when m^dim is not zero (the powers
+        of a nilpotent m fall in dimension at every step).
+        """
         if self._maxideal_powers is None:
             powers = [self.unit_ideal(), self.maxideal()]
             while not powers[-1].is_zero():
                 powers.append(self.times_maxideal(powers[-1]))
+                if len(powers) > self.dim + 1 or powers[2] != self.maxideal_square():
+                    raise NotLocalError("maximal ideal is not nilpotent")
             self._maxideal_powers = tuple(powers)
         return self._maxideal_powers
 
@@ -415,16 +421,10 @@ def check_axioms(A: LocalAlgebra) -> list[str]:
     if d > 1 and np.any(t[1:, 1:, 0] % p):
         problems.append("span(e_1..e_{d-1}) is not closed under multiplication")
         return problems
-    # the generator products give m^k only when the minimal generators g
-    # generate m as an ideal, i.e. g m = m^2, which Nakayama gives whenever m
-    # is nilpotent (e_1 e_1 = e_1 has no generators at all)
-    power = A.times_maxideal(A.maxideal())
-    if power == A.maxideal_square():
-        for _ in range(d):
-            if power.is_zero():
-                return problems
-            power = A.times_maxideal(power)
-    problems.append("maximal ideal is not nilpotent")
+    try:
+        A.maxideal_powers()
+    except NotLocalError:
+        problems.append("maximal ideal is not nilpotent")
     return problems
 
 

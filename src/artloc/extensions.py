@@ -168,14 +168,14 @@ def _triangular_step(
 def _monic_blocks(p: int, dim: int):
     """Monic cocycle coordinates in increasing order as little-endian base-p
     integers: zero, then n in [p^j, 2 p^j) for j < dim (top nonzero digit 1),
-    regrouped into blocks of at most 4096 rows."""
+    regrouped into blocks of at most linalg.BLOCK_ROWS rows."""
     pending = np.zeros((0, dim), dtype=np.int64)
     for lo, hi in [(0, 1)] + [(p**j, 2 * p**j) for j in range(dim)]:
         for block in linalg.digit_blocks(lo, hi, p, dim):
             pending = np.concatenate([pending, block])
-            while pending.shape[0] >= 4096:
-                yield pending[:4096]
-                pending = pending[4096:]
+            while pending.shape[0] >= linalg.BLOCK_ROWS:
+                yield pending[: linalg.BLOCK_ROWS]
+                pending = pending[linalg.BLOCK_ROWS :]
     if pending.shape[0]:
         yield pending
 
@@ -199,7 +199,8 @@ def orbit_generators(ext: Ext1Space) -> tuple[np.ndarray, np.ndarray]:
 def _orbit_minima(ext: Ext1Space):
     """The least member of every orbit of the group G generated by
     orbit_generators(ext) and the unit scalars on Ext^1(X, Y), in increasing
-    order as little-endian base-p integers, in blocks of at most 4096 rows.
+    order as little-endian base-p integers, in blocks of at most
+    linalg.BLOCK_ROWS rows.
 
     Scalars are central, so every orbit is closed under them and its least
     member is monic; the scan walks the monic cocycles in order, and one
@@ -215,7 +216,7 @@ def _orbit_minima(ext: Ext1Space):
         return
     acts = np.unique(acts[moving], axis=0)
     step = acts.transpose(2, 0, 1).reshape(e, -1)  # rows @ step: every image side by side
-    chunk = max(1, 4096 // acts.shape[0])
+    chunk = max(1, linalg.BLOCK_ROWS // acts.shape[0])
     weights = p ** np.arange(e, dtype=np.int64)
     inv = linalg.inverse_table(p)
     covered = np.zeros(p**e, dtype=bool)
@@ -242,7 +243,7 @@ def _orbit_minima(ext: Ext1Space):
                     covered[idx] = True
                     found.append(idx)
                 frontier = np.concatenate(found)
-            if len(pending) == 4096:
+            if len(pending) == linalg.BLOCK_ROWS:
                 yield np.array(pending)
                 pending = []
     if pending:
@@ -416,15 +417,11 @@ def check_matrix_condition(pres: FreePresentation, x: np.ndarray) -> list[bool]:
     n = pres.relations.rows
     out = []
     for j in range(1, n):
-        cols = []
-        for t in range(ann.dim):
-            z = ann.basis.column(t)
-            parts = [(A.mult_by(pres.relations.entries[i, j]) @ z) % p for i in range(j)]
-            cols.append(np.concatenate(parts))
-        lhs = PrimeFieldMatrix.from_columns(cols, j * A.dim, p)
+        # column j above the diagonal, as a map A -> A^j, applied to (0:x)
+        column = RingMatrix(A, pres.relations.entries[:j, j : j + 1]).as_linear_map()
+        lhs = PrimeFieldMatrix._own(column.array @ ann.basis.array % p, p)
         leading = RingMatrix(A, pres.relations.entries[:j, :j])
-        rhs = linalg.column_space(leading.as_linear_map())
-        out.append(linalg.is_subspace(linalg.column_space(lhs), rhs))
+        out.append(linalg.is_subspace(lhs, leading.as_linear_map()))
     return out
 
 

@@ -11,11 +11,12 @@ particular solution with all free variables zero.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 MAX_MODULUS = 1 << 16
+BLOCK_ROWS = 4096  # rows per block of the batched enumerations
 
 
 class DimensionMismatch(ValueError):
@@ -134,12 +135,6 @@ class PrimeFieldMatrix:
     @classmethod
     def identity(cls, n: int, p: int) -> "PrimeFieldMatrix":
         return cls(np.eye(n, dtype=np.int64), p)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[np.ndarray], rows: int, p: int) -> "PrimeFieldMatrix":
-        if not columns:
-            return cls.zeros(rows, 0, p)
-        return cls(np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1), p)
 
     # -- basic accessors -------------------------------------------------------
 
@@ -313,6 +308,21 @@ def column_space(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     return PrimeFieldMatrix._own((a if rank == a.shape[0] else a[:rank].copy()).T, m.p)
 
 
+def span_of_products(mats: np.ndarray, W: np.ndarray, p: int) -> PrimeFieldMatrix:
+    """Canonical basis of the span of every g w, where each g in the
+    (k, n, n) stack mats acts on each n-row block of every column w of the
+    (b * n, c) array W. Both must hold residues mod p, or the products can
+    overflow int64 near p = 2^16. k, b, c and n may be zero."""
+    k, n = mats.shape[:2]
+    rows, c = W.shape
+    b = rows // n if n else 0
+    # stacked[(block, a), (i, col)] = (mats[i] W[block])[a, col], written in place
+    stacked = np.empty((rows, k * c), dtype=np.int64)
+    np.matmul(mats[:, None], W.reshape(b, n, c), out=stacked.reshape(b, n, k, c).transpose(2, 0, 1, 3))
+    np.mod(stacked, p, out=stacked)
+    return column_space(PrimeFieldMatrix._own(stacked, p))
+
+
 def greedy_completion(span: PrimeFieldMatrix, candidates: PrimeFieldMatrix) -> list[int]:
     """Indices of the candidate columns a left-to-right greedy scan keeps to
     extend span(span): those earning a pivot past the span block in
@@ -342,9 +352,9 @@ def complement_projection(span: PrimeFieldMatrix) -> tuple[np.ndarray, np.ndarra
 
 def digit_blocks(start: int, stop: int, p: int, width: int):
     """Base-p digit rows (little-endian: digit i is (n // p^i) % p) of the
-    integers start..stop-1, yielded in blocks of at most 4096 rows."""
-    for lo in range(start, stop, 4096):
-        nums = np.arange(lo, min(lo + 4096, stop), dtype=np.int64)
+    integers start..stop-1, yielded in blocks of at most BLOCK_ROWS rows."""
+    for lo in range(start, stop, BLOCK_ROWS):
+        nums = np.arange(lo, min(lo + BLOCK_ROWS, stop), dtype=np.int64)
         out = np.zeros((nums.size, width), dtype=np.int64)
         for d in range(width):
             out[:, d] = nums % p

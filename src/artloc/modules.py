@@ -50,33 +50,39 @@ class FpModule:
         return np.tensordot(v, self.action, axes=(0, 0)) % self.algebra.p
 
     def radical_subspace(self, subspace: Optional[PrimeFieldMatrix] = None) -> PrimeFieldMatrix:
-        """Canonical basis of mW, W the span of subspace (default: W = M,
-        computed once and cached on the module)."""
+        """Canonical basis of mW for a submodule W, the span of subspace
+        (default: W = M, computed once and cached on the module).
+
+        mW is the span of the g W over the minimal generators g of m. That
+        equals mW only when W is A-invariant (m = sum_g g A, so
+        mW = sum_g g A W), which is not checked."""
         if subspace is None and self._radical is not None:
             return self._radical
         W = np.eye(self.dim, dtype=np.int64) if subspace is None else subspace.array
-        # the blocks e_i W (i >= 1) side by side, written straight into that
-        # layout; free modules of a resolution use free_radical_subspace
-        blocks = (self.dim, self.algebra.dim - 1, W.shape[1])
-        stacked = np.empty((self.dim, blocks[1] * blocks[2]), dtype=np.int64)
-        np.matmul(self.action[1:], W, out=stacked.reshape(blocks).transpose(1, 0, 2))
-        span = linalg.column_space(PrimeFieldMatrix(stacked, self.algebra.p))
+        span = linalg.span_of_products(self.action[self.algebra.generator_indices], W, self.algebra.p)
         if subspace is None:
             self._radical = span
         return span
 
     def socle_subspace(self) -> PrimeFieldMatrix:
-        """Canonical basis of (0 :_M m)."""
-        stacked = self.action[1:].reshape((self.algebra.dim - 1) * self.dim, self.dim)
-        return linalg.kernel_basis(PrimeFieldMatrix(stacked, self.algebra.p))
+        """Canonical basis of (0 :_M m), the common kernel of the minimal
+        generators of m (which generate m as an ideal)."""
+        gens = self.action[self.algebra.generator_indices]
+        stacked = gens.reshape(gens.shape[0] * self.dim, self.dim)
+        return linalg.kernel_basis(PrimeFieldMatrix._own(stacked, self.algebra.p))
 
     def iso_profile(self) -> tuple:
         """Cheap isomorphism invariants, used to separate modules before any
         Hom computation: radical series dims, socle series dims, and the rank
-        profile of every basis element's powers."""
+        profile of every basis element's powers.
+
+        Both series act through the minimal generators of m only, which is
+        exact because their terms are submodules; the power profiles stay on
+        every basis element, because canonical_fingerprint sorts by them."""
         if self._profile is not None:
             return self._profile
         p = self.algebra.p
+        gens = self.action[self.algebra.generator_indices]
         rad: list[int] = []
         if self.dim:
             span = self.radical_subspace()
@@ -89,7 +95,7 @@ class FpModule:
         while known.cols < self.dim:
             # functionals vanishing on the socle-series term found so far
             funcs = linalg.kernel_basis(known.transpose()).array.T
-            stacked = (funcs @ self.action[1:]) % p
+            stacked = (funcs @ gens) % p
             known = linalg.kernel_basis(PrimeFieldMatrix(stacked.reshape(-1, self.dim), p))
             soc.append(known.cols)
         powers = []
@@ -283,7 +289,8 @@ class FreePresentation:
 
 
 def minimal_generators(M: FpModule, subspace: Optional[PrimeFieldMatrix] = None) -> list[np.ndarray]:
-    """Minimal generating vectors of a submodule (default: M itself).
+    """Minimal generating vectors of a submodule W, the span of subspace
+    (default: M itself); W must be A-invariant, as radical_subspace needs.
 
     Greedy over the canonical basis columns against m*(submodule), so the
     choice is deterministic. Nakayama makes the count equal dim W/mW.
@@ -292,23 +299,8 @@ def minimal_generators(M: FpModule, subspace: Optional[PrimeFieldMatrix] = None)
         cols, rad = PrimeFieldMatrix.identity(M.dim, M.algebra.p), M.radical_subspace()
     else:
         cols = linalg.column_space(subspace)
-        if cols.cols == 0:
-            return []
         rad = M.radical_subspace(cols)
     return [cols.column(j) for j in linalg.greedy_completion(rad, cols)]
-
-
-def free_radical_subspace(A: LocalAlgebra, rank: int, subspace: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """free_module(A, rank).radical_subspace(subspace), formed generator block
-    by generator block: e_i acts on each block of dim_A coordinates as on A,
-    so the (rank*dim_A)^2 action matrices are never built."""
-    d, k = A.dim, subspace.cols
-    W = subspace.array.reshape(rank, d, k)
-    # stacked[(g, a), (i, c)] = (e_i W[g])[a, c], the layout of radical_subspace
-    stacked = np.empty((rank * d, (d - 1) * k), dtype=np.int64)
-    out = stacked.reshape(rank, d, d - 1, k).transpose(2, 0, 1, 3)
-    np.matmul(A.mult_matrices()[1:, None], W, out=out)
-    return linalg.column_space(PrimeFieldMatrix(stacked, A.p))
 
 
 def cover_matrix(M: FpModule, imgs: np.ndarray) -> np.ndarray:
@@ -323,8 +315,10 @@ class Resolution:
     """Minimal free resolution ... -> A^b2 -> A^b1 -> A^b0 -> M -> 0.
 
     Each step picks the syzygies as minimal_generators would on A^b_prev:
-    greedy over the canonical column_space basis of ker against m*ker,
-    where m*ker is formed per generator block by free_radical_subspace.
+    greedy over the canonical column_space basis of ker against m*ker. ker
+    is a submodule, so m*ker is the span of the products with the minimal
+    generators of m, each acting on every block of dim_A coordinates as on
+    A: the (b_prev*dim_A)^2 action matrices of A^b_prev are never built.
     """
 
     def __init__(self, M: FpModule, steps: int):
@@ -341,7 +335,8 @@ class Resolution:
             b_prev = self.betti[-1]
             ker = linalg.kernel_basis(current)
             cols = linalg.column_space(ker)
-            picks = linalg.greedy_completion(free_radical_subspace(A, b_prev, cols), cols)
+            rad = linalg.span_of_products(A.generator_mults(), cols.array, p)
+            picks = linalg.greedy_completion(rad, cols)
             b = len(picks)
             d = RingMatrix(A, cols.array[:, picks].reshape(b_prev, A.dim, b).transpose(0, 2, 1))
             lin = d.as_linear_map()
@@ -492,23 +487,13 @@ def matlis_dual(M: FpModule) -> FpModule:
 
 def base_change(M: FpModule, qr: QuotientRing) -> FpModule:
     """M/IM as a module over the quotient algebra A/I."""
-    A = M.algebra
-    p = A.p
-    I = qr.ideal
-    if I.dim:
-        im_cols = np.hstack([M.action_of(I.basis.column(j)) for j in range(I.dim)])
-        IM = linalg.column_space(PrimeFieldMatrix(im_cols, p))
-    else:
-        IM = PrimeFieldMatrix.zeros(M.dim, 0, p)
-    qm = quotient_module(M, IM)
-    B = qr.algebra
-    action = np.stack(
-        [
-            (qm.proj.matrix @ M.action_of(qr.lift.column(j)) @ qm.lift.array) % p
-            for j in range(B.dim)
-        ]
-    ) if qm.module.dim else np.zeros((B.dim, 0, 0), dtype=np.int64)
-    return FpModule(B, action)
+    p = M.algebra.p
+    # I M, the span of b w over the basis vectors b of I and w of M
+    I_action = np.tensordot(qr.ideal.basis.array.T, M.action, axes=(1, 0)) % p
+    qm = quotient_module(M, linalg.span_of_products(I_action, np.eye(M.dim, dtype=np.int64), p))
+    # the basis of A/I acts on M/IM through its lift to A
+    lifted = np.tensordot(qr.lift.array.T, M.action, axes=(1, 0)) % p
+    return FpModule(qr.algebra, qm.proj.matrix @ lifted @ qm.lift.array % p)
 
 
 # -- hom spaces and isomorphism testing ------------------------------------------------------

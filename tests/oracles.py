@@ -321,6 +321,35 @@ def cover_columns(action, imgs, p: int) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
 
 
+def span_of_products_loop(mats, W, p: int) -> np.ndarray:
+    """Canonical basis of the span of every g w, each g of the (k, n, n) stack
+    acting on every n-row block of each column w of W, one block at a time."""
+    mats = np.asarray(mats, dtype=np.int64) % p
+    W = np.asarray(W, dtype=np.int64) % p
+    n, rows = mats.shape[1], W.shape[0]
+    vectors = []
+    for g in mats:
+        for w in W.T:
+            blocks = [(g @ w[s : s + n]) % p for s in range(0, rows, n)] if rows else [w]
+            vectors.append(np.concatenate(blocks))
+    return _span_basis(vectors, p, rows)
+
+
+def socle_series_loop(action, p: int) -> list[int]:
+    """Dimensions of the socle series of a module: soc_(k+1) is cut out by
+    f e_i = 0 for every functional f vanishing on soc_k and every e_i, i >= 1."""
+    action = np.asarray(action, dtype=np.int64) % p
+    n = action.shape[1]
+    known = np.zeros((0, n), dtype=np.int64)  # basis of soc_k as rows
+    dims = []
+    while known.shape[0] < n:
+        funcs = null_space_fp(known, p, n)
+        rows = [(f @ action[i]) % p for i in range(1, action.shape[0]) for f in funcs]
+        known = np.array(null_space_fp(rows, p, n), dtype=np.int64).reshape(-1, n)
+        dims.append(known.shape[0])
+    return dims
+
+
 def free_action(mult, rank: int) -> np.ndarray:
     """Action on A^rank: one Kronecker product per basis element of A."""
     eye = np.eye(rank, dtype=np.int64)

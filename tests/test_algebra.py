@@ -29,6 +29,7 @@ from oracles import (
     orthogonal_pair_brute,
     quotient_dim,
     socle_loop,
+    span_of_products_loop,
     tensor_table,
 )
 
@@ -204,7 +205,7 @@ def _table_algebra(p: int, products: dict) -> LocalAlgebra:
     return LocalAlgebra(p, table, [f"e{i}" for i in range(d)])
 
 
-@pytest.mark.parametrize(
+non_nilpotent_tables = pytest.mark.parametrize(
     "products",
     [
         {(1, 1): [0, 1]},  # e_1 idempotent: m = m^2 has no minimal generators
@@ -213,9 +214,64 @@ def _table_algebra(p: int, products: dict) -> LocalAlgebra:
     ],
     ids=["idempotent", "idempotent-plus-square-zero", "x2-equals-x3"],
 )
+
+
+@non_nilpotent_tables
 def test_check_axioms_flags_non_nilpotent_maximal_ideal(products):
     bad = _table_algebra(2, products)
     assert check_axioms(bad) == ["maximal ideal is not nilpotent"]
+
+
+@non_nilpotent_tables
+def test_invariants_reject_a_non_nilpotent_maximal_ideal(products):
+    """The powers of m raise instead of returning wrong invariants or
+    never reaching a zero power."""
+    bad = _table_algebra(2, products)
+    with pytest.raises(NotLocalError, match="not nilpotent"):
+        bad.invariants()
+    with pytest.raises(NotLocalError):
+        bad.classify()
+
+
+def test_ideal_and_product_match_the_product_loop(pair, stretched, example1):
+    """A.ideal and IdealSubspace.product give the canonical span of the
+    products one at a time: every e_j g, and every u v over two bases."""
+    rng = np.random.default_rng(7)
+    for A in (pair, stretched, example1, catalog.goto_ring(65521)):
+        p, d = A.p, A.dim
+        mults = A.table.transpose(0, 2, 1)  # mults[j] multiplies by e_j
+        for count in (0, 1, 3):
+            gens = rng.integers(0, p, size=(count, d))
+            gens[:, 0] = 0
+            got = A.ideal(list(gens))
+            want = span_of_products_loop(mults, gens.T, p)
+            assert got.basis.shape == want.shape and got.basis.array.tobytes() == want.tobytes(), A
+        ideals = [A.zero_ideal(), A.maxideal(), A.maxideal_power(2), A.ideal([gens[0]])]
+        for I in ideals:
+            for J in ideals:
+                u_mults = np.einsum("iu,ijl->ulj", I.basis.array, A.table) % p
+                want = span_of_products_loop(u_mults, J.basis.array, p)
+                got = I.product(J).basis
+                assert got.shape == want.shape and got.array.tobytes() == want.tobytes(), A
+
+
+def test_invariants_never_build_the_full_multiplication_stack(monkeypatch):
+    """invariants() and classify() on a length-64 ring act through table
+    slices for the minimal generators only, never through the (64, 64, 64)
+    stack of mult_matrices()."""
+    calls = []
+    original = LocalAlgebra.mult_matrices
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LocalAlgebra, "mult_matrices", spy)
+    A = load_ring(str(RINGS.parent / "perfbench" / "rings" / "monomial64.ring")).algebra
+    assert A.dim == 64
+    A.invariants()
+    A.classify()
+    assert calls == []
 
 
 def _non_monomial_rings(pair, stretched, example1):

@@ -16,6 +16,7 @@ from oracles import (
     kernel_basis_loop,
     project_by_pivots,
     rank_fp,
+    span_of_products_loop,
 )
 
 
@@ -271,11 +272,11 @@ def test_greedy_completion_matches_per_vector_loop(seed, p, n, s, c):
     st.integers(0, 10**6),
     st.integers(0, 300),
 )
-@example(2, 13, 0, 4096 + 7)
+@example(2, 13, 0, linalg.BLOCK_ROWS + 7)
 @example(3, 0, 5, 2)
 def test_digit_blocks_are_little_endian_base_p(p, width, start, count):
     blocks = list(linalg.digit_blocks(start, start + count, p, width))
-    assert all(0 < b.shape[0] <= 4096 for b in blocks)
+    assert all(0 < b.shape[0] <= linalg.BLOCK_ROWS for b in blocks)
     rows = [row.tolist() for b in blocks for row in b]
     assert rows == [base_p_digits(n, p, width) for n in range(start, start + count)]
 
@@ -407,3 +408,31 @@ def test_kernel_functions_match_rref_oracle_on_argmax_pivots():
         inconsistent[-1, 0] = 1
         for rhs in (inconsistent, (a @ np.ones((a.shape[1], 2), dtype=np.int64)) % p):
             _check_against_rref_oracle(p, a, rhs, np.eye(n, 1, dtype=np.int64))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5, 65521]),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.booleans(),
+)
+@example(0, 2, 0, 3, 2, 2, False)  # empty stack
+@example(0, 3, 2, 0, 2, 3, False)  # n = 0: no rows at all
+@example(1, 5, 2, 3, 0, 2, False)  # no blocks
+@example(2, 65521, 3, 4, 3, 4, True)  # rank 0 at the largest prime
+def test_span_of_products_matches_the_product_loop(seed, p, k, n, b, c, zero):
+    """Every g w, block by block, in one canonical basis, byte for byte;
+    with zero columns in W, and W all zero (rank 0) when `zero` is set."""
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, size=(k, n, n))
+    W = rng.integers(0, p, size=(b * n, c))
+    W[:, rng.random(c) < 0.3] = 0
+    if zero:
+        W[:] = 0
+    got = linalg.span_of_products(mats, W, p)
+    want = span_of_products_loop(mats, W, p)
+    assert got.shape == want.shape and got.array.tobytes() == want.tobytes()

@@ -30,7 +30,6 @@ from artloc.modules import (
     direct_sum,
     ext1,
     free_module,
-    free_radical_subspace,
     hom_dim,
     hom_space,
     hom_space_matrices,
@@ -58,6 +57,8 @@ from oracles import (
     hom_dim_kron,
     is_isomorphic_brute,
     module_axioms_hold,
+    socle_series_loop,
+    span_of_products_loop,
 )
 
 
@@ -72,9 +73,10 @@ def test_regular_and_residue_dimensions(example1):
 
 
 def test_module_products_match_loop_oracles(example1, goto):
-    """free_module, cover_matrix, radical_subspace and Ext1Space.cocycle
-    give the arrays of the per-element loops they replaced, byte for byte;
-    mM itself is computed once per module."""
+    """free_module, cover_matrix, radical_subspace, socle_subspace, the
+    socle series and Ext1Space.cocycle give the arrays of the per-element
+    loops over every basis vector that they replaced, byte for byte; mM
+    itself is computed once per module."""
     rng = np.random.default_rng(5)
     for A in (example1, goto, pair_ring(5)):
         p = A.p
@@ -87,13 +89,18 @@ def test_module_products_match_loop_oracles(example1, goto):
             got = cover_matrix(M, imgs)
             assert got.tobytes() == np.stack([cover_columns(M.action, g, p) for g in imgs]).tobytes()
             assert cover_matrix(M, imgs[0, :0]).shape == (M.dim, 0)
+            # radical_subspace needs a submodule: the A-span of random vectors
             W = rng.integers(0, p, size=(M.dim, 2))
-            mw = np.hstack([(M.action[i] @ W) % p for i in range(1, A.dim)])
+            AW = linalg.column_space(linalg.PrimeFieldMatrix(np.hstack([a @ W for a in M.action]), p))
+            mw = np.hstack([(M.action[i] @ AW.array) % p for i in range(1, A.dim)])
             expect = linalg.column_space(linalg.PrimeFieldMatrix(mw, p))
-            assert M.radical_subspace(linalg.PrimeFieldMatrix(W, p)) == expect
+            assert M.radical_subspace(AW) == expect
             mM = M.radical_subspace()
             assert mM is M.radical_subspace()  # cached on the module
             assert mM == linalg.column_space(linalg.PrimeFieldMatrix(np.hstack(M.action[1:]), p))
+            soc = linalg.kernel_basis(linalg.PrimeFieldMatrix(np.vstack(M.action[1:]), p))
+            assert M.socle_subspace() == soc
+            assert list(M.iso_profile()[2]) == socle_series_loop(M.action, p)
             es = ext1(M, k)
             for coeffs in rng.integers(0, p, size=(3, es.dim)):
                 phi = np.zeros((k.dim, es.beta1), dtype=np.int64)
@@ -228,14 +235,20 @@ def _corpus_ring(name, p):
 @example(0, 3, 2, 3, "field")
 @example(1, 5, 3, 4, "goto")
 def test_free_radical_subspace_matches_free_module(seed, p, rank, k, name):
-    """m*W per generator block equals m*W through the dense free module."""
+    """m*W for a submodule W of A^rank, formed as Resolution forms it (the
+    minimal generators of m acting block by block), equals m*W through every
+    basis vector of m on the dense free module. W is the A-span of random
+    vectors: m*W = sum_g g*W only holds for a submodule."""
     A = _corpus_ring(name, p)
     rng = np.random.default_rng(seed)
     W = rng.integers(0, p, size=(rank * A.dim, k))
     W[:, rng.random(k) < 0.3] = 0
-    W = linalg.PrimeFieldMatrix(W, p)
-    got = free_radical_subspace(A, rank, W)
-    assert got.tobytes() == free_module(A, rank).radical_subspace(W).tobytes()
+    F = free_module(A, rank)
+    AW = linalg.column_space(linalg.PrimeFieldMatrix(np.hstack([a @ W for a in F.action]), p))
+    got = linalg.span_of_products(A.generator_mults(), AW.array, p)
+    every = np.hstack([(a @ AW.array) % p for a in F.action[1:]] + [np.zeros((F.dim, 0), dtype=np.int64)])
+    assert got.tobytes() == linalg.column_space(linalg.PrimeFieldMatrix(every, p)).tobytes()
+    assert got.tobytes() == F.radical_subspace(AW).tobytes()
 
 
 def _reference_resolution(M, steps):
@@ -559,3 +572,25 @@ def test_base_change_of_residue_field(ci):
     assert bck.dim == 1
     assert module_axioms_hold(qr.algebra.table, bck.action, ci.p)
     assert betti_numbers(bck, 3) == [1, 1, 1, 1]
+
+
+def test_base_change_matches_the_product_loop(example1, goto, stretched):
+    """IM inside base_change is the canonical span of every b w, b in the
+    basis of I and w in that of M; the action on M/IM is the one read off
+    the per-column loop it replaced."""
+    for A in (example1, goto, stretched):
+        p = A.p
+        x = A.element_from_string("x")
+        for I in (complement_ideal(A, x), A.principal_ideal(x), A.zero_ideal()):
+            qr = quotient_ring(A, I)
+            for M in (regular_module(A), residue_field(A), _cyclic(A, "x"), free_module(A, 2)):
+                I_action = np.einsum("ib,imn->bmn", I.basis.array, M.action) % p
+                IM = span_of_products_loop(I_action, np.eye(M.dim, dtype=np.int64), p)
+                qm = quotient_module(M, linalg.PrimeFieldMatrix(IM, p))
+                want = np.stack(
+                    [(qm.proj.matrix @ M.action_of(qr.lift.column(j)) @ qm.lift.array) % p
+                     for j in range(qr.algebra.dim)]
+                )
+                got = base_change(M, qr)
+                assert got.dim == M.dim - IM.shape[1]
+                assert got.action.shape == want.shape and got.action.tobytes() == want.tobytes()
