@@ -362,17 +362,19 @@ class LocalAlgebra:
         """First pair (x, y) of m-generator combinations with x*y = 0 and
         x, y independent modulo m^2, scanning coefficient tuples as base-p
         digits of 1..p^e-1 (first generator in the least significant digit).
-        Returns None when the exhaustive scan finds nothing."""
+        Returns None when the exhaustive scan finds nothing. Both conditions
+        hold for (x, y) exactly when they hold for (ux, vy), u and v units,
+        so only the monic tuples are scanned (linalg.monic_blocks)."""
         gens = self.generator_set
         e = gens.cols
         if e < 2:
             raise EdimTooSmallError("need edim >= 2 for an orthogonal generator pair")
         p = self.p
-        for block in linalg.digit_blocks(1, p**e, p, e):
+        for block in linalg.monic_blocks(p, e):
             for a in block:
                 x = (gens.array @ a) % p
                 x_gens = (self.mult_by(x) @ gens.array) % p  # x * g_j
-                for bs in linalg.digit_blocks(1, p**e, p, e):
+                for bs in linalg.monic_blocks(p, e):
                     # independence mod m^2: some 2x2 minor a_i b_j - a_j b_i is nonzero
                     minors = bs[:, :, None] * a[None, None, :] - bs[:, None, :] * a[None, :, None]
                     indep = np.any(minors % p, axis=(1, 2))

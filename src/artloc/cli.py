@@ -207,7 +207,6 @@ def _render_matrix(A: LocalAlgebra, rm: RingMatrix) -> list[list[str]]:
 
 
 def _census_payload(verdict) -> dict:
-    A_render = verdict.witness_node.module.algebra.render_element if verdict.witness_node else None
     payload = {
         "contains_k": verdict.contains_k,
         "complete": verdict.complete,

@@ -44,12 +44,11 @@ class DiagnosisReport:
 
 def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
     """First minimal generator x with (0:x) = (x), scanning coordinate
-    tuples over the non-unit basis as base-p digits of 1, 2, 3, ..."""
-    p = A.p
-    if A.dim == 1:
-        return None
+    tuples over the non-unit basis as base-p digits of 1, 2, 3, ... Both
+    conditions hold for x exactly when they hold for its unit multiples, so
+    only the monic tuples are scanned (linalg.monic_blocks)."""
     m2 = A.maxideal_power(2)
-    for block in linalg.digit_blocks(1, p ** (A.dim - 1), p, A.dim - 1):
+    for block in linalg.monic_blocks(A.p, A.dim - 1):
         for digits in block:
             coords = np.concatenate([[0], digits])
             if m2.contains(coords):

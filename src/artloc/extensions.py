@@ -165,21 +165,6 @@ def _triangular_step(
     return pres
 
 
-def _monic_blocks(p: int, dim: int):
-    """Monic cocycle coordinates in increasing order as little-endian base-p
-    integers: zero, then n in [p^j, 2 p^j) for j < dim (top nonzero digit 1),
-    regrouped into blocks of at most linalg.BLOCK_ROWS rows."""
-    pending = np.zeros((0, dim), dtype=np.int64)
-    for lo, hi in [(0, 1)] + [(p**j, 2 * p**j) for j in range(dim)]:
-        for block in linalg.digit_blocks(lo, hi, p, dim):
-            pending = np.concatenate([pending, block])
-            while pending.shape[0] >= linalg.BLOCK_ROWS:
-                yield pending[: linalg.BLOCK_ROWS]
-                pending = pending[linalg.BLOCK_ROWS :]
-    if pending.shape[0]:
-        yield pending
-
-
 def orbit_generators(ext: Ext1Space) -> tuple[np.ndarray, np.ndarray]:
     """(gs, acts): automorphisms of Y = ext.L, namely every g and every 1 + g
     that is invertible for g in the canonical basis of End(Y), and for each
@@ -203,31 +188,25 @@ def _orbit_minima(ext: Ext1Space):
     linalg.BLOCK_ROWS rows.
 
     Scalars are central, so every orbit is closed under them and its least
-    member is monic; the scan walks the monic cocycles in order, and one
-    that no earlier orbit covered is a minimum. Its orbit is marked in a
-    bitmap of p^dim flags by a search over monic members only: a generator
-    image is rescaled to its monic multiple, which is how the scalars act."""
+    member is monic; the scan walks the monic cocycles in order
+    (linalg.monic_blocks), and one that no earlier orbit covered is a
+    minimum. Its orbit is marked in a bitmap of p^dim flags by a search over
+    monic members only: a generator image is rescaled to its monic multiple
+    (linalg.monic_index), which is how the scalars act."""
     p, e = ext.X.algebra.p, ext.dim
     _, acts = orbit_generators(ext)
     # a scalar matrix fixes every monic cocycle
     moving = np.any(acts != acts[:, :1, :1] * np.eye(e, dtype=np.int64), axis=(1, 2))
     if not moving.any():
-        yield from _monic_blocks(p, e)
+        yield from linalg.monic_blocks(p, e)
         return
     acts = np.unique(acts[moving], axis=0)
     step = acts.transpose(2, 0, 1).reshape(e, -1)  # rows @ step: every image side by side
     chunk = max(1, linalg.BLOCK_ROWS // acts.shape[0])
     weights = p ** np.arange(e, dtype=np.int64)
-    inv = linalg.inverse_table(p)
     covered = np.zeros(p**e, dtype=bool)
-
-    def monic_index(rows: np.ndarray) -> np.ndarray:
-        top = e - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
-        scale = inv[rows[np.arange(rows.shape[0]), top]]  # 0 on the zero row
-        return (rows * scale[:, None] % p) @ weights
-
     pending = []
-    for block in _monic_blocks(p, e):
+    for block in linalg.monic_blocks(p, e):
         for row, n in zip(block, (block @ weights).tolist()):
             if covered[n]:
                 continue
@@ -238,7 +217,7 @@ def _orbit_minima(ext: Ext1Space):
                 found = []
                 for lo in range(0, frontier.size, chunk):
                     rows = frontier[lo : lo + chunk, None] // weights % p
-                    idx = np.unique(monic_index((rows @ step % p).reshape(-1, e)))
+                    idx = np.unique(linalg.monic_index((rows @ step % p).reshape(-1, e), p))
                     idx = idx[~covered[idx]]
                     covered[idx] = True
                     found.append(idx)
@@ -294,7 +273,6 @@ def filt_enumerate(
         if required > budget:
             raise EnumerationBudgetExceeded(levels, lev, required, budget)
         classes: list[FiltNode] = []
-        seen_bytes: set[bytes] = set()
         buckets: dict = {}
         # bucket on iso invariants so candidates only ever face their
         # plausible classmates; hom dims against the previous level's
@@ -307,10 +285,6 @@ def filt_enumerate(
                 for coeffs, out_row, in_row in zip(block, homs_out.tolist(), homs_in.tolist()):
                     witness = extension_from_cocycle(es, coeffs)
                     M = witness.middle
-                    raw = M.action.tobytes()
-                    if raw in seen_bytes:
-                        continue
-                    seen_bytes.add(raw)
                     key = (M.iso_profile(), tuple(out_row), tuple(in_row))
                     if any(_merges(classes[idx].module, M) for idx in buckets.get(key, ())):
                         continue

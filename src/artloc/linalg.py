@@ -362,6 +362,34 @@ def digit_blocks(start: int, stop: int, p: int, width: int):
         yield out
 
 
+def monic_blocks(p: int, width: int):
+    """One digit row per line of F_p^width: zero, then every row whose top
+    nonzero digit is 1 (the integers in [p^j, 2 p^j), j < width), in
+    increasing little-endian order, in blocks of at most BLOCK_ROWS rows.
+    Dividing a row by its top digit lowers its integer, so for a property
+    shared by all unit multiples the first hit here is the first hit of a
+    scan of all p^width rows."""
+    pending = np.zeros((0, width), dtype=np.int64)
+    for lo, hi in [(0, 1)] + [(p**j, 2 * p**j) for j in range(width)]:
+        for block in digit_blocks(lo, hi, p, width):
+            pending = np.concatenate([pending, block])
+            while pending.shape[0] >= BLOCK_ROWS:
+                yield pending[:BLOCK_ROWS]
+                pending = pending[BLOCK_ROWS:]
+    if pending.shape[0]:
+        yield pending
+
+
+def monic_index(rows: np.ndarray, p: int) -> np.ndarray:
+    """The little-endian integer of the monic multiple of each row of the
+    (B, width) array rows, width >= 1: the row monic_blocks lists for its
+    line; 0 for a zero row."""
+    width = rows.shape[1]
+    top = width - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+    scale = inverse_table(p)[rows[np.arange(rows.shape[0]), top]]  # 0 on the zero row
+    return (rows * scale[:, None] % p) @ p ** np.arange(width, dtype=np.int64)
+
+
 def contains_vector(basis: PrimeFieldMatrix, v: np.ndarray) -> bool:
     return solve(basis, v) is not None
 

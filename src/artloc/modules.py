@@ -274,7 +274,7 @@ class RingMatrix:
 @dataclass
 class FreePresentation:
     """Exact A^b1 -> A^b0 -> M -> 0: relations is the b0 x b1 matrix and
-    cover the (dim_M, b0 * dim_A) matrix of A^b0 -> M, as in Resolution.covers."""
+    cover the (dim_M, b0 * dim_A) matrix of A^b0 -> M, as in Resolution.cover."""
 
     relations: RingMatrix
     cover: np.ndarray
@@ -328,9 +328,9 @@ class Resolution:
         self.algebra = A
         gens = minimal_generators(M)
         self.betti: list[int] = [len(gens)]
-        self.covers: list[np.ndarray] = [cover_matrix(M, np.reshape(gens, (len(gens), M.dim)))]
+        self.cover = cover_matrix(M, np.reshape(gens, (len(gens), M.dim)))  # A^b0 -> M
         self.differentials: list[RingMatrix] = []
-        current = PrimeFieldMatrix(self.covers[0], p)
+        current = PrimeFieldMatrix(self.cover, p)
         for _ in range(steps):
             b_prev = self.betti[-1]
             ker = linalg.kernel_basis(current)
@@ -362,7 +362,7 @@ def betti_numbers(M: FpModule, steps: int) -> list[int]:
 
 def minimal_presentation(M: FpModule) -> FreePresentation:
     res = minimal_free_resolution(M, 1)
-    return FreePresentation(res.differential(1), res.covers[0])
+    return FreePresentation(res.differential(1), res.cover)
 
 
 # -- derived functors ---------------------------------------------------------------------
@@ -399,7 +399,7 @@ class Ext1Space:
         res = minimal_free_resolution(X, 2)
         self.beta0, self.beta1 = res.betti[0], res.betti[1]
         self.d1 = res.differential(1)
-        self.cover0 = res.covers[0]  # matrix dim_X x (beta0 * dim_A)
+        self.cover0 = res.cover  # matrix dim_X x (beta0 * dim_A)
         d2 = res.differential(2)
         # cocycles: phi with phi . d2 = 0, phi stored as L^{beta1}
         z_map = d2.transpose().acting_on(L)
@@ -504,7 +504,7 @@ def _presentation_data(M: FpModule) -> tuple:
     cover A^b0 -> M. A hom out of M is then a kernel element of d1 acting."""
     if M._homdata is None:
         res = Resolution(M, 1)
-        cover = PrimeFieldMatrix(res.covers[0], M.algebra.p)
+        cover = PrimeFieldMatrix(res.cover, M.algebra.p)
         lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(M.dim, M.algebra.p))
         M._homdata = (res.differentials[0], lift.array)
     return M._homdata
@@ -656,8 +656,6 @@ def _find_unit_combo(stack: np.ndarray, coeff_blocks, p: int) -> Optional[np.nda
     """First coefficient row whose combination of the stacked square
     matrices is invertible, or None."""
     for coeffs in coeff_blocks:
-        if coeffs.size == 0:
-            continue
         cands = np.tensordot(coeffs, stack, axes=(1, 0)) % p
         hit = np.nonzero(linalg.invertible_batch(cands, p))[0]
         if hit.size:
@@ -671,12 +669,12 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     By Nakayama, a hom between modules of equal dimension is an isomorphism
     iff its top map is invertible, and that image has dimension r at most
     mu(M) mu(N). The scan over monic combinations of r independent top maps
-    is exhaustive (hence definite) when their count fits
-    EXHAUSTIVE_COMBO_BUDGET; otherwise at most SAMPLE_BUDGET random
-    combinations, drawn with the fixed seed 0, are tried, and running out
-    raises SearchInconclusive, which is distinct from a definite no. Only
-    the winning combination is lifted to a matrix, and it is checked to be
-    A-linear and invertible before it is returned.
+    (linalg.monic_blocks) is exhaustive (hence definite) when their count
+    fits EXHAUSTIVE_COMBO_BUDGET. Otherwise, once the hom dimensions agree,
+    at most SAMPLE_BUDGET random combinations, drawn with the fixed seed 0,
+    are tried, and running out raises SearchInconclusive, which is distinct
+    from a definite no. Only the winning combination is lifted to a matrix,
+    and it is checked to be A-linear and invertible before it is returned.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
@@ -706,45 +704,20 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
             raise RuntimeError("lifted top-space witness is not an isomorphism")
         return IsoResult(True, H)
 
-    # scaling preserves invertibility, so scanning monic combinations
-    # (first nonzero coefficient 1) covers every candidate up to units
+    # scaling preserves invertibility, so one combination per line is enough
     if (p**r - 1) // (p - 1) <= EXHAUSTIVE_COMBO_BUDGET:
-
-        def monic_blocks():
-            for lead in range(r):
-                tail = r - lead - 1
-                for digits in linalg.digit_blocks(0, p**tail, p, tail):
-                    block = np.zeros((digits.shape[0], r), dtype=np.int64)
-                    block[:, lead] = 1
-                    block[:, lead + 1 :] = digits
-                    yield block
-
-        coeffs = _find_unit_combo(stack, monic_blocks(), p)
+        coeffs = _find_unit_combo(stack, linalg.monic_blocks(p, r), p)
         return IsoResult(False, None) if coeffs is None else lifted(coeffs)
-
-    rng = np.random.default_rng(0)
-    budget = SAMPLE_BUDGET
-
-    def sample_blocks(total):
-        done = 0
-        while done < total:
-            take = min(1024, total - done)
-            done += take
-            yield rng.integers(0, p, size=(take, r)).astype(np.int64)
-
-    # one cheap block first: isomorphic pairs almost always resolve here
-    first = min(1024, budget)
-    coeffs = _find_unit_combo(stack, sample_blocks(first), p)
-    if coeffs is not None:
-        return lifted(coeffs)
     # necessary for isomorphism: Hom(M,N), Hom(N,M), End(M), End(N) all share
     # a dimension (composition with an isomorphism is a linear bijection)
     if hom_dim(M, M) != h or hom_dim(N, N) != h or hom_dim(N, M) != h:
         return IsoResult(False, None)
-    coeffs = _find_unit_combo(stack, sample_blocks(budget - first), p)
+    rng = np.random.default_rng(0)
+    takes = [min(1024, SAMPLE_BUDGET - done) for done in range(0, SAMPLE_BUDGET, 1024)]
+    coeffs = _find_unit_combo(stack, (rng.integers(0, p, size=(t, r)) for t in takes), p)
     if coeffs is not None:
         return lifted(coeffs)
     raise SearchInconclusive(
-        f"no invertible top map found in {budget} samples (dim Hom = {h}, top image dim = {r}); "
+        f"no invertible top map found in {SAMPLE_BUDGET} samples (dim Hom = {h}, top image dim = {r}); "
         "not a proof of non-isomorphism"
     )

@@ -81,21 +81,6 @@ class Polynomial:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str], p: int) -> "Polynomial":
-        return cls(variables, p, {})
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], p: int, c: int) -> "Polynomial":
-        return cls(variables, p, {tuple([0] * len(variables)): c})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], p: int, name: str) -> "Polynomial":
-        i = list(variables).index(name)
-        m = [0] * len(variables)
-        m[i] = 1
-        return cls(variables, p, {tuple(m): 1})
-
-    @classmethod
     def from_terms(
         cls, variables: Sequence[str], p: int, terms: Iterable[tuple[int, Monomial]]
     ) -> "Polynomial":

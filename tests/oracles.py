@@ -248,6 +248,33 @@ def base_p_digits(n: int, p: int, width: int) -> list[int]:
     return [(n // p**i) % p for i in range(width)]
 
 
+def monic_rows_brute(p: int, width: int) -> list[list[int]]:
+    """Zero, then every base-p digit row (little-endian) whose last nonzero
+    digit is 1, in increasing order: all p^width rows, filtered."""
+    rows = [base_p_digits(n, p, width) for n in range(p**width)]
+    return [r for r in rows if [c for c in r if c][-1:] in ([], [1])]
+
+
+def bounded_betti_brute(table, p: int):
+    """First x = (0, digits of n), n = 1..p^(d-1) - 1 (first non-unit basis
+    vector least significant), outside m^2 with (0:x) = (x); None when there
+    is none. Every tuple is tried; subspaces are compared by rank."""
+    table = np.asarray(table, dtype=np.int64) % p
+    d = table.shape[0]
+    m2 = [table[i, j] for i in range(1, d) for j in range(1, d)]
+    m2_rank = rank_fp(m2, p)
+    for n in range(1, p ** (d - 1)):
+        x = np.array([0] + base_p_digits(n, p, d - 1), dtype=np.int64)
+        if rank_fp(m2 + [x], p) == m2_rank:
+            continue
+        times_x = np.tensordot(x, table, axes=(0, 0)) % p  # row j is x e_j
+        principal = list(times_x)
+        ann = null_space_fp(times_x.T, p, d)
+        if rank_fp(principal, p) == len(ann) == rank_fp(principal + ann, p):
+            return x
+    return None
+
+
 def project_by_pivots(span_vectors, p: int, n: int) -> tuple[np.ndarray, list[int]]:
     """(proj, keep) for F_p^n -> F_p^n / span: keep is the non-pivot
     coordinates of the rref of the span vectors, and each unit vector is

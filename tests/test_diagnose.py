@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 
 from artloc.algebra import LocalAlgebra, idealization
-from artloc.catalog import hypersurface_ring
+from artloc.catalog import (
+    complete_intersection_ring,
+    example1_ring,
+    hypersurface_ring,
+    make_ring,
+    pair_ring,
+    stretched_ring,
+)
 from artloc.diagnose import (
     VERDICT_BOUNDED_BETTI,
     VERDICT_GOTO,
@@ -17,6 +24,8 @@ from artloc.diagnose import (
     scan_bounded_betti,
 )
 from artloc.modules import matlis_dual, regular_module
+
+from oracles import bounded_betti_brute
 
 import artloc.diagnose  # noqa: F401  (the package re-exports the function under this name)
 import sys
@@ -90,6 +99,25 @@ def test_scan_bounded_betti_finds_ci_witness(ci, pair):
     assert x is not None
     assert ci.annihilator(x) == ci.principal_ideal(x)
     assert scan_bounded_betti(pair) is None  # (0:x) = m strictly exceeds (x)
+
+
+def test_scan_bounded_betti_matches_the_brute_scan(inconclusive_ring):
+    """The monic scan finds the first hit of a scan of every tuple. Over
+    k[x,y]/(x^2 - y^2, xy) the hits are ax + by with a^2 + b^2 = 0: x + y
+    at p = 2, 2x + y first at p = 5 (3x + y and 4x + 2y come later), none
+    at p = 3."""
+    hits = 0
+    rings = [complete_intersection_ring(p) for p in (2, 3, 5)] + [
+        make_ring(["x", "y"], ["x^2-y^2", "xy"], p) for p in (2, 3, 5)]
+    for A in rings + [pair_ring(3), pair_ring(5), example1_ring(2), stretched_ring(3), inconclusive_ring]:
+        want = bounded_betti_brute(A.table, A.p)
+        got = scan_bounded_betti(A)
+        if want is None:
+            assert got is None, A
+        else:
+            hits += 1
+            assert got is not None and np.array_equal(got, want), A
+    assert hits == 5
 
 
 def test_goto_check_reads_the_presentation(goto, ci):

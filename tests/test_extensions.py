@@ -353,7 +353,7 @@ def test_sequence_keys_equal_hom_dims_on_every_candidate(ring, p, filt_pool):
         tests = [node.module for node in prev] + [X]
         for node in prev:
             candidates += _assert_sequence_keys(
-                X, tests, node.module, lambda es: extensions._monic_blocks(A.p, es.dim), oracle_rows=2
+                X, tests, node.module, lambda es: linalg.monic_blocks(A.p, es.dim), oracle_rows=2
             )
     assert candidates > len(levels[-1])
 

@@ -14,6 +14,7 @@ from oracles import (
     base_p_digits,
     greedy_picks,
     kernel_basis_loop,
+    monic_rows_brute,
     project_by_pivots,
     rank_fp,
     span_of_products_loop,
@@ -279,6 +280,21 @@ def test_digit_blocks_are_little_endian_base_p(p, width, start, count):
     assert all(0 < b.shape[0] <= linalg.BLOCK_ROWS for b in blocks)
     rows = [row.tolist() for b in blocks for row in b]
     assert rows == [base_p_digits(n, p, width) for n in range(start, start + count)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4))
+@example(2, 13)
+def test_monic_blocks_list_one_row_per_line_in_order(p, width):
+    blocks = list(linalg.monic_blocks(p, width))
+    assert all(0 < b.shape[0] <= linalg.BLOCK_ROWS for b in blocks)
+    rows = np.concatenate(blocks)
+    assert rows.tolist() == monic_rows_brute(p, width)
+    assert rows.shape[0] == (p**width - 1) // (p - 1) + 1
+    assert all(r[r != 0][-1] == 1 for r in rows[1:])
+    weights = p ** np.arange(width, dtype=np.int64)
+    for u in range(1, p) if width else ():  # monic_index takes width >= 1
+        assert np.array_equal(linalg.monic_index(rows * u % p, p), rows @ weights)
 
 
 @settings(deadline=None, max_examples=60)

@@ -253,7 +253,7 @@ def test_free_radical_subspace_matches_free_module(seed, p, rank, k, name):
 
 def _reference_resolution(M, steps):
     """The resolution built step by step through the dense free module
-    A^b_prev and minimal_generators: (covers[0], betti, differentials)."""
+    A^b_prev and minimal_generators: (cover, betti, differentials)."""
     A, p = M.algebra, M.algebra.p
     gens = minimal_generators(M)
     cover = cover_matrix(M, np.reshape(gens, (len(gens), M.dim)))
@@ -277,7 +277,7 @@ def test_resolution_matches_dense_free_module_reference(example1, stretched, got
         for M in (residue_field(A), _cyclic(A, "x")):
             res = Resolution(M, 3)
             cover, betti, diffs = _reference_resolution(M, 3)
-            assert res.covers[0].tobytes() == cover.tobytes()
+            assert res.cover.tobytes() == cover.tobytes()
             assert res.betti == betti
             for got, want in zip(res.differentials, diffs, strict=True):
                 assert got.entries.shape == want.entries.shape
