@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -548,6 +549,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for the
+    text after `newline` (a newline and the current indent).
+
+    With an indent the json module walks every value in Python. Here only
+    the nesting is walked: a nonempty list or dict of scalars, the bulk of a
+    report (rows of rendered matrices), goes to the C encoder in one call
+    with the indented item separator, and so does every scalar."""
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return json.dumps(value)
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    kinds = set(map(type, value.values() if is_dict else value))
+    if not any(issubclass(t, (list, tuple, dict)) for t in kinds):
+        flat = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+    if is_dict:
+        # json quotes a non-string key's scalar text
+        parts = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": " + json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return "[" + inner + ("," + inner).join(json_text(v, inner) for v in value) + newline + "]"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -562,7 +587,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, key) and getattr(args, key) is not None:
             config[key] = getattr(args, key)
     report = {"schema": 1, "command": args.command, "config": config, "results": results}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json_text(report) + "\n"
     if args.json == "-":
         sys.stdout.write(text)
     elif args.json:

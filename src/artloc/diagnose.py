@@ -46,15 +46,23 @@ def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
     """First minimal generator x with (0:x) = (x), scanning coordinate
     tuples over the non-unit basis as base-p digits of 1, 2, 3, ... Both
     conditions hold for x exactly when they hold for its unit multiples, so
-    only the monic tuples are scanned (linalg.monic_blocks)."""
-    m2 = A.maxideal_power(2)
-    for block in linalg.monic_blocks(A.p, A.dim - 1):
-        for digits in block:
-            coords = np.concatenate([[0], digits])
-            if m2.contains(coords):
-                continue
-            if A.annihilator(coords) == A.principal_ideal(coords):
-                return coords
+    only the monic tuples are scanned (linalg.monic_blocks).
+
+    (x) lies in (0:x) exactly when x^2 = 0, and then the two are equal
+    exactly when their dimensions r and d - r agree, r the rank of
+    multiplication by x. So a block of candidates costs one projection onto
+    the complement of m^2, one stack of multiplication matrices, one
+    product for x^2 and one rank_batch."""
+    p, d = A.p, A.dim
+    proj, _, _ = linalg.complement_projection(A.maxideal_power(2).basis)
+    for block in linalg.monic_blocks(p, d - 1):
+        coords = np.hstack([np.zeros((block.shape[0], 1), dtype=np.int64), block])
+        coords = coords[(coords @ proj.T % p).any(axis=1)]  # x outside m^2
+        mults = A.mult_stack(coords.T)
+        hits = ~(np.einsum("bij,bj->bi", mults, coords) % p).any(axis=1)  # x^2 = 0
+        hits[hits] = 2 * linalg.rank_batch(mults[hits], p) == d
+        if hits.any():
+            return coords[hits.argmax()].copy()
     return None
 
 

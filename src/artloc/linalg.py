@@ -301,8 +301,9 @@ def solve_matrix(m: PrimeFieldMatrix, b: PrimeFieldMatrix) -> Optional[PrimeFiel
 
 
 def column_space(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """Canonical basis of the column space (transposed rref rows)."""
-    a = m.array.T.copy()
+    """Canonical basis of the column space (transposed rref rows). All-zero
+    columns add nothing to the span, so only the others are copied."""
+    a = m.array.T[m.array.any(axis=0)]
     rank, _ = _row_reduce(a, m.p)
     # a row slice would keep all of a alive: copy only the rank rows then
     return PrimeFieldMatrix._own((a if rank == a.shape[0] else a[:rank].copy()).T, m.p)
@@ -312,15 +313,19 @@ def span_of_products(mats: np.ndarray, W: np.ndarray, p: int) -> PrimeFieldMatri
     """Canonical basis of the span of every g w, where each g in the
     (k, n, n) stack mats acts on each n-row block of every column w of the
     (b * n, c) array W. Both must hold residues mod p, or the products can
-    overflow int64 near p = 2^16. k, b, c and n may be zero."""
+    overflow int64 near p = 2^16. k, b, c and n may be zero.
+
+    Only the nonzero blocks of W are multiplied; a zero block has zero
+    products, which add nothing to the span."""
     k, n = mats.shape[:2]
     rows, c = W.shape
     b = rows // n if n else 0
-    # stacked[(block, a), (i, col)] = (mats[i] W[block])[a, col], written in place
-    stacked = np.empty((rows, k * c), dtype=np.int64)
-    np.matmul(mats[:, None], W.reshape(b, n, c), out=stacked.reshape(b, n, k, c).transpose(2, 0, 1, 3))
-    np.mod(stacked, p, out=stacked)
-    return column_space(PrimeFieldMatrix._own(stacked, p))
+    blocks = W.reshape(b, n, c)
+    bb, cc = blocks.any(axis=1).nonzero()
+    # stacked[(block, a), (i, col)] = (mats[i] W[block])[a, col]
+    stacked = np.zeros((b, n, k, c), dtype=np.int64)
+    stacked[bb, :, :, cc] = np.einsum("iaj,tj->tai", mats, blocks[bb, :, cc]) % p
+    return column_space(PrimeFieldMatrix._own(stacked.reshape(rows, k * c), p))
 
 
 def greedy_completion(span: PrimeFieldMatrix, candidates: PrimeFieldMatrix) -> list[int]:

@@ -256,12 +256,14 @@ class RingMatrix:
 
     def acting_on(self, N: FpModule) -> PrimeFieldMatrix:
         """Block matrix of the induced map N^cols -> N^rows: block (r, c) is
-        the action on N of entry (r, c)."""
+        the action on N of entry (r, c). Only the nonzero entries are
+        multiplied out; the other blocks stay zero."""
         if N.algebra is not self.algebra:
             raise ValueError("module lives over a different algebra")
-        out = np.einsum("rca,aij->ricj", self.entries, N.action)
-        np.mod(out, self.algebra.p, out=out)
-        return PrimeFieldMatrix(out.reshape(self.rows * N.dim, self.cols * N.dim), self.algebra.p)
+        rr, cc = self.entries.any(axis=2).nonzero()
+        out = np.zeros((self.rows, N.dim, self.cols, N.dim), dtype=np.int64)
+        out[rr, :, cc] = np.einsum("ta,aij->tij", self.entries[rr, cc], N.action) % self.algebra.p
+        return PrimeFieldMatrix._own(out.reshape(self.rows * N.dim, self.cols * N.dim), self.algebra.p)
 
     def as_linear_map(self) -> PrimeFieldMatrix:
         """The induced map A^cols -> A^rows on free-module coordinates."""
@@ -319,6 +321,12 @@ class Resolution:
     is a submodule, so m*ker is the span of the products with the minimal
     generators of m, each acting on every block of dim_A coordinates as on
     A: the (b_prev*dim_A)^2 action matrices of A^b_prev are never built.
+    Only nonzero blocks are touched: m*ker multiplies the nonzero dim_A-row
+    blocks of ker, and the differential acts on A through its nonzero entries.
+
+    Every step is certified: the canonical basis of the image of the new
+    differential must equal that of ker. rank = dim ker together with
+    im in ker holds exactly when im = ker, so one comparison does both.
     """
 
     def __init__(self, M: FpModule, steps: int):
@@ -340,8 +348,9 @@ class Resolution:
             b = len(picks)
             d = RingMatrix(A, cols.array[:, picks].reshape(b_prev, A.dim, b).transpose(0, 2, 1))
             lin = d.as_linear_map()
-            # exactness: the chosen generators must span the kernel exactly
-            if linalg.column_space(lin).cols != ker.cols or not linalg.is_subspace(lin, ker):
+            # exactness: the chosen generators must span the kernel exactly,
+            # that is, im lin and ker have the same canonical basis
+            if linalg.column_space(lin) != cols:
                 raise RuntimeError("resolution step failed to span the syzygy module")
             self.differentials.append(d)
             self.betti.append(b)

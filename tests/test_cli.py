@@ -370,6 +370,44 @@ def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["resolve", "example1.ring", "--module", "k", "--steps", "5"],
+         "746dd22393c1f51cada433cd8fb0f8415c000ccb37d33750566834060377e327"),
+        (["tor", "stretched.ring", "--left", "k", "--right", "k", "--i", "5"],
+         "a59049ddfbba85ae36b833054d433819eaf30b47f365b20e73ec36549beef64f"),
+        (["resolve", "stretched.ring", "--module", "k", "--steps", "4"],
+         "62cd57bab9adc7c86cf42006d29b4eb8f70c8627dd7946d4ff4db6b048e59e30"),
+    ],
+    ids=["resolve-example1-5", "tor-stretched-5", "resolve-stretched-4"],
+)
+def test_resolution_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
+    """Resolution steps that skip zero blocks, and the report writer, leave
+    the resolve and tor reports as the dense steps and json.dumps wrote them."""
+    target = tmp_path / "report.json"
+    assert main([argv[0], _ring(argv[1]), *argv[2:], "--json", str(target), "--quiet"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=False), st.text(max_size=6)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.recursive(_json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=30))
+@example([])
+@example({})
+@example({"a": [[], {}, [1, -2]], "\u00e9\u4e2d": [True, None, "\u00fc\n"]})
+def test_json_text_matches_json_dumps(value):
+    """The report writer gives the bytes of json.dumps(sort_keys=True,
+    indent=2) on nested values: empty lists and dicts, non-ASCII strings,
+    bools, None and negative ints, at every depth."""
+    assert cli.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
     "text, digest",
     [
         (None, "41285335e0241fcf8fc7dcb98b3aca831e8e32e62a44d12fa8b9670c608f3de8"),

@@ -11,6 +11,7 @@ from artloc.linalg import PrimeFieldMatrix
 
 from oracles import (
     _rref_fp,
+    _span_basis,
     base_p_digits,
     greedy_picks,
     kernel_basis_loop,
@@ -452,3 +453,54 @@ def test_span_of_products_matches_the_product_loop(seed, p, k, n, b, c, zero):
     got = linalg.span_of_products(mats, W, p)
     want = span_of_products_loop(mats, W, p)
     assert got.shape == want.shape and got.array.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5, 65521]),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+)
+@example(0, 3, 2, 3, 3, 2, 1.0)  # every block zero
+@example(1, 2, 1, 2, 4, 3, 0.9)
+def test_span_of_products_skips_zero_blocks(seed, p, k, n, b, c, zero_share):
+    """Zero n-row blocks inside nonzero columns are skipped, and the
+    canonical basis is still the one the product loop gives, byte for byte."""
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, size=(k, n, n))
+    W = rng.integers(0, p, size=(b, n, c))
+    W.transpose(0, 2, 1)[rng.random((b, c)) < zero_share] = 0  # zero (block, column) pairs
+    W = W.reshape(b * n, c)
+    got = linalg.span_of_products(mats, W, p)
+    want = span_of_products_loop(mats, W, p)
+    assert got.shape == want.shape and got.array.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 65521]),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 4),
+    st.booleans(),
+)
+@example(0, 2, 0, 3, 2, False)  # no rows
+@example(0, 3, 4, 0, 3, False)  # no columns
+@example(1, 3, 3, 4, 2, True)  # all zero
+def test_column_space_ignores_inserted_zero_columns(seed, p, rows, cols, zeros, all_zero):
+    """Zero columns add nothing to the span: with them inserted anywhere the
+    canonical basis is still the oracle's, byte for byte."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols))
+    if all_zero:
+        a[:] = 0
+    padded = np.insert(a, rng.integers(0, cols + 1, size=zeros), 0, axis=1)
+    want = _span_basis(list(a.T), p, rows)
+    for m in (a, padded):
+        got = linalg.column_space(PrimeFieldMatrix(m, p))
+        assert got.shape == want.shape and got.array.tobytes() == want.tobytes()

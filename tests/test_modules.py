@@ -452,6 +452,47 @@ def test_acting_on_matches_per_entry_blocks(seed, p, rows, cols, which):
     assert (got.array == want).all()
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from(["k", "R", "R+k"]),
+    st.sampled_from([0.8, 0.95, 1.0]),
+)
+@example(0, 3, 3, 4, "R", 1.0)  # every entry zero
+def test_acting_on_skips_zero_entries(seed, p, rows, cols, which, zero_share):
+    """Mostly-zero and all-zero entry matrices: the blocks of the zero
+    entries are skipped, and every block still matches the per-entry action."""
+    A = _ci(p)
+    N = {"k": residue_field, "R": regular_module, "R+k": lambda A: direct_sum(regular_module(A), residue_field(A))}[which](A)
+    rng = np.random.default_rng(seed)
+    entries = rng.integers(0, p, size=(rows, cols, A.dim))
+    entries[rng.random((rows, cols)) < zero_share] = 0
+    T = RingMatrix(A, entries)
+    d = N.dim
+    got = T.acting_on(N)
+    assert got.shape == (rows * d, cols * d)
+    for r in range(rows):
+        for c in range(cols):
+            assert (got.array[r * d : (r + 1) * d, c * d : (c + 1) * d] == N.action_of(entries[r, c])).all()
+
+
+def test_resolution_certificate_rejects_a_missing_syzygy(example1, monkeypatch):
+    """A step that keeps one generator too few spans a proper submodule of
+    the syzygies, and the canonical-basis comparison catches it."""
+    real = linalg.greedy_completion
+
+    def drop_one(span, candidates):
+        picks = real(span, candidates)
+        return picks[:-1] if len(picks) > 1 else picks  # the single generator of k stays
+
+    monkeypatch.setattr(linalg, "greedy_completion", drop_one)
+    with pytest.raises(RuntimeError, match="failed to span"):
+        Resolution(residue_field(example1), 2)
+
+
 def _random_conjugate(M, rng):
     """The same module in a random basis: isomorphic, different bytes."""
     p, n = M.algebra.p, M.dim
