@@ -29,15 +29,35 @@ class EdimTooSmallError(ValueError):
     """An operation needs at least two minimal generators of m."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Presentation:
-    """Polynomial origin of an algebra: variables, relations, Groebner data."""
+    """Polynomial origin of an algebra F_p[variables]/(relations): the
+    matrices X_v multiplying by each variable v on the standard monomials,
+    the least t with v^t = 0 for each v, and the coordinates of the
+    monomials evaluated so far, seeded with the standard monomials."""
 
     variables: tuple[str, ...]
     p: int
     relations: tuple[Polynomial, ...]
-    groebner: tuple[Polynomial, ...]
-    monomials: tuple[Monomial, ...]
+    variable_matrices: np.ndarray
+    nilpotency: tuple[int, ...]
+    coordinates: dict[Monomial, np.ndarray]
+
+    def monomial_vector(self, u: Monomial) -> np.ndarray:
+        """Coordinates of the monomial with exponents u (not to be written
+        to): zero once an exponent reaches its variable's nilpotency index,
+        else X_v times those of u - e_v, v the first variable in u."""
+        if any(e >= t for e, t in zip(u, self.nilpotency)):
+            return np.zeros(self.variable_matrices.shape[1], dtype=np.int64)
+        chain = []
+        while u not in self.coordinates:  # 1 is standard, so u has a variable
+            v = next(i for i, e in enumerate(u) if e)
+            chain.append((u, v))
+            u = u[:v] + (u[v] - 1,) + u[v + 1 :]
+        w = self.coordinates[u]
+        for u, v in reversed(chain):
+            w = self.coordinates[u] = self.variable_matrices[v] @ w % self.p
+        return w
 
 
 @dataclass(frozen=True)
@@ -186,24 +206,14 @@ class LocalAlgebra:
             acc = self.mult(acc, v)
         return acc
 
-    def element_from_polynomial(self, f: Polynomial) -> np.ndarray:
-        if self.presentation is None:
-            raise ValueError("algebra has no polynomial presentation")
-        pres = self.presentation
-        if f.variables != pres.variables or f.p != self.p:
-            raise ValueError("polynomial does not match the presentation ring")
-        nf = polyparse.normal_form(f, pres.groebner)
-        index = {m: i for i, m in enumerate(pres.monomials)}
-        v = self.zero()
-        for m, c in nf.terms.items():
-            v[index[m]] = c
-        return v
-
     def element_from_string(self, text: str) -> np.ndarray:
-        if self.presentation is None:
-            raise ValueError("algebra has no polynomial presentation")
         pres = self.presentation
-        return self.element_from_polynomial(polyparse.parse_polynomial(text, pres.variables, self.p))
+        if pres is None:
+            raise ValueError("algebra has no polynomial presentation")
+        v = self.zero()
+        for m, c in polyparse.parse_polynomial(text, pres.variables, self.p).terms.items():
+            v = (v + c * pres.monomial_vector(m)) % self.p
+        return v
 
     # -- ideals -------------------------------------------------------------------
 
@@ -436,7 +446,9 @@ def from_presentation(variables: Sequence[str], relations: Sequence[Polynomial])
     The relations must generate an m-primary ideal (every variable nilpotent
     in the quotient); otherwise NotLocalError or InfiniteDimensionError.
     Basis labels are the standard monomials, degree-then-degrevlex sorted,
-    so index 0 is the monomial 1.
+    so index 0 is the monomial 1. The Groebner basis only builds the X_v
+    of Presentation; the table is evaluated from them (Cox, Little & O'Shea,
+    Using Algebraic Geometry, ch. 2 sec. 4).
     """
     variables = tuple(variables)
     if not relations:
@@ -452,36 +464,35 @@ def from_presentation(variables: Sequence[str], relations: Sequence[Polynomial])
     if dim == 0:
         raise NotLocalError("relations generate the unit ideal")
     index = {m: i for i, m in enumerate(monomials)}
-
-    def nf_vector(f: Polynomial) -> np.ndarray:
-        nf = polyparse.normal_form(f, gb)
-        v = np.zeros(dim, dtype=np.int64)
-        for m, c in nf.terms.items():
-            v[index[m]] = c
-        return v
-
-    # every variable must be nilpotent, else the quotient is not local
-    for i, name in enumerate(variables):
-        exps = [0] * len(variables)
-        exps[i] = dim + 1
-        if np.any(nf_vector(Polynomial(variables, p, {tuple(exps): 1}))):
-            raise NotLocalError(f"variable {name} is not nilpotent in the quotient")
-
-    table = np.zeros((dim, dim, dim), dtype=np.int64)
-    polys = [Polynomial(variables, p, {m: 1}) for m in monomials]
-    for i in range(dim):
-        for j in range(i, dim):
-            v = nf_vector(polys[i] * polys[j])
-            table[i, j] = v
-            table[j, i] = v
+    n = len(variables)
+    # column j of X_v holds the coordinates of v * m_j
+    X = np.zeros((n, dim, dim), dtype=np.int64)
+    for v in range(n):
+        for j, m in enumerate(monomials):
+            u = m[:v] + (m[v] + 1,) + m[v + 1 :]
+            terms = {u: 1} if u in index else polyparse.normal_form(Polynomial(variables, p, {u: 1}), gb).terms
+            for mono, c in terms.items():
+                X[v, index[mono], j] = c
+    # every variable must be nilpotent, else the quotient is not local:
+    # X_v is nilpotent exactly when v^dim = X_v^dim e_0 vanishes
+    unit_vectors = np.eye(dim, dtype=np.int64)
+    nilpotency = []
+    for v, name in enumerate(variables):
+        w, t = unit_vectors[0], 0
+        while w.any():
+            if t == dim:
+                raise NotLocalError(f"variable {name} is not nilpotent in the quotient")
+            w, t = X[v] @ w % p, t + 1
+        nilpotency.append(t)
+    coordinates = dict(zip(monomials, unit_vectors))
+    pres = Presentation(variables, p, tuple(relations), X, tuple(nilpotency), coordinates)
+    # e_i e_j is the monomial m_i m_j: evaluate each distinct product once
+    exps = np.array(monomials, dtype=np.int64).reshape(dim, n)
+    sums = (exps[:, None] + exps[None]).reshape(dim * dim, n)
+    products, inverse = np.unique(sums, axis=0, return_inverse=True)
+    coords = np.array([pres.monomial_vector(tuple(u)) for u in products.tolist()])
+    table = coords[inverse.reshape(dim, dim)]
     labels = [polyparse.monomial_label(m, variables) for m in monomials]
-    pres = Presentation(
-        variables=variables,
-        p=p,
-        relations=tuple(relations),
-        groebner=tuple(gb),
-        monomials=tuple(monomials),
-    )
     return LocalAlgebra(p, table, labels, presentation=pres)
 
 

@@ -137,10 +137,19 @@ def load_ring(path: str, p_override: Optional[int] = None) -> RingFile:
         raise CliError(f"{path}: {exc}") from exc
     named = {}
     for bind_lineno, name, expr in bindings:
+        if name in named:
+            raise CliError(f"{path}:{bind_lineno}: '@{name}' is already bound")
         try:
             named[name] = A.element_from_string(expr)
         except PolyParseError as exc:
             raise CliError(f"{path}:{bind_lineno}: {exc}") from exc
+        # resolve_element reads a bound name before the polynomial it spells
+        try:
+            spelled = A.element_from_string(name)
+        except PolyParseError:
+            continue
+        if not np.array_equal(named[name], spelled):
+            raise CliError(f"{path}:{bind_lineno}: '@{name}' would shadow the polynomial '{name}'")
     return RingFile(
         algebra=A,
         named=named,

@@ -16,7 +16,6 @@ from . import linalg
 from .algebra import AlgebraClass, AlgebraInvariants, LocalAlgebra, Presentation
 from .extensions import DEFAULT_COCYCLE_BUDGET, ClosureVerdict, ext_closure_contains_k
 from .modules import betti_numbers, cyclic_module
-from .polyparse import Polynomial, normal_form
 
 VERDICT_HYPERSURFACE = "OnlyTrivial_Hypersurface"
 VERDICT_PAIR = "Nontrivial_OrthogonalPair"
@@ -68,30 +67,17 @@ def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
 
 def goto_check(A: LocalAlgebra, presentation: Presentation) -> Optional[tuple[str, int]]:
     """Syntactic check on the given presentation: a variable v and l >= 1
-    with v^(l+1) in the ideal while every relation has order >= l+1.
-    The variable order is as presented; no coordinate changes are tried."""
-    variables = presentation.variables
-    if len(variables) < 2:
-        return None
+    with v^(l+1) in the ideal while every relation has order >= l+1. The
+    least such l + 1 is the nilpotency index t of v, so the check is
+    2 <= t <= min order. The variable order is as presented; no coordinate
+    changes are tried."""
     relations = [r for r in presentation.relations if not r.is_zero()]
-    if not relations:
+    if len(presentation.variables) < 2 or not relations:
         return None
     min_order = min(r.order() for r in relations)
-    groebner = presentation.groebner
-    for vi, name in enumerate(variables):
-        t = 1
-        while t <= A.dim + 1:
-            exps = [0] * len(variables)
-            exps[vi] = t
-            mono = Polynomial(variables, A.p, {tuple(exps): 1})
-            if normal_form(mono, groebner).is_zero():
-                break
-            t += 1
-        else:
-            continue
-        l = t - 1
-        if l >= 1 and min_order >= l + 1:
-            return name, l
+    for name, t in zip(presentation.variables, presentation.nilpotency):
+        if 2 <= t <= min_order:
+            return name, t - 1
     return None
 
 

@@ -373,6 +373,8 @@ def _validate_triangular(pres: FreePresentation, x: np.ndarray) -> None:
     if pres.relations.cols != n:
         raise ValueError("presentation matrix must be square")
     xv = np.asarray(x, dtype=np.int64) % p
+    if not A.is_in_maxideal(xv):
+        raise ValueError("x must lie in the maximal ideal")
     for i in range(n):
         if not np.array_equal(ent[i, i], xv):
             raise ValueError("diagonal entries must all equal x")

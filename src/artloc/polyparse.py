@@ -136,15 +136,6 @@ class Polynomial:
             acc[m] = acc.get(m, 0) - c
         return Polynomial(self.variables, self.p, acc)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(self.variables, self.p, acc)
-
     def scale(self, c: int) -> "Polynomial":
         return Polynomial(self.variables, self.p, {m: k * c for m, k in self.terms.items()})
 

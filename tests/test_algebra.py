@@ -18,8 +18,10 @@ from artloc.algebra import (
 from artloc import catalog
 from artloc.catalog import dual_numbers, make_ring
 from artloc.cli import load_ring
+from artloc.diagnose import diagnose, goto_check
 from artloc.extensions import complement_ideal
 from artloc.modules import matlis_dual, regular_module
+from artloc import polyparse
 from artloc.polyparse import InfiniteDimensionError, Polynomial, parse_polynomial
 
 from oracles import (
@@ -272,6 +274,37 @@ def test_invariants_never_build_the_full_multiplication_stack(monkeypatch):
     A.invariants()
     A.classify()
     assert calls == []
+
+
+def test_normal_forms_only_build_the_variable_matrices(monkeypatch):
+    """Past buchberger, from_presentation reduces at most one monomial
+    v * m_j per variable v and standard monomial m_j; element_from_string,
+    goto_check and diagnose reduce none."""
+    paths = sorted(RINGS.glob("*.ring")) + [RINGS.parent / "perfbench" / "rings" / "monomial64.ring"]
+    rings = [load_ring(str(path)).algebra.presentation for path in paths]
+    rings.append(make_ring(["x", "y"], ["x - y^2", "y^7"], 3).presentation)  # x is not standard
+    calls = []
+    original = polyparse.normal_form
+
+    def spy(f, basis):
+        calls.append(f)
+        return original(f, basis)
+
+    for pres in rings:
+        gb = polyparse.buchberger(list(pres.relations))
+        monkeypatch.setattr(polyparse, "buchberger", lambda relations: gb)
+        monkeypatch.setattr(polyparse, "normal_form", spy)
+        calls.clear()
+        A = from_presentation(pres.variables, list(pres.relations))
+        assert 0 < len(calls) <= len(pres.variables) * A.dim, pres.variables
+        calls.clear()
+        for v in pres.variables:
+            A.element_from_string(f"1 + {v}^3 + 2{v}^1048576 + {''.join(pres.variables)}")
+        goto_check(A, A.presentation)
+        if A.dim <= 8:  # scan_bounded_betti walks p^(d-1) tuples
+            diagnose(A, depth=1)
+        assert calls == []
+        monkeypatch.undo()
 
 
 def _non_monomial_rings(pair, stretched, example1):

@@ -76,6 +76,14 @@ def test_load_ring_error_positions(tmp_path):
     with pytest.raises(CliError) as err:
         load_ring(_write(tmp_path, "p=65537 vars=x\nx^2\n"))
     assert ":1: characteristic 65537 is not below 2^16" in str(err.value)
+    shadow = _write(tmp_path, "p=2 vars=x,y\nx^2\nxy\ny^2\n@x = x\n@y = x\n")
+    with pytest.raises(CliError) as err:
+        load_ring(shadow)
+    assert str(err.value) == f"{shadow}:6: '@y' would shadow the polynomial 'y'"
+    rebound = _write(tmp_path, "p=2 vars=x,y\nx^2\nxy\ny^2\n@u = x\n# again\n@u = y\n")
+    with pytest.raises(CliError) as err:
+        load_ring(rebound)
+    assert str(err.value) == f"{rebound}:7: '@u' is already bound"
 
 
 def test_load_ring_rejects_bad_headers(tmp_path):
@@ -300,6 +308,7 @@ def test_bad_relation_reports_position(tmp_path, capsys):
         ["filt", "pair.ring", "--budget", "0"],
         ["resolve", "example1.ring", "--module", "k", "--steps", "-1"],
         ["analyze", "p=2 vars=x,y,x\nx^2\ny^2\n"],
+        ["matrix-check", "pair.ring", "--element", "1"],
     ],
 )
 def test_bad_flag_values_exit_2_without_traceback(argv, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from artloc.algebra import LocalAlgebra, idealization
@@ -23,7 +25,9 @@ from artloc.diagnose import (
     goto_check,
     scan_bounded_betti,
 )
+from artloc.cli import load_ring
 from artloc.modules import matlis_dual, regular_module
+from artloc.polyparse import Polynomial, buchberger, normal_form
 
 from oracles import bounded_betti_brute
 
@@ -125,6 +129,39 @@ def test_goto_check_reads_the_presentation(goto, ci):
     assert goto_check(ci, ci.presentation) == ("x", 1)
     hyp = hypersurface_ring(3, 4)
     assert goto_check(hyp, hyp.presentation) is None  # single variable
+
+
+def _goto_by_normal_forms(A):
+    """goto_check as a loop over normal forms of v, v^2, ..., v^(dim+1)."""
+    pres = A.presentation
+    variables = pres.variables
+    if len(variables) < 2:
+        return None
+    gb = buchberger(list(pres.relations))
+    min_order = min(r.order() for r in pres.relations if not r.is_zero())
+    for vi, name in enumerate(variables):
+        for t in range(1, A.dim + 2):
+            exps = [0] * len(variables)
+            exps[vi] = t
+            if normal_form(Polynomial(variables, A.p, {tuple(exps): 1}), gb).is_zero():
+                break
+        else:
+            continue
+        if t - 1 >= 1 and min_order >= t:
+            return name, t - 1
+    return None
+
+
+def test_goto_check_matches_the_normal_form_loop_on_the_corpus():
+    rings = sorted((Path(__file__).resolve().parent.parent / "rings").glob("*.ring"))
+    assert len(rings) == 7
+    hits = 0
+    for path in rings:
+        A = load_ring(str(path)).algebra
+        want = _goto_by_normal_forms(A)
+        assert goto_check(A, A.presentation) == want, path
+        hits += want is not None
+    assert hits == 4
 
 
 def test_extension_field_note_when_searches_come_back_empty(ci, monkeypatch):

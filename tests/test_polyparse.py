@@ -1,26 +1,34 @@
 from __future__ import annotations
 
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artloc.algebra import check_axioms, from_presentation
+from artloc.cli import load_ring
 from artloc.polyparse import (
+    EXPONENT_CAP,
     InfiniteDimensionError,
     PolyParseError,
     Polynomial,
     buchberger,
+    monomial_mul,
     normal_form,
     parse_polynomial,
     s_polynomial,
     standard_monomial_basis,
 )
 
-from oracles import hilbert_function, quotient_dim
+from oracles import dict_to_text, hilbert_function, quotient_dim
 
 XY = ("x", "y")
 XYZW = ("x", "y", "z", "w")
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = sorted(path.stem for path in (ROOT / "rings").glob("*.ring"))
 
 
 def test_parse_juxtaposition_products():
@@ -141,11 +149,6 @@ def test_standard_monomials_reject_infinite_quotients():
         standard_monomial_basis(gb, XY)
 
 
-def test_polynomial_multiplication_reduces_coefficients():
-    f = parse_polynomial("x + y", XY, 2)
-    assert dict((f * f).terms) == {(2, 0): 1, (0, 2): 1}
-
-
 
 def _assert_matches_sympy(dicts, variables, p):
     """buchberger equals sympy's reduced grevlex basis, made monic, term by term."""
@@ -232,3 +235,77 @@ def test_buchberger_matches_sympy_on_the_stretched_ring():
     dicts = [{(1, 1, 0): 1}, {(1, 0, 1): 1}, {(0, 1, 1): 1},
              {(3, 0, 0): 1, (0, 2, 0): 2}, {(3, 0, 0): 1, (0, 0, 2): 2}]
     _assert_matches_sympy(dicts, ("x", "y", "z"), 3)
+
+
+def _coordinates_by_normal_form(f, gb, monomials):
+    """f's coordinates on the standard monomials, by Groebner normal form."""
+    index = {m: i for i, m in enumerate(monomials)}
+    v = np.zeros(len(monomials), dtype=np.int64)
+    for m, c in normal_form(f, gb).terms.items():
+        v[index[m]] = c
+    return v
+
+
+def _table_by_normal_forms(variables, relations):
+    """The structure table by one normal form per product of standard
+    monomials, the construction the variable matrices replace."""
+    gb = buchberger(relations)
+    monomials = standard_monomial_basis(gb, variables)
+    p, d = relations[0].p, len(monomials)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(i, d):
+            product = Polynomial(variables, p, {monomial_mul(monomials[i], monomials[j]): 1})
+            table[i, j] = table[j, i] = _coordinates_by_normal_form(product, gb, monomials)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _corpus_ring(name):
+    return load_ring(str(ROOT / "rings" / f"{name}.ring")).algebra
+
+
+@settings(deadline=None, max_examples=40)
+@given(*_M_PRIMARY)
+@example(3, 2, (4, 4, 1), [[((3, 0, 0), 1), ((0, 2, 0), 2)]])  # x^3 - y^2: not homogeneous
+@example(3, 2, (3, 3, 1), [[((1, 0, 0), 1), ((0, 1, 0), 2)]])  # x - y: x is not a standard monomial
+@example(5, 3, (3, 4, 2), [[((1, 0, 0), 1), ((0, 2, 0), 4)], [((0, 1, 1), 1), ((2, 0, 0), 1)]])
+def test_tables_match_the_per_product_normal_forms(p, nvars, powers, extra):
+    variables, dicts = _m_primary_ideal(nvars, powers, extra)
+    relations = [Polynomial(variables, p, d) for d in dicts]
+    got = from_presentation(variables, relations).table
+    want = _table_by_normal_forms(variables, relations)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_corpus_tables_match_the_per_product_normal_forms():
+    rings = [_corpus_ring(name) for name in CORPUS]
+    rings.append(load_ring(str(ROOT / "perfbench" / "rings" / "monomial64.ring")).algebra)
+    for A in rings:
+        pres = A.presentation
+        want = _table_by_normal_forms(pres.variables, list(pres.relations))
+        assert A.table.shape == want.shape and A.table.tobytes() == want.tobytes(), A
+
+
+_EXPONENT = st.one_of(st.integers(0, 6), st.just(EXPONENT_CAP))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(CORPUS),
+    st.lists(st.tuples(st.tuples(*[_EXPONENT] * 4), st.integers(0, 6)), min_size=1, max_size=4),
+)
+@example("example1", [((EXPONENT_CAP, 0, 0, 0), 1)])
+@example("stretched", [((EXPONENT_CAP - 1, 0, 0, 0), 2), ((1, 1, 0, 0), 1), ((0, 0, 0, 0), 1)])
+def test_elements_match_normal_form_reduction(name, terms):
+    """element_from_string against the Groebner normal form of the same
+    text, on the standard monomials; exponents reach the parser's cap."""
+    A = _corpus_ring(name)
+    variables = A.presentation.variables
+    term_dict = {}
+    for mono, c in terms:
+        term_dict[mono[: len(variables)]] = term_dict.get(mono[: len(variables)], 0) + c
+    text = dict_to_text(term_dict, variables)
+    gb = buchberger(list(A.presentation.relations))
+    want = _coordinates_by_normal_form(parse_polynomial(text, variables, A.p), gb, standard_monomial_basis(gb, variables))
+    assert A.element_from_string(text).tolist() == want.tolist()
