@@ -79,7 +79,7 @@ class ExtensionWitness:
             problems.append("inject has a kernel")
         if not self.project.is_surjective():
             problems.append("project is not onto")
-        if self.inject.image() != linalg.column_space(self.project.kernel()):
+        if self.inject.image() != self.project.kernel():
             problems.append("image(inject) differs from kernel(project)")
         return problems
 
@@ -127,8 +127,8 @@ def _base_presentation(A: LocalAlgebra, x: np.ndarray) -> tuple[FpModule, FreePr
 
 def _verify_presents(pres: FreePresentation) -> None:
     """Exactness of A^c -> A^r -> M -> 0: image of T equals kernel of cover."""
-    kernel = linalg.kernel_basis(PrimeFieldMatrix(pres.cover, pres.relations.algebra.p))
-    if linalg.column_space(pres.relations.as_linear_map()) != linalg.column_space(kernel):
+    kernel = linalg.kernel_space(PrimeFieldMatrix(pres.cover, pres.relations.algebra.p))
+    if linalg.column_space(pres.relations.as_linear_map()) != kernel:
         raise LiftFailure("matrix image does not match the cover kernel")
 
 

@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p, dense and sparse.
 
 Matrices carry their modulus; entries are numpy int64 residues in [0, p).
 Row reduction, kernels, solving and subspace arithmetic here are the
 substrate for everything else in the package, so all outputs are canonical:
 rref is unique, kernel bases are read off the rref with free variables set
 to unit vectors in increasing column order, and solve() returns the
-particular solution with all free variables zero.
+particular solution with all free variables zero. Sparse matrices
+(coordinate lists) have their own rref, kernel and product, with the same
+canonical outputs as the dense ones.
 """
 
 from __future__ import annotations
@@ -277,6 +279,14 @@ def kernel_basis(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     return PrimeFieldMatrix._own(basis, m.p)
 
 
+def kernel_space(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
+    """Canonical basis of the right null space: column_space(kernel_basis(m))
+    from one elimination, that of m with its columns reversed (see
+    sparse_kernel_space)."""
+    _, rows = sparse_kernel_space(SparseMatrix.from_dense(m.array), m.p)
+    return PrimeFieldMatrix._own(rows.to_dense().T.copy(), m.p)
+
+
 def solve(m: PrimeFieldMatrix, b: np.ndarray) -> Optional[np.ndarray]:
     """One solution of m x = b with all free variables zero, or None."""
     b = np.asarray(b, dtype=np.int64).reshape(-1)
@@ -418,3 +428,155 @@ def subspace_intersection(u: PrimeFieldMatrix, v: PrimeFieldMatrix) -> PrimeFiel
     inter = (u.array @ k.array[: u.cols]) % u.p
     return column_space(PrimeFieldMatrix(inter, u.p))
 
+
+# -- sparse matrices ------------------------------------------------------------
+#
+# The resolutions' differentials are almost all zero, so their steps run on
+# coordinate lists. The calls are many and mostly small, so these functions
+# keep to few numpy calls: masks and index maps rather than np.unique, and
+# ufunc methods rather than their Python-level wrappers.
+
+
+class SparseMatrix(NamedTuple):
+    """A matrix over F_p as coordinate lists: entry (row[t], col[t]) is
+    val[t], a nonzero residue mod p, and no position repeats. The order of
+    the entries carries no meaning."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "SparseMatrix":
+        """The nonzero entries of a 2-D array of residues."""
+        r, c = a.nonzero()
+        return cls(r, c, a[r, c], a.shape)
+
+    @classmethod
+    def summed(
+        cls, row: np.ndarray, col: np.ndarray, val: np.ndarray, shape: tuple[int, int], p: int
+    ) -> "SparseMatrix":
+        """The matrix whose entry at each position is the sum mod p of the
+        residues val given there (positions may repeat)."""
+        key = row * shape[1] + col
+        order = key.argsort()
+        key = key[order]
+        last = np.empty(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=last[:-1])
+        last[-1:] = True
+        total = np.add.accumulate(val[order])[last]
+        total[1:] -= total[:-1]
+        total %= p
+        nonzero = total.nonzero()[0]
+        row, col = np.divmod(key[last][nonzero], shape[1])
+        return cls(row, col, total[nonzero], shape)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row, self.col] = self.val
+        return out
+
+    def reversed(self) -> "SparseMatrix":
+        """The matrix with its columns in reverse order."""
+        return self._replace(col=self.shape[1] - 1 - self.col)
+
+
+def _positions(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(where, at): the indices where mask holds, and at[where[t]] = t."""
+    where = mask.nonzero()[0]
+    at = np.zeros(mask.size, dtype=np.int64)
+    at[where] = np.arange(where.size)
+    return where, at
+
+
+def sparse_product(a: SparseMatrix, b: SparseMatrix, p: int) -> SparseMatrix:
+    """a b mod p: every entry of a meets the entries of b in the row of its
+    column, and the products are summed by position."""
+    order = b.row.argsort()
+    count = np.bincount(b.row, minlength=b.shape[0])
+    reps = count[a.col]
+    # the entries of a meet, in turn, the b entries order[end - count : end]
+    # of the rows they name, end running over the row ends of b
+    ends = np.repeat(np.add.accumulate(count)[a.col] - np.add.accumulate(reps), reps)
+    bi = order[ends + np.arange(ends.size)]
+    prods = np.repeat(a.val, reps) * b.val[bi] % p
+    return SparseMatrix.summed(np.repeat(a.row, reps), b.col[bi], prods, (a.shape[0], b.shape[1]), p)
+
+
+def sparse_rref(m: SparseMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(pivot, lead, cols, block): the reduced echelon form of m in two
+    parts. pivot marks its pivot columns. Those not in lead are peeled, and
+    their rref rows are the unit vectors e_c; the others, lead, increasing,
+    are the pivots of the rows of block, which hold the rest of the rref on
+    the columns cols.
+
+    Rows with a single nonzero entry are taken first, in bulk (Faugere &
+    Lachartre, PASCO 2010). Such a row scales to the unit vector e_c, which
+    is the rref row of pivot c: a row-space vector that is zero at every
+    pivot is zero. Subtracting e_c from the other rows only deletes their
+    entries in column c, with no arithmetic, and can leave new single-entry
+    rows, so this repeats. The rows left over are zero on every peeled
+    column, so their rref, from _row_reduce on the live rows and columns
+    only, together with the e_c, is the rref of m. When no row peels, that
+    is _row_reduce on m at once."""
+    n_rows, n_cols = m.shape
+    row, col, val = m.row, m.col, m.val
+    pivot = np.zeros(n_cols, dtype=bool)
+    single = np.bincount(row, minlength=n_rows)[row] == 1
+    while np.count_nonzero(single):
+        pivot[col[single]] = True
+        keep = ~pivot[col]
+        row, col, val = row[keep], col[keep], val[keep]
+        single = np.bincount(row, minlength=n_rows)[row] == 1
+    live = np.zeros(n_rows, dtype=bool)
+    live[row] = True
+    rows, row_at = _positions(live)
+    live = np.zeros(n_cols, dtype=bool)
+    live[col] = True
+    cols, col_at = _positions(live)
+    block = np.zeros((rows.size, cols.size), dtype=np.int64)
+    block[row_at[row], col_at[col]] = val
+    rank, lead = _row_reduce(block, p)
+    lead = cols[lead]
+    pivot[lead] = True
+    return pivot, lead, cols, block[:rank]
+
+
+def sparse_kernel_space(m: SparseMatrix, p: int) -> tuple[np.ndarray, SparseMatrix]:
+    """(lead, rows): the reduced echelon basis of the right null space of m,
+    basis vector i as row i, with its leading 1 at lead[i], increasing.
+
+    m is reduced once, with its columns reversed, and each free variable is
+    set to a unit vector. The vector of free column f is 1 at f, 0 at every
+    other free column, and nonzero only at pivot columns, which all come
+    after f in the original order; so, in that order, these vectors are
+    already the reduced echelon basis: column_space(kernel_basis(m)) from
+    one elimination instead of two. The peeled rows e_c are zero at every
+    free column, so only the rows left over enter the vectors."""
+    n = m.shape[1]
+    pivot, lead, cols, a = sparse_rref(m.reversed(), p)
+    free = ~pivot
+    fc, index = _positions(free)
+    index = fc.size - 1 - index  # reversed, the last free column comes first
+    r, c = a.nonzero()
+    hit = free[cols[c]].nonzero()[0]
+    r, c = r[hit], c[hit]
+    basis = SparseMatrix(
+        np.concatenate([index[fc], index[cols[c]]]),
+        np.concatenate([n - 1 - fc, n - 1 - lead[r]]),
+        np.concatenate([np.ones(fc.size, dtype=np.int64), p - a[r, c]]),
+        (fc.size, n),
+    )
+    return n - 1 - fc[::-1], basis
+
+
+def greedy_unit_completion(m: SparseMatrix, p: int) -> np.ndarray:
+    """Indices j, increasing, of the unit vectors e_j that a left-to-right
+    greedy scan keeps to extend the row space of m:
+    greedy_completion(column_space(m^T), identity). e_j lies in the span of
+    the row space and the earlier e_i exactly when some row-space vector has
+    its last nonzero entry at j, so the kept j are the leading columns of
+    sparse_kernel_space(m), read off its pivots alone."""
+    keep = ~sparse_rref(m.reversed(), p)[0]
+    return keep[::-1].nonzero()[0]

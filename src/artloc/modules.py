@@ -140,13 +140,14 @@ class ModuleMap:
         return not np.any((self.target.action @ m - m @ self.source.action) % self.source.algebra.p)
 
     def kernel(self) -> PrimeFieldMatrix:
-        return linalg.kernel_basis(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
+        """Canonical (reduced echelon) basis of the kernel, as image() is of the image."""
+        return linalg.kernel_space(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
 
     def image(self) -> PrimeFieldMatrix:
         return linalg.column_space(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
 
     def is_injective(self) -> bool:
-        return self.kernel().cols == 0
+        return linalg.rank_mod(self.matrix, self.source.algebra.p) == self.source.dim
 
     def is_surjective(self) -> bool:
         return self.image().cols == self.target.dim
@@ -240,6 +241,16 @@ class RingMatrix:
         self.algebra = algebra
         self.entries = entries
 
+    @classmethod
+    def _own(cls, algebra: LocalAlgebra, entries: np.ndarray) -> "RingMatrix":
+        """Wrap a (rows, cols, dim_A) int64 array of residues mod p that the
+        caller has just built and hands over: no copy and no reduction."""
+        entries.setflags(write=False)
+        m = cls.__new__(cls)
+        m.algebra = algebra
+        m.entries = entries
+        return m
+
     @property
     def rows(self) -> int:
         return self.entries.shape[0]
@@ -317,44 +328,72 @@ class Resolution:
     """Minimal free resolution ... -> A^b2 -> A^b1 -> A^b0 -> M -> 0.
 
     Each step picks the syzygies as minimal_generators would on A^b_prev:
-    greedy over the canonical column_space basis of ker against m*ker. ker
-    is a submodule, so m*ker is the span of the products with the minimal
-    generators of m, each acting on every block of dim_A coordinates as on
-    A: the (b_prev*dim_A)^2 action matrices of A^b_prev are never built.
-    Only nonzero blocks are touched: m*ker multiplies the nonzero dim_A-row
-    blocks of ker, and the differential acts on A through its nonzero entries.
+    greedy over the canonical (reduced echelon) basis of ker against m*ker.
+    Every step after the small dense cover runs on sparse coordinate lists:
+    the differentials are almost all zero, and their linear maps
+    A^b -> A^b_prev are never built densely. ker is a submodule, so m*ker is the span of the products
+    with the minimal generators of m, each acting on every block of dim_A
+    coordinates as on A; and since m*ker lies in ker, a product's
+    coordinates in the canonical basis of ker are its entries at the basis's
+    leading columns. The kept basis vectors are the unit vectors a greedy
+    scan adds to the span of those coordinates.
 
-    Every step is certified: the canonical basis of the image of the new
-    differential must equal that of ker. rank = dim ker together with
-    im in ker holds exactly when im = ker, so one comparison does both.
+    Every step is certified: current * lin = 0 puts the image of the new
+    differential in ker, and rank lin = dim ker makes them equal. The rank
+    comes from the reduction that gives the next step its ker.
     """
 
     def __init__(self, M: FpModule, steps: int):
         A = M.algebra
-        p = A.p
+        p, d = A.p, A.dim
         self.module = M
         self.algebra = A
         gens = minimal_generators(M)
         self.betti: list[int] = [len(gens)]
         self.cover = cover_matrix(M, np.reshape(gens, (len(gens), M.dim)))  # A^b0 -> M
         self.differentials: list[RingMatrix] = []
-        current = PrimeFieldMatrix(self.cover, p)
+        current = linalg.SparseMatrix.from_dense(self.cover)
+        lead, ker = linalg.sparse_kernel_space(current, p)
+        mults = A.generator_mults()
+        e = mults.shape[0]
+        g, gi, ga = mults.nonzero()  # x_g e_ga has coordinate gi
+        gv = mults[g, gi, ga]
         for _ in range(steps):
-            b_prev = self.betti[-1]
-            ker = linalg.kernel_basis(current)
-            cols = linalg.column_space(ker)
-            rad = linalg.span_of_products(A.generator_mults(), cols.array, p)
-            picks = linalg.greedy_completion(rad, cols)
-            b = len(picks)
-            d = RingMatrix(A, cols.array[:, picks].reshape(b_prev, A.dim, b).transpose(0, 2, 1))
-            lin = d.as_linear_map()
-            # exactness: the chosen generators must span the kernel exactly,
-            # that is, im lin and ker have the same canonical basis
-            if linalg.column_space(lin) != cols:
+            b_prev, k = self.betti[-1], ker.shape[0]
+            n = b_prev * d
+            # m*ker in the coordinates of the canonical basis of ker: row
+            # v * e + g of rad is x_g v at the leading columns. Column
+            # j * e + g of on_lead is coordinate lead[j] of x_g times each
+            # coordinate vector of A^b_prev.
+            coord = np.full(n, -1)
+            coord[lead] = np.arange(k)
+            j = coord[np.arange(0, n, d)[:, None] + gi]  # (block, entry of mults)
+            r, t = (j >= 0).nonzero()
+            on_lead = linalg.SparseMatrix(r * d + ga[t], j[r, t] * e + g[t], gv[t], (n, k * e))
+            prods = linalg.sparse_product(ker, on_lead, p)
+            j, gen = np.divmod(prods.col, e)
+            rad = linalg.SparseMatrix(prods.row * e + gen, j, prods.val, (k * e, k))
+            picks = linalg.greedy_unit_completion(rad, p)
+            # the picked basis vectors of ker are the columns of the differential
+            b = picks.size
+            column = np.full(k, -1)
+            column[picks] = np.arange(b)
+            c = column[ker.row]
+            mine = c >= 0
+            r, s = np.divmod(ker.col[mine], d)
+            entries = np.zeros((b_prev, b, d), dtype=np.int64)
+            entries[r, c[mine], s] = ker.val[mine]
+            # lin[(r, i), (c, a)] = coordinate i of entry(r, c) e_a, from the nonzero entries only
+            r, c = entries.any(axis=2).nonzero()
+            blocks = np.einsum("ta,aij->tij", entries[r, c], A.mult_matrices()) % p
+            t, i, a = blocks.nonzero()
+            lin = linalg.SparseMatrix(r[t] * d + i, c[t] * d + a, blocks[t, i, a], (n, b * d))
+            lead, next_ker = linalg.sparse_kernel_space(lin, p)
+            if linalg.sparse_product(current, lin, p).val.size or b * d - next_ker.shape[0] != k:
                 raise RuntimeError("resolution step failed to span the syzygy module")
-            self.differentials.append(d)
+            self.differentials.append(RingMatrix._own(A, entries))
             self.betti.append(b)
-            current = lin
+            current, ker = lin, next_ker
 
     def differential(self, i: int) -> RingMatrix:
         """d_i: A^b_i -> A^b_{i-1}, defined for 1 <= i <= steps."""

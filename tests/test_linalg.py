@@ -504,3 +504,129 @@ def test_column_space_ignores_inserted_zero_columns(seed, p, rows, cols, zeros, 
     for m in (a, padded):
         got = linalg.column_space(PrimeFieldMatrix(m, p))
         assert got.shape == want.shape and got.array.tobytes() == want.tobytes()
+
+
+def _peelable(rng, p, rows, cols, kind):
+    """A rows x cols matrix mod p shaped for the sparse elimination's peeling:
+    'random' is sparse with any entries; 'units' puts several single-entry
+    rows on one column; 'vanish' adds rows whose entries all lie in columns
+    of single-entry rows, so they are empty once those columns are peeled; 'chain' is a
+    staircase whose single-entry rows appear one per peeling round; 'zero'
+    is all zero."""
+    a = _sparse(rng, p, rows, cols, 0)
+    if kind == "zero" or not rows or not cols:
+        return a * 0
+    c = int(rng.integers(0, cols))
+    if kind == "units":
+        a[rng.random(rows) < 0.5, c] = rng.integers(1, p)
+        hit = rng.random(rows) < 0.5
+        a[hit] = 0
+        a[hit, c] = rng.integers(1, p, size=int(hit.sum()))
+    elif kind == "vanish":
+        h = min(rows // 2, cols)
+        a[:h] = 0
+        a[np.arange(h), np.arange(h)] = rng.integers(1, p, size=h)
+        a[h::2, :h] = rng.integers(1, p, size=a[h::2, :h].shape)
+        a[h::2, h:] = 0  # nonzero only on the columns peeled by the rows above
+    elif kind == "chain":
+        # row i is nonzero at i and i + 1 (and the last row only at its own
+        # column), so each round peels one column and leaves the row above
+        # with a single entry
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for i in range(min(rows, cols)):
+            a[i, i] = rng.integers(1, p)
+            if i + 1 < min(rows, cols):
+                a[i, i + 1] = rng.integers(1, p)
+        a = a[rng.permutation(rows)]
+    return a
+
+
+def _sparse_rref_rows(a, p):
+    """(pivots, rows): the rref of a assembled from the two parts
+    sparse_rref gives, unit rows e_c at the peeled pivots and the rows of
+    its block on their columns."""
+    pivot, lead, cols, block = linalg.sparse_rref(linalg.SparseMatrix.from_dense(a), p)
+    pivots = pivot.nonzero()[0]
+    assert lead.tolist() == sorted(set(lead.tolist()) & set(pivots.tolist()))
+    assert block.shape == (lead.size, cols.size)
+    rows = np.zeros((pivots.size, a.shape[1]), dtype=np.int64)
+    row_of = {c: i for i, c in enumerate(pivots.tolist())}
+    for c in sorted(set(pivots.tolist()) - set(lead.tolist())):
+        rows[row_of[c], c] = 1
+    for r, c in enumerate(lead.tolist()):
+        rows[row_of[c], cols] = block[r]
+    return pivots, rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 65521]),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from(["random", "units", "vanish", "chain", "zero"]),
+)
+@example(0, 2, 0, 4, "random")  # no rows
+@example(0, 3, 4, 0, "random")  # no columns
+@example(0, 65521, 0, 0, "zero")
+@example(1, 3, 5, 5, "zero")
+@example(2, 2, 8, 3, "units")
+@example(3, 65521, 6, 7, "vanish")
+@example(4, 3, 9, 9, "chain")
+@example(5, 2, 7, 4, "chain")
+def test_sparse_elimination_matches_the_dense_kernels(seed, p, rows, cols, kind):
+    """The sparse rref (pivots and rows), the column space (the rref of the
+    transpose), the kernel space, the greedy unit completion and the product
+    equal the dense rref, column_space, column_space(kernel_basis(.)),
+    greedy_completion and matrix product, byte for byte."""
+    rng = np.random.default_rng(seed)
+    a = _peelable(rng, p, rows, cols, kind)
+    m = PrimeFieldMatrix(a, p)
+    sparse = linalg.SparseMatrix.from_dense(m.array)
+
+    rr = linalg.rref(m)
+    pivots, got = _sparse_rref_rows(a, p)
+    assert tuple(pivots.tolist()) == rr.pivots
+    assert _same(got, rr.matrix.array[: rr.rank])
+    assert _same(_sparse_rref_rows(a.T.copy(), p)[1].T, linalg.column_space(m).array)
+
+    want = linalg.column_space(linalg.kernel_basis(m))
+    lead, ker = linalg.sparse_kernel_space(sparse, p)
+    assert _same(ker.to_dense().T, want.array)
+    assert lead.tolist() == list(linalg.rref(want.transpose()).pivots)
+
+    picks = linalg.greedy_unit_completion(sparse, p)
+    units = PrimeFieldMatrix.identity(cols, p)
+    assert picks.tolist() == linalg.greedy_completion(linalg.column_space(m.transpose()), units)
+
+    b = _peelable(rng, p, cols, int(rng.integers(0, 6)), "random")
+    prod = linalg.sparse_product(sparse, linalg.SparseMatrix.from_dense(b), p)
+    assert _same(prod.to_dense(), (a @ b) % p)
+    assert not (prod.val == 0).any()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5, 7, 65521]),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.floats(0.0, 1.0),
+)
+@example(0, 2, 0, 3, 1.0)
+@example(0, 3, 3, 0, 1.0)
+@example(1, 5, 4, 6, 0.0)
+@example(2, 65521, 8, 8, 1.0)
+def test_kernel_space_is_the_canonical_kernel_basis(seed, p, rows, cols, density):
+    """kernel_space(m), from one elimination of m with its columns reversed,
+    is column_space(kernel_basis(m)); its columns are kernel vectors in
+    reduced echelon form (each the unit vector at its own leading row)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    m = PrimeFieldMatrix(a, p)
+    got = linalg.kernel_space(m)
+    assert got == linalg.column_space(linalg.kernel_basis(m))
+    assert not ((a @ got.array) % p).any()
+    lead = [int(np.flatnonzero(col)[0]) for col in got.array.T]
+    assert lead == sorted(lead)
+    assert _same(got.array[lead], np.eye(len(lead), dtype=np.int64))
