@@ -206,14 +206,17 @@ def _auto_element(rf: RingFile) -> np.ndarray:
 
 
 def _render_matrix(A: LocalAlgebra, rm: RingMatrix) -> list[list[str]]:
-    """Rendered entries, each distinct entry rendered once. Entries are
+    """Rendered entries: the zero entry is rendered once for every position
+    it fills, and each distinct nonzero entry once. Nonzero entries are
     keyed by their coordinate bytes: a base-p code overflows int64, and
     np.unique(axis=0) compares field by field, over ten times slower."""
-    flat = np.ascontiguousarray(rm.entries).reshape(rm.rows * rm.cols, A.dim)
-    keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * A.dim))).reshape(rm.rows * rm.cols)
+    vals = np.ascontiguousarray(rm.val)
+    keys = vals.view(np.dtype((np.void, vals.dtype.itemsize * A.dim))).reshape(len(vals))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    names = np.array([A.render_element(flat[i]) for i in first], dtype=object)
-    return names[inverse].reshape(rm.rows, rm.cols).tolist()
+    names = np.array([A.render_element(vals[i]) for i in first], dtype=object)
+    grid = np.full(rm.rows * rm.cols, A.render_element(np.zeros(A.dim, dtype=np.int64)), dtype=object)
+    grid[rm.row * rm.cols + rm.col] = names[inverse]
+    return grid.reshape(rm.rows, rm.cols).tolist()
 
 
 def _census_payload(verdict) -> dict:

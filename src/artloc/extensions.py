@@ -200,7 +200,9 @@ def _orbit_minima(ext: Ext1Space):
     if not moving.any():
         yield from linalg.monic_blocks(p, e)
         return
-    acts = np.unique(acts[moving], axis=0)
+    # every np.unique here takes return_index: without it, np.unique runs a
+    # masked-array check that imports numpy.ma (about 20 ms) into the process
+    acts = np.unique(acts[moving], axis=0, return_index=True)[0]
     step = acts.transpose(2, 0, 1).reshape(e, -1)  # rows @ step: every image side by side
     chunk = max(1, linalg.BLOCK_ROWS // acts.shape[0])
     weights = p ** np.arange(e, dtype=np.int64)
@@ -217,7 +219,7 @@ def _orbit_minima(ext: Ext1Space):
                 found = []
                 for lo in range(0, frontier.size, chunk):
                     rows = frontier[lo : lo + chunk, None] // weights % p
-                    idx = np.unique(linalg.monic_index((rows @ step % p).reshape(-1, e), p))
+                    idx = np.unique(linalg.monic_index((rows @ step % p).reshape(-1, e), p), return_index=True)[0]
                     idx = idx[~covered[idx]]
                     covered[idx] = True
                     found.append(idx)

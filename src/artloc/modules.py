@@ -229,41 +229,59 @@ def residue_field(A: LocalAlgebra) -> FpModule:
 
 
 class RingMatrix:
-    """Matrix with entries in a LocalAlgebra, stored as (rows, cols, dim_A)."""
+    """Matrix with entries in a LocalAlgebra, stored as its nonzero entries:
+    entry (row[t], col[t]) has algebra coordinates val[t], an (nnz, dim_A)
+    array of residues mod p. The positions are in row-major order and none
+    repeats; every other entry is zero."""
 
-    __slots__ = ("algebra", "entries")
+    __slots__ = ("algebra", "shape", "row", "col", "val")
 
     def __init__(self, algebra: LocalAlgebra, entries: np.ndarray):
+        """From a dense (rows, cols, dim_A) array of entry coordinates."""
         entries = np.mod(np.asarray(entries, dtype=np.int64), algebra.p)
         if entries.ndim != 3 or entries.shape[2] != algebra.dim:
             raise ValueError("entries must have shape (rows, cols, dim_A)")
-        entries.setflags(write=False)
+        row, col = entries.any(axis=2).nonzero()
+        self._set(algebra, entries.shape[:2], row, col, entries[row, col])
+
+    def _set(self, algebra: LocalAlgebra, shape, row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
+        for a in (row, col, val):
+            a.setflags(write=False)
         self.algebra = algebra
-        self.entries = entries
+        self.shape = tuple(shape)
+        self.row, self.col, self.val = row, col, val
 
     @classmethod
-    def _own(cls, algebra: LocalAlgebra, entries: np.ndarray) -> "RingMatrix":
-        """Wrap a (rows, cols, dim_A) int64 array of residues mod p that the
-        caller has just built and hands over: no copy and no reduction."""
-        entries.setflags(write=False)
+    def _own(cls, algebra: LocalAlgebra, shape, row: np.ndarray, col: np.ndarray, val: np.ndarray) -> "RingMatrix":
+        """Wrap coordinate lists that the caller has just built and hands
+        over, already in the stored form: no copy, check or reduction."""
         m = cls.__new__(cls)
-        m.algebra = algebra
-        m.entries = entries
+        m._set(algebra, shape, row, col, val)
         return m
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.entries.shape[1]
+        return self.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense (rows, cols, dim_A) array, built on each call."""
+        out = np.zeros(self.shape + (self.algebra.dim,), dtype=np.int64)
+        out[self.row, self.col] = self.val
+        out.setflags(write=False)
+        return out
 
     def entry(self, i: int, j: int) -> np.ndarray:
         return self.entries[i, j].copy()
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.algebra, np.transpose(self.entries, (1, 0, 2)))
+        # a stable sort by column keeps the rows ascending within each column
+        order = np.argsort(self.col, kind="stable")
+        return RingMatrix._own(self.algebra, self.shape[::-1], self.col[order], self.row[order], self.val[order])
 
     def acting_on(self, N: FpModule) -> PrimeFieldMatrix:
         """Block matrix of the induced map N^cols -> N^rows: block (r, c) is
@@ -271,9 +289,8 @@ class RingMatrix:
         multiplied out; the other blocks stay zero."""
         if N.algebra is not self.algebra:
             raise ValueError("module lives over a different algebra")
-        rr, cc = self.entries.any(axis=2).nonzero()
         out = np.zeros((self.rows, N.dim, self.cols, N.dim), dtype=np.int64)
-        out[rr, :, cc] = np.einsum("ta,aij->tij", self.entries[rr, cc], N.action) % self.algebra.p
+        out[self.row, :, self.col] = np.einsum("ta,aij->tij", self.val, N.action) % self.algebra.p
         return PrimeFieldMatrix._own(out.reshape(self.rows * N.dim, self.cols * N.dim), self.algebra.p)
 
     def as_linear_map(self) -> PrimeFieldMatrix:
@@ -330,8 +347,9 @@ class Resolution:
     Each step picks the syzygies as minimal_generators would on A^b_prev:
     greedy over the canonical (reduced echelon) basis of ker against m*ker.
     Every step after the small dense cover runs on sparse coordinate lists:
-    the differentials are almost all zero, and their linear maps
-    A^b -> A^b_prev are never built densely. ker is a submodule, so m*ker is the span of the products
+    the differentials are almost all zero, and neither their entries nor
+    their linear maps A^b -> A^b_prev are ever built densely; each is handed
+    over as its nonzero entries. ker is a submodule, so m*ker is the span of the products
     with the minimal generators of m, each acting on every block of dim_A
     coordinates as on A; and since m*ker lies in ker, a product's
     coordinates in the canonical basis of ker are its entries at the basis's
@@ -380,18 +398,21 @@ class Resolution:
             column[picks] = np.arange(b)
             c = column[ker.row]
             mine = c >= 0
+            # coordinate s of entry (r, c) is ker.val: one row of val per
+            # nonzero entry, the entries in row-major order
             r, s = np.divmod(ker.col[mine], d)
-            entries = np.zeros((b_prev, b, d), dtype=np.int64)
-            entries[r, c[mine], s] = ker.val[mine]
+            pos, slot = np.unique(r * b + c[mine], return_inverse=True)
+            val = np.zeros((pos.size, d), dtype=np.int64)
+            val[slot, s] = ker.val[mine]
+            r, c = np.divmod(pos, b)
             # lin[(r, i), (c, a)] = coordinate i of entry(r, c) e_a, from the nonzero entries only
-            r, c = entries.any(axis=2).nonzero()
-            blocks = np.einsum("ta,aij->tij", entries[r, c], A.mult_matrices()) % p
+            blocks = np.einsum("ta,aij->tij", val, A.mult_matrices()) % p
             t, i, a = blocks.nonzero()
             lin = linalg.SparseMatrix(r[t] * d + i, c[t] * d + a, blocks[t, i, a], (n, b * d))
             lead, next_ker = linalg.sparse_kernel_space(lin, p)
             if linalg.sparse_product(current, lin, p).val.size or b * d - next_ker.shape[0] != k:
                 raise RuntimeError("resolution step failed to span the syzygy module")
-            self.differentials.append(RingMatrix._own(A, entries))
+            self.differentials.append(RingMatrix._own(A, (b_prev, b), r, c, val))
             self.betti.append(b)
             current, ker = lin, next_ker
 

@@ -18,6 +18,7 @@ declared variable order (first variable largest).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -66,7 +67,7 @@ def degrevlex_key(m: Monomial):
 class Polynomial:
     """Immutable polynomial over F_p in an ordered tuple of variables."""
 
-    __slots__ = ("variables", "p", "terms")
+    __slots__ = ("variables", "p", "terms", "_lead")
 
     def __init__(self, variables: Sequence[str], p: int, terms: dict[Monomial, int]):
         self.variables = tuple(variables)
@@ -77,6 +78,7 @@ class Polynomial:
             if c:
                 clean[tuple(m)] = c
         self.terms = clean
+        self._lead: Optional[Monomial] = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -95,9 +97,11 @@ class Polynomial:
         return not self.terms
 
     def leading_monomial(self) -> Monomial:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=degrevlex_key)
+        if self._lead is None:
+            if self.is_zero():
+                raise ValueError("zero polynomial has no leading monomial")
+            self._lead = max(self.terms, key=degrevlex_key)
+        return self._lead
 
     def leading_coefficient(self) -> int:
         return self.terms[self.leading_monomial()]
@@ -331,27 +335,23 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
     """Reduced monic Groebner basis under degrevlex.
 
-    Deterministic: pairs are processed by (degrevlex of lcm, insertion
-    order), Buchberger's coprimality criterion prunes pairs, and the final
-    basis is interreduced and sorted by leading monomial (smallest first).
+    Deterministic: pairs (i, j) of basis indices, i < j, are processed by
+    (degrevlex of lcm, i, j) from a heap, Buchberger's coprimality criterion
+    prunes pairs, and the final basis is interreduced and sorted by leading
+    monomial (smallest first).
     """
     basis = [g for g in generators if not g.is_zero()]
     if not basis:
         return []
     basis = [g.monic() for g in basis]
-    pairs = list(itertools.combinations(range(len(basis)), 2))
 
-    def pair_key(ij):
-        i, j = ij
-        return (
-            degrevlex_key(monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())),
-            i,
-            j,
-        )
+    def pair_key(i: int, j: int):
+        return (degrevlex_key(monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())), i, j)
 
+    pairs = [pair_key(i, j) for i, j in itertools.combinations(range(len(basis)), 2)]
+    heapq.heapify(pairs)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
+        _, i, j = heapq.heappop(pairs)
         f, g = basis[i], basis[j]
         lf, lg = f.leading_monomial(), g.leading_monomial()
         if monomial_lcm(lf, lg) == monomial_mul(lf, lg):
@@ -361,7 +361,8 @@ def buchberger(generators: Sequence[Polynomial]) -> list[Polynomial]:
             continue
         basis.append(r.monic())
         k = len(basis) - 1
-        pairs.extend((t, k) for t in range(k))
+        for t in range(k):
+            heapq.heappush(pairs, pair_key(t, k))
 
     # interreduce: drop redundant leads, then tail-reduce each survivor
     basis.sort(key=lambda g: degrevlex_key(g.leading_monomial()))

@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import artloc.cli as cli
 from artloc.algebra import check_axioms
 from artloc.catalog import complete_intersection_ring, example1_ring
 from artloc.cli import CliError, load_ring, main, parse_module_expr, resolve_element
-from artloc.modules import RingMatrix
+from artloc.modules import Resolution, RingMatrix, residue_field
 
 ROOT = Path(__file__).resolve().parent.parent
 RINGS = ROOT / "rings"
@@ -193,6 +194,52 @@ def test_render_matrix_matches_per_entry_rendering(seed, p, name, rows, cols, di
     rm = RingMatrix(A, pool[rng.integers(0, len(pool), size=(rows, cols))])
     want = [[A.render_element(rm.entries[i, j]) for j in range(cols)] for i in range(rows)]
     assert cli._render_matrix(A, rm) == want
+
+
+@pytest.mark.parametrize(
+    "rows, cols, nonzero",
+    [(0, 0, ()), (0, 4, ()), (4, 0, ()), (3, 5, ()), (3, 5, ((0, 4), (2, 0), (2, 1))), (2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))],
+)
+def test_render_matrix_fills_the_zero_entries(rows, cols, nonzero):
+    """Empty, all-zero, mostly-zero and all-nonzero matrices: the zero
+    entry fills every position no nonzero entry holds."""
+    A = _render_ring("example1", 3)
+    entries = np.zeros((rows, cols, A.dim), dtype=np.int64)
+    for t, (i, j) in enumerate(nonzero):
+        entries[i, j, 1 + t % (A.dim - 1)] = 1 + t % 2
+    rm = RingMatrix(A, entries)
+    want = [[A.render_element(entries[i, j]) for j in range(cols)] for i in range(rows)]
+    assert cli._render_matrix(A, rm) == want
+
+
+def test_render_matrix_memory_stays_near_its_output():
+    """Rendering the 209 x 780 differential of k over example1 (988 nonzero
+    entries) keeps its traced peak under 6 MB: only the nonzero entries are
+    keyed. Keying all 163,020 entries peaked at 18.8 MB."""
+    A = example1_ring(2)
+    d = Resolution(residue_field(A), 5).differential(5)
+    tracemalloc.start()
+    try:
+        cli._render_matrix(A, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("argv", [("filt", _ring("goto.ring"), "--depth", "2"), ("verify-paper",)])
+def test_commands_do_not_import_numpy_ma(argv, tmp_path):
+    """np.unique without return_index checks for a masked array and so
+    imports numpy.ma (about 20 ms); a fresh interpreter never loads it."""
+    script = (
+        "import sys\n"
+        "from artloc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.exit(3 if 'numpy.ma' in sys.modules else code)\n"
+    )
+    argv = [*argv, "--quiet", "--json", str(tmp_path / "report.json")]
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_tor_command(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from artloc.polyparse import (
     PolyParseError,
     Polynomial,
     buchberger,
+    degrevlex_key,
+    monomial_divides,
+    monomial_lcm,
     monomial_mul,
     normal_form,
     parse_polynomial,
@@ -228,6 +232,74 @@ def test_invariants_match_the_hilbert_function_oracle(p, nvars, powers, extra):
     assert inv.hilbert == want
     assert inv.edim == (want[1] if len(want) > 1 else 0)
     assert sum(want) == A.dim
+
+
+def _buchberger_by_sorted_pairs(generators):
+    """buchberger's pair loop as it was before the heap: the whole pair list
+    re-sorted by (degrevlex of lcm, i, j) on every iteration, and every
+    leading monomial recomputed; the interreduction is the same."""
+
+    def lead(g):
+        return max(g.terms, key=degrevlex_key)
+
+    basis = [g.monic() for g in generators if not g.is_zero()]
+    if not basis:
+        return []
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+
+    def pair_key(ij):
+        i, j = ij
+        return (degrevlex_key(monomial_lcm(lead(basis[i]), lead(basis[j]))), i, j)
+
+    while pairs:
+        pairs.sort(key=pair_key)
+        i, j = pairs.pop(0)
+        lf, lg = lead(basis[i]), lead(basis[j])
+        if monomial_lcm(lf, lg) == monomial_mul(lf, lg):
+            continue
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if r.is_zero():
+            continue
+        basis.append(r.monic())
+        k = len(basis) - 1
+        pairs.extend((t, k) for t in range(k))
+    basis.sort(key=lambda g: degrevlex_key(lead(g)))
+    kept = []
+    for i, g in enumerate(basis):
+        lm = lead(g)
+        others = basis[:i] + basis[i + 1 :]
+        if any(monomial_divides(lead(h), lm) for h in kept):
+            continue
+        if any(monomial_divides(lead(h), lm) and lead(h) != lm for h in others):
+            continue
+        kept.append(g)
+    reduced = [normal_form(g, kept[:i] + kept[i + 1 :]).monic() for i, g in enumerate(kept)]
+    reduced.sort(key=lambda g: degrevlex_key(lead(g)))
+    return reduced
+
+
+def _assert_same_basis(relations):
+    got = buchberger(relations)
+    want = _buchberger_by_sorted_pairs(relations)
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+
+
+def test_buchberger_heap_matches_the_sorted_pair_loop_on_the_corpus():
+    rings = [_corpus_ring(name) for name in CORPUS]
+    rings.append(load_ring(str(ROOT / "perfbench" / "rings" / "monomial64.ring")).algebra)
+    for A in rings:
+        _assert_same_basis(list(A.presentation.relations))
+    # the seed-0 Gorenstein ring of the benchmark: three quartics over F_3
+    _assert_same_basis([parse_polynomial(t, ("x", "y", "z"), 3) for t in ("x^4+y^3z", "y^4+z^3x", "z^4+x^3y")])
+
+
+@settings(deadline=None, max_examples=40)
+@given(*_M_PRIMARY)
+@example(3, 2, (4, 4, 1), [[((3, 0, 0), 1), ((0, 2, 0), 2)]])
+@example(5, 3, (2, 3, 4), [[((1, 1, 0), 1), ((0, 0, 2), 4)], [((0, 1, 1), 1), ((3, 0, 0), 1)]])
+def test_buchberger_heap_matches_the_sorted_pair_loop(p, nvars, powers, extra):
+    variables, dicts = _m_primary_ideal(nvars, powers, extra)
+    _assert_same_basis([Polynomial(variables, p, d) for d in dicts])
 
 
 def test_buchberger_matches_sympy_on_the_stretched_ring():
