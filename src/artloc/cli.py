@@ -19,12 +19,14 @@ Elapsed time goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -206,17 +208,20 @@ def _auto_element(rf: RingFile) -> np.ndarray:
 
 
 def _render_matrix(A: LocalAlgebra, rm: RingMatrix) -> list[list[str]]:
-    """Rendered entries: the zero entry is rendered once for every position
-    it fills, and each distinct nonzero entry once. Nonzero entries are
-    keyed by their coordinate bytes: a base-p code overflows int64, and
-    np.unique(axis=0) compares field by field, over ten times slower."""
+    """Rendered entries: every row starts as the zero entry, rendered once,
+    and each distinct nonzero entry is rendered once and placed where it
+    occurs. Nonzero entries are keyed by their coordinate bytes: a base-p
+    code overflows int64, and np.unique(axis=0) compares field by field,
+    over ten times slower."""
     vals = np.ascontiguousarray(rm.val)
     keys = vals.view(np.dtype((np.void, vals.dtype.itemsize * A.dim))).reshape(len(vals))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    names = np.array([A.render_element(vals[i]) for i in first], dtype=object)
-    grid = np.full(rm.rows * rm.cols, A.render_element(np.zeros(A.dim, dtype=np.int64)), dtype=object)
-    grid[rm.row * rm.cols + rm.col] = names[inverse]
-    return grid.reshape(rm.rows, rm.cols).tolist()
+    names = [A.render_element(vals[i]) for i in first]
+    zero = A.render_element(np.zeros(A.dim, dtype=np.int64))
+    grid = [[zero] * rm.cols for _ in range(rm.rows)]
+    for r, c, t in zip(rm.row.tolist(), rm.col.tolist(), inverse.tolist()):
+        grid[r][c] = names[t]
+    return grid
 
 
 def _census_payload(verdict) -> dict:
@@ -561,28 +566,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for the
-    text after `newline` (a newline and the current indent).
+def json_chunks(value, newline: str = "\n") -> Iterator[str]:
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for
+    byte, in pieces, for the text after `newline` (a newline and the current
+    indent). Joined, the pieces are the whole text; written one by one, no
+    piece is larger than the largest flat list or dict.
 
     With an indent the json module walks every value in Python. Here only
     the nesting is walked: a nonempty list or dict of scalars, the bulk of a
     report (rows of rendered matrices), goes to the C encoder in one call
     with the indented item separator, and so does every scalar."""
     if not isinstance(value, (list, tuple, dict)) or not value:
-        return json.dumps(value)
+        yield json.dumps(value)
+        return
     inner = newline + "  "
     is_dict = isinstance(value, dict)
     kinds = set(map(type, value.values() if is_dict else value))
     if not any(issubclass(t, (list, tuple, dict)) for t in kinds):
         flat = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
-        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+        yield flat[0] + inner + flat[1:-1] + newline + flat[-1]
+        return
     if is_dict:
         # json quotes a non-string key's scalar text
-        parts = [encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": " + json_text(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    return "[" + inner + ("," + inner).join(json_text(v, inner) for v in value) + newline + "]"
+        items = ((encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+                 for k, v in sorted(value.items()))
+    else:
+        items = (("", v) for v in value)
+    opening = "{" if is_dict else "["
+    for key, v in items:
+        yield opening + inner + key
+        yield from json_chunks(v, inner)
+        opening = ","
+    yield newline + ("}" if is_dict else "]")
+
+
+def _write_report(report: dict, destination: str) -> None:
+    """Write the report's JSON text, piece by piece, to the file at
+    `destination` or, for '-', to stdout."""
+    out = sys.stdout if destination == "-" else open(destination, "w", encoding="utf-8")
+    if out is None:  # the interpreter started with stdout closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        out.writelines(json_chunks(report))
+        out.write("\n")
+        out.flush()
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -599,12 +629,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, key) and getattr(args, key) is not None:
             config[key] = getattr(args, key)
     report = {"schema": 1, "command": args.command, "config": config, "results": results}
-    text = json_text(report) + "\n"
-    if args.json == "-":
-        sys.stdout.write(text)
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.json:
+        try:
+            _write_report(report, args.json)
+        except OSError as exc:
+            where = "stdout" if args.json == "-" else args.json
+            print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     if not args.quiet and args.json != "-":
         for line in lines:
             print(line)

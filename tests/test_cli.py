@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -370,6 +371,50 @@ def test_bad_flag_values_exit_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "/dev/full"])
+def test_unwritable_report_destination_exits_2_without_traceback(target, tmp_path):
+    """A report path that cannot be opened, and a device that fails the
+    write after the file is open, end in one error line naming the path."""
+    if target == "/dev/full" and not Path(target).exists():
+        pytest.skip("no /dev/full")
+    path = {"missing-dir": str(tmp_path / "no" / "r.json"), "directory": str(tmp_path)}.get(target, target)
+    argv = ["resolve", _ring("example1.ring"), "--steps", "3", "--quiet", "--json", path]
+    out = subprocess.run(
+        [sys.executable, "-m", "artloc", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: {path}: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    """A reader that stops after the first bytes of a streamed report."""
+    argv = ["resolve", _ring("example1.ring"), "--steps", "5", "--quiet", "--json", "-"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "artloc", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == "error: stdout: Broken pipe\n"
+
+
+def test_stdout_closed_at_start_exits_2_without_traceback():
+    """With file descriptor 1 closed, the interpreter has no sys.stdout."""
+    argv = ["resolve", _ring("example1.ring"), "--steps", "2", "--quiet", "--json", "-"]
+    out = subprocess.run(
+        [sys.executable, "-m", "artloc", *argv], stderr=subprocess.PIPE, text=True, timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert out.returncode == 2
+    assert out.stderr == "error: stdout: Bad file descriptor\n"
+
+
 def test_readme_examples_exit_0(monkeypatch, capsys):
     """Every command of README's Examples block runs as written."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -457,10 +502,44 @@ _json_scalars = st.one_of(
 @example({})
 @example({"a": [[], {}, [1, -2]], "\u00e9\u4e2d": [True, None, "\u00fc\n"]})
 def test_json_text_matches_json_dumps(value):
-    """The report writer gives the bytes of json.dumps(sort_keys=True,
-    indent=2) on nested values: empty lists and dicts, non-ASCII strings,
-    bools, None and negative ints, at every depth."""
-    assert cli.json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    """The report writer's pieces, joined, give the bytes of
+    json.dumps(sort_keys=True, indent=2) on nested values: empty lists and
+    dicts, non-ASCII strings, bools, None and negative ints, at every depth."""
+    assert "".join(cli.json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_report_write_memory_stays_near_one_row(monkeypatch, tmp_path):
+    """Writing the resolve report of k over example1 to step 5 (2.6 MB of
+    JSON) traces under 1 MB once the results are built: the text goes to the
+    file piece by piece. Building it as one string peaked at 7.56 MB."""
+    handler = cli._cmd_resolve
+
+    def traced_from_return(args):
+        out = handler(args)
+        tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(cli, "_cmd_resolve", traced_from_return)
+    target = tmp_path / "report.json"
+    try:
+        assert main(["resolve", _ring("example1.ring"), "--module", "k", "--steps", "5",
+                     "--json", str(target), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 2 * 2**20
+    assert peak < 2**20
+
+
+def test_json_stdout_matches_the_report_file(tmp_path):
+    """`--json -` streams the same bytes to stdout as `--json PATH` writes."""
+    argv = ["resolve", _ring("example1.ring"), "--module", "k", "--steps", "3", "--quiet"]
+    target = tmp_path / "report.json"
+    assert main([*argv, "--json", str(target)]) == 0
+    out = subprocess.run(
+        [sys.executable, "-m", "artloc", *argv, "--json", "-"], capture_output=True, timeout=60, check=True
+    )
+    assert out.stdout == target.read_bytes()
 
 
 @pytest.mark.parametrize(
