@@ -284,7 +284,7 @@ def _cmd_tor(args) -> tuple[dict, list[str], int]:
     rf = load_ring(args.ring_file, args.p)
     left = parse_module_expr(rf, args.left)
     right = parse_module_expr(rf, args.right)
-    dim, _ = tor(left, right, args.i)
+    dim = tor(left, right, args.i)
     results = {"left": args.left, "right": args.right, "i": args.i, "dim": dim}
     return results, [f"dim Tor_{args.i}({args.left}, {args.right}) = {dim}"], 0
 

@@ -275,23 +275,26 @@ class RingMatrix:
         out.setflags(write=False)
         return out
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.entries[i, j].copy()
-
     def transpose(self) -> "RingMatrix":
         # a stable sort by column keeps the rows ascending within each column
         order = np.argsort(self.col, kind="stable")
         return RingMatrix._own(self.algebra, self.shape[::-1], self.col[order], self.row[order], self.val[order])
 
-    def acting_on(self, N: FpModule) -> PrimeFieldMatrix:
-        """Block matrix of the induced map N^cols -> N^rows: block (r, c) is
-        the action on N of entry (r, c). Only the nonzero entries are
-        multiplied out; the other blocks stay zero."""
+    def sparse_acting_on(self, N: FpModule) -> linalg.SparseMatrix:
+        """Block matrix of the induced map N^cols -> N^rows as coordinate
+        lists: block (r, c) is the action on N of entry (r, c). Only the
+        nonzero entries are multiplied out; the other blocks stay zero."""
         if N.algebra is not self.algebra:
             raise ValueError("module lives over a different algebra")
-        out = np.zeros((self.rows, N.dim, self.cols, N.dim), dtype=np.int64)
-        out[self.row, :, self.col] = np.einsum("ta,aij->tij", self.val, N.action) % self.algebra.p
-        return PrimeFieldMatrix._own(out.reshape(self.rows * N.dim, self.cols * N.dim), self.algebra.p)
+        n = N.dim
+        blocks = np.einsum("ta,aij->tij", self.val, N.action) % self.algebra.p
+        t, i, a = blocks.nonzero()
+        shape = (self.rows * n, self.cols * n)
+        return linalg.SparseMatrix(self.row[t] * n + i, self.col[t] * n + a, blocks[t, i, a], shape)
+
+    def acting_on(self, N: FpModule) -> PrimeFieldMatrix:
+        """The dense view of sparse_acting_on(N)."""
+        return PrimeFieldMatrix._own(self.sparse_acting_on(N).to_dense(), self.algebra.p)
 
     def as_linear_map(self) -> PrimeFieldMatrix:
         """The induced map A^cols -> A^rows on free-module coordinates."""
@@ -372,6 +375,7 @@ class Resolution:
         self.differentials: list[RingMatrix] = []
         current = linalg.SparseMatrix.from_dense(self.cover)
         lead, ker = linalg.sparse_kernel_space(current, p)
+        R = regular_module(A)
         mults = A.generator_mults()
         e = mults.shape[0]
         g, gi, ga = mults.nonzero()  # x_g e_ga has coordinate gi
@@ -405,14 +409,12 @@ class Resolution:
             val = np.zeros((pos.size, d), dtype=np.int64)
             val[slot, s] = ker.val[mine]
             r, c = np.divmod(pos, b)
-            # lin[(r, i), (c, a)] = coordinate i of entry(r, c) e_a, from the nonzero entries only
-            blocks = np.einsum("ta,aij->tij", val, A.mult_matrices()) % p
-            t, i, a = blocks.nonzero()
-            lin = linalg.SparseMatrix(r[t] * d + i, c[t] * d + a, blocks[t, i, a], (n, b * d))
+            diff = RingMatrix._own(A, (b_prev, b), r, c, val)
+            lin = diff.sparse_acting_on(R)  # the linear map A^b -> A^b_prev
             lead, next_ker = linalg.sparse_kernel_space(lin, p)
             if linalg.sparse_product(current, lin, p).val.size or b * d - next_ker.shape[0] != k:
                 raise RuntimeError("resolution step failed to span the syzygy module")
-            self.differentials.append(RingMatrix._own(A, (b_prev, b), r, c, val))
+            self.differentials.append(diff)
             self.betti.append(b)
             current, ker = lin, next_ker
 
@@ -437,20 +439,17 @@ def minimal_presentation(M: FpModule) -> FreePresentation:
 # -- derived functors ---------------------------------------------------------------------
 
 
-def tor(M: FpModule, N: FpModule, i: int) -> tuple[int, list[np.ndarray]]:
-    """Tor_i(M, N): dimension and coset representatives in N^{b_i} coordinates."""
+def tor(M: FpModule, N: FpModule, i: int) -> int:
+    """dim Tor_i(M, N), the homology at N^{b_i} of the minimal resolution of
+    M tensored with N: b_i dim N - rank(d_i (x) N) - rank(d_{i+1} (x) N),
+    with d_0 = 0. Each rank is the pivot count of a sparse reduction."""
     if i < 0:
         raise ValueError("negative homological degree")
-    res = minimal_free_resolution(M, i + 1)
     p = M.algebra.p
-    D_next = res.differential(i + 1).acting_on(N)
-    if i == 0:
-        ker = PrimeFieldMatrix.identity(res.betti[0] * N.dim, p)
-    else:
-        ker = linalg.kernel_basis(res.differential(i).acting_on(N))
-    # canonical coset representatives: the ker columns completing im to ker
-    reps = [ker.column(j) for j in linalg.greedy_completion(linalg.column_space(D_next), ker)]
-    return len(reps), reps
+    res = minimal_free_resolution(M, i + 1)
+    ranks = [np.count_nonzero(linalg.sparse_rref(res.differential(j).sparse_acting_on(N), p)[0])
+             for j in (i, i + 1) if j]
+    return res.betti[i] * N.dim - int(sum(ranks))
 
 
 class Ext1Space:
@@ -674,7 +673,7 @@ class HomSequenceKeys:
     def keys_for(self, ext: "Ext1Space"):
         """The function sending a (B, dim Ext^1(X, Y)) block of cocycle
         coordinates to its (B, tests) arrays (dim Hom(M, T), dim Hom(T, M))."""
-        if ext.X is not self.X or not np.array_equal(ext.d1.entries, self.d1.entries):
+        if ext.X is not self.X:
             raise ValueError("the cocycles are not taken against this X's presentation")
         Y = ext.L
         p = Y.algebra.p

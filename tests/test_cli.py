@@ -479,8 +479,10 @@ def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
          "a59049ddfbba85ae36b833054d433819eaf30b47f365b20e73ec36549beef64f"),
         (["resolve", "stretched.ring", "--module", "k", "--steps", "4"],
          "62cd57bab9adc7c86cf42006d29b4eb8f70c8627dd7946d4ff4db6b048e59e30"),
+        (["tor", "example1.ring", "--left", "k", "--right", "R", "--i", "4"],
+         "3da5097acd459f83d5fad910ffd49183e27cbb254e04a019d3c8291cdaeac8de"),
     ],
-    ids=["resolve-example1-5", "tor-stretched-5", "resolve-stretched-4"],
+    ids=["resolve-example1-5", "tor-stretched-5", "resolve-stretched-4", "tor-example1-kR-4"],
 )
 def test_resolution_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     """Resolution steps that skip zero blocks, and the report writer, leave

@@ -115,9 +115,9 @@ def test_filt_presentations_are_triangular(filt_pool):
         T = node.presentation.relations
         assert T.rows == T.cols == 3
         for i in range(3):
-            assert (T.entry(i, i) == x).all()
+            assert (T.entries[i, i] == x).all()
             for j in range(i):
-                assert not T.entry(i, j).any()
+                assert not T.entries[i, j].any()
 
 
 def test_presentation_matrix_frozen_for_dual_regular(dual, filt_pool):
@@ -125,7 +125,7 @@ def test_presentation_matrix_frozen_for_dual_regular(dual, filt_pool):
     R = regular_module(dual)
     node = next(n for n in levels[1] if bool(is_isomorphic(n.module, R)))
     T = node.presentation.relations
-    rendered = [[dual.render_element(T.entry(i, j)) for j in range(2)] for i in range(2)]
+    rendered = [[dual.render_element(T.entries[i, j]) for j in range(2)] for i in range(2)]
     assert rendered == [["x", "1"], ["0", "x"]]
 
 
@@ -155,9 +155,9 @@ def test_strict_upper_reduction_moves_entries_into_complement(example1):
     mixed = example1.element_from_string("x + y")
     pres = _pres_from_matrix(example1, x, {(0, 1): mixed})
     red = strict_upper_reduction(pres)
-    assert example1.render_element(red.presentation.relations.entry(0, 1)) == "y"
+    assert example1.render_element(red.presentation.relations.entries[0, 1]) == "y"
     assert red.complement.dim == 4
-    assert red.complement.contains(red.presentation.relations.entry(0, 1))
+    assert red.complement.contains(red.presentation.relations.entries[0, 1])
 
 
 def test_strict_upper_reduction_preserves_column_space(example1):
