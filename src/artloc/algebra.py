@@ -107,10 +107,14 @@ class IdealSubspace:
         return hash((id(self.ambient), self.basis))
 
     def sum(self, other: "IdealSubspace") -> "IdealSubspace":
-        return IdealSubspace(self.ambient, linalg.subspace_sum(self.basis, other.basis))
+        both = np.hstack([self.basis.array, other.basis.array])
+        return IdealSubspace(self.ambient, PrimeFieldMatrix._own(both, self.ambient.p))
 
     def intersection(self, other: "IdealSubspace") -> "IdealSubspace":
-        return IdealSubspace(self.ambient, linalg.subspace_intersection(self.basis, other.basis))
+        """u a = v b for the bases u, v: the kernel of [u | -v], read on u."""
+        u, v, p = self.basis.array, other.basis.array, self.ambient.p
+        ker = linalg.kernel_basis(PrimeFieldMatrix._own(np.hstack([u, -v % p]), p))
+        return IdealSubspace(self.ambient, PrimeFieldMatrix._own(u @ ker.array[: u.shape[1]] % p, p))
 
     def product(self, other: "IdealSubspace") -> "IdealSubspace":
         """I J, the span of u * v over the basis vectors u of I and v of J."""
@@ -242,13 +246,10 @@ class LocalAlgebra:
             for j in range(x.dim):
                 acc = acc.intersection(self.colon(ideal, x.basis.column(j)))
             return acc
-        mx = PrimeFieldMatrix(self.mult_by(x), self.p)
-        if ideal.dim == 0:
-            return IdealSubspace(self, linalg.kernel_basis(mx))
-        aug = mx.hstack(ideal.basis.scale(-1))
-        ker = linalg.kernel_basis(aug)
-        part = PrimeFieldMatrix(ker.array[: self.dim], self.p)
-        return IdealSubspace(self, linalg.column_space(part))
+        # x a = i for some i in the ideal: the kernel of [x | -ideal], read on a
+        aug = np.hstack([self.mult_by(x), -ideal.basis.array % self.p])
+        ker = linalg.kernel_basis(PrimeFieldMatrix._own(aug, self.p))
+        return IdealSubspace(self, PrimeFieldMatrix._own(ker.array[: self.dim], self.p))
 
     def annihilator(self, x) -> IdealSubspace:
         return self.colon(self.zero_ideal(), x)

@@ -381,7 +381,7 @@ def _cmd_matrix_check(args) -> tuple[dict, list[str], int]:
         for i, e in enumerate(col):
             entries[i, j] = e
     T = RingMatrix(A, entries)
-    qm = quotient_module(free_module(A, n), linalg.column_space(T.as_linear_map()))
+    qm = quotient_module(free_module(A, n), T.as_linear_map())
     pres = FreePresentation(T, qm.proj.matrix)
     verdicts = check_matrix_condition(pres, x)
     reduction: dict

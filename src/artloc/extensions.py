@@ -72,15 +72,24 @@ class ExtensionWitness:
     project: ModuleMap
 
     def verify(self) -> list[str]:
+        """What keeps this from being a short exact sequence of A-modules;
+        empty when it is one. Exactness at the middle is linalg.exactness:
+        project . inject = 0 and rank inject + rank project = dim middle."""
         problems = []
         if self.middle.dim != self.sub.dim + self.quotient.dim:
             problems.append("length is not additive")
-        if not self.inject.is_injective():
+        p = self.middle.algebra.p
+        rank_in, rank_out, exact = linalg.exactness(self.inject.matrix, self.project.matrix, p)
+        if rank_in != self.sub.dim:
             problems.append("inject has a kernel")
-        if not self.project.is_surjective():
+        if rank_out != self.quotient.dim:
             problems.append("project is not onto")
-        if self.inject.image() != self.project.kernel():
+        if not exact:
             problems.append("image(inject) differs from kernel(project)")
+        if not self.inject.is_linear():
+            problems.append("inject is not A-linear")
+        if not self.project.is_linear():
+            problems.append("project is not A-linear")
         return problems
 
 
@@ -126,9 +135,11 @@ def _base_presentation(A: LocalAlgebra, x: np.ndarray) -> tuple[FpModule, FreePr
 
 
 def _verify_presents(pres: FreePresentation) -> None:
-    """Exactness of A^c -> A^r -> M -> 0: image of T equals kernel of cover."""
-    kernel = linalg.kernel_space(PrimeFieldMatrix(pres.cover, pres.relations.algebra.p))
-    if linalg.column_space(pres.relations.as_linear_map()) != kernel:
+    """Exactness of A^c -> A^r -> M -> 0 at A^r, the image of T equal to the
+    kernel of cover, by linalg.exactness: cover . T = 0 and the two ranks
+    add up to dim A^r."""
+    T = pres.relations.as_linear_map()
+    if not linalg.exactness(T.array, pres.cover, T.p)[2]:
         raise LiftFailure("matrix image does not match the cover kernel")
 
 
@@ -360,7 +371,7 @@ def build_presentation_matrix(node: FiltNode) -> FreePresentation:
     pres = node.presentation
     A = pres.relations.algebra
     free = free_module(A, pres.relations.rows)
-    coker = quotient_module(free, linalg.column_space(pres.relations.as_linear_map())).module
+    coker = quotient_module(free, pres.relations.as_linear_map()).module
     verdict = is_isomorphic(coker, node.module)
     if not verdict.isomorphic:
         raise LiftFailure("presentation cokernel is not isomorphic to the module")
@@ -419,10 +430,12 @@ def complement_ideal(A: LocalAlgebra, x: np.ndarray) -> IdealSubspace:
     xv = np.asarray(x, dtype=np.int64) % p
     if not A.is_in_maxideal(xv) or A.maxideal_power(2).contains(xv) or not np.any(xv):
         raise ValueError("x must be a minimal generator of the maximal ideal")
-    span = linalg.subspace_sum(A.principal_ideal(xv).basis, A.maxideal_power(2).basis)
+    x_ideal = A.principal_ideal(xv).basis.array
+    span = PrimeFieldMatrix._own(np.hstack([x_ideal, A.maxideal_power(2).basis.array]), p)
     m = A.maxideal().basis
     I = A.ideal([m.column(j) for j in linalg.greedy_completion(span, m)])
-    if linalg.subspace_sum(A.principal_ideal(xv).basis, I.basis) != A.maxideal().basis:
+    # (x) and I lie in m, so they span it exactly when their sum has its dimension
+    if linalg.rank_mod(np.hstack([x_ideal, I.basis.array]), p) != A.dim - 1:
         raise LiftFailure("(x) + I failed to recover the maximal ideal")
     return I
 
@@ -435,8 +448,7 @@ def strict_upper_reduction(pres: FreePresentation) -> ReducedPresentation:
     x = pres.relations.entries[0, 0].copy()
     _validate_triangular(pres, x)
     I = complement_ideal(A, x)
-    mult_x = PrimeFieldMatrix(A.mult_by(x), p)
-    decomp = mult_x.hstack(PrimeFieldMatrix(I.basis.array, p)) if I.dim else mult_x
+    decomp = PrimeFieldMatrix._own(np.hstack([A.mult_by(x), I.basis.array]), p)
     n = pres.relations.rows
     ent = pres.relations.entries.copy()
     for j in range(1, n):

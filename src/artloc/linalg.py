@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields F_p, dense and sparse.
 
 Matrices carry their modulus; entries are numpy int64 residues in [0, p).
-Row reduction, kernels, solving and subspace arithmetic here are the
+Row reduction, kernels, solving and exactness checks here are the
 substrate for everything else in the package, so all outputs are canonical:
 rref is unique, kernel bases are read off the rref with free variables set
 to unit vectors in increasing column order, and solve() returns the
@@ -178,21 +178,8 @@ class PrimeFieldMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _coerce(self, other: "PrimeFieldMatrix") -> None:
-        if not isinstance(other, PrimeFieldMatrix) or other.p != self.p:
-            raise DimensionMismatch("operands must share a modulus")
-
-    def scale(self, c: int) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self._a * (c % self.p), self.p)
-
     def transpose(self) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix(self._a.T, self.p)
-
-    def hstack(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        self._coerce(other)
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        return PrimeFieldMatrix(np.hstack([self._a, other._a]), self.p)
 
     @property
     def rank(self) -> int:
@@ -277,14 +264,6 @@ def kernel_basis(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     basis[free, np.arange(free.size)] = 1
     basis[pivots] = -a[:rank, free] % m.p
     return PrimeFieldMatrix._own(basis, m.p)
-
-
-def kernel_space(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """Canonical basis of the right null space: column_space(kernel_basis(m))
-    from one elimination, that of m with its columns reversed (see
-    sparse_kernel_space)."""
-    _, rows = sparse_kernel_space(SparseMatrix.from_dense(m.array), m.p)
-    return PrimeFieldMatrix._own(rows.to_dense().T.copy(), m.p)
 
 
 def solve(m: PrimeFieldMatrix, b: np.ndarray) -> Optional[np.ndarray]:
@@ -416,17 +395,18 @@ def is_subspace(inner: PrimeFieldMatrix, outer: PrimeFieldMatrix) -> bool:
     return solve_matrix(outer, inner) is not None
 
 
-def subspace_sum(u: PrimeFieldMatrix, v: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    return column_space(u.hstack(v))
+def exactness(f: np.ndarray, g: np.ndarray, p: int) -> tuple[int, int, bool]:
+    """(rank f, rank g, im f == ker g) for the maps U -> V -> W given by the
+    dense arrays f (dim V x dim U) and g (dim W x dim V) of residues mod p.
 
-
-def subspace_intersection(u: PrimeFieldMatrix, v: PrimeFieldMatrix) -> PrimeFieldMatrix:
-    """Canonical basis of span(u) n span(v)."""
-    if u.cols == 0 or v.cols == 0:
-        return PrimeFieldMatrix.zeros(u.rows, 0, u.p)
-    k = kernel_basis(u.hstack(v.scale(-1)))
-    inter = (u.array @ k.array[: u.cols]) % u.p
-    return column_space(PrimeFieldMatrix(inter, u.p))
+    im f lies in ker g exactly when g f = 0, and then the two are equal
+    exactly when they have the same dimension, rank f = dim V - rank g: two
+    ranks and one product, with no basis of either subspace built. Spans of
+    different spaces (f's rows not g's columns) are never equal."""
+    rank_f, rank_g = rank_mod(f, p), rank_mod(g, p)
+    dim = f.shape[0]
+    exact = dim == g.shape[1] and rank_f + rank_g == dim and not (g @ f % p).any()
+    return rank_f, rank_g, exact
 
 
 # -- sparse matrices ------------------------------------------------------------

@@ -139,19 +139,6 @@ class ModuleMap:
         m = self.matrix
         return not np.any((self.target.action @ m - m @ self.source.action) % self.source.algebra.p)
 
-    def kernel(self) -> PrimeFieldMatrix:
-        """Canonical (reduced echelon) basis of the kernel, as image() is of the image."""
-        return linalg.kernel_space(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
-
-    def image(self) -> PrimeFieldMatrix:
-        return linalg.column_space(PrimeFieldMatrix(self.matrix, self.source.algebra.p))
-
-    def is_injective(self) -> bool:
-        return linalg.rank_mod(self.matrix, self.source.algebra.p) == self.source.dim
-
-    def is_surjective(self) -> bool:
-        return self.image().cols == self.target.dim
-
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.dim}->{self.target.dim})"
 
@@ -359,9 +346,10 @@ class Resolution:
     leading columns. The kept basis vectors are the unit vectors a greedy
     scan adds to the span of those coordinates.
 
-    Every step is certified: current * lin = 0 puts the image of the new
-    differential in ker, and rank lin = dim ker makes them equal. The rank
-    comes from the reduction that gives the next step its ker.
+    Every step is certified by the identity of linalg.exactness, on sparse
+    maps: current * lin = 0 puts the image of the new differential in ker,
+    and rank lin = dim ker makes them equal. The rank comes from the
+    reduction that gives the next step its ker.
     """
 
     def __init__(self, M: FpModule, steps: int):
@@ -472,13 +460,14 @@ class Ext1Space:
         # cocycles: phi with phi . d2 = 0, phi stored as L^{beta1}
         z_map = d2.transpose().acting_on(L)
         Z = linalg.kernel_basis(z_map)
-        b_map = self.d1.transpose().acting_on(L)
-        B = linalg.column_space(b_map)
+        # the coboundaries B^1 span the image of d1 acting; only the span counts
+        B = self.d1.transpose().acting_on(L)
         picks = linalg.greedy_completion(B, Z)
         self.reps = Z.array[:, picks].T.reshape(len(picks), self.beta1, L.dim).transpose(0, 2, 1)
         self.dim = len(picks)
-        # Z^1 in the basis [reps | coboundaries], for coordinates of cocycles
-        self._cocycle_basis = PrimeFieldMatrix(np.hstack([Z.array[:, picks], B.array]), p)
+        # Z^1 spanned by [reps | coboundaries], for coordinates of cocycles:
+        # the reps are independent modulo B^1, so their coordinates are unique
+        self._cocycle_span = PrimeFieldMatrix._own(np.hstack([Z.array[:, picks], B.array]), p)
 
     def cocycle(self, coeffs: Sequence[int]) -> np.ndarray:
         """The (dim_L, beta1) cocycle matrix for coordinates in the basis."""
@@ -500,7 +489,7 @@ class Ext1Space:
         p = self.X.algebra.p
         k, e = maps.shape[0], self.dim
         moved = np.einsum("gij,tjl->gtli", maps, self.reps).reshape(k * e, self.beta1 * self.L.dim)
-        sol = linalg.solve_matrix(self._cocycle_basis, PrimeFieldMatrix(moved.T, p))
+        sol = linalg.solve_matrix(self._cocycle_span, PrimeFieldMatrix(moved.T, p))
         if sol is None:
             return None
         return sol.array[:e].reshape(e, k, e).transpose(1, 0, 2)

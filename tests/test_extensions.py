@@ -75,6 +75,40 @@ def test_extension_from_cocycle_splits_iff_zero(ci):
     assert not bool(is_isomorphic(nonsplit.middle, direct_sum(k, k)))
 
 
+def test_verify_flags_maps_that_are_not_linear(pair):
+    """k -> R sending 1 to the unit and R -> k + k killing the unit form a
+    short exact sequence of vector spaces, but neither map is A-linear."""
+    k, R = residue_field(pair), regular_module(pair)
+    kk = direct_sum(k, k)
+    inject = ModuleMap(k, R, np.eye(pair.dim, 1, dtype=np.int64))
+    project = ModuleMap(R, kk, np.eye(pair.dim, dtype=np.int64)[1:])
+    assert not inject.is_linear() and not project.is_linear()
+    witness = extensions.ExtensionWitness(sub=k, middle=R, quotient=kk, inject=inject, project=project)
+    assert witness.verify() == ["inject is not A-linear", "project is not A-linear"]
+
+
+def test_verify_presents_needs_both_halves_of_exactness(pair):
+    """A presentation with a relation column dropped spans too little (the
+    rank half fails) and one with a relation outside the cover's kernel
+    leaves it (the product half fails); _verify_presents rejects both."""
+    p = pair.p
+    x, y = pair.element_from_string("x"), pair.element_from_string("y")
+    pres = _pres_from_matrix(pair, x, {(0, 1): y})
+    extensions._verify_presents(pres)
+    entries = pres.relations.entries
+    dropped = FreePresentation(RingMatrix(pair, entries[:, :1]), pres.cover)
+    moved = entries.copy()
+    moved[1, 1] = y
+    outside = FreePresentation(RingMatrix(pair, moved), pres.cover)
+    for bad, rank_half, product_half in ((dropped, False, True), (outside, True, False)):
+        f, g = bad.relations.as_linear_map().array, bad.cover
+        rank_f, rank_g, _ = linalg.exactness(f, g, p)
+        assert (rank_f + rank_g == f.shape[0]) == rank_half
+        assert (not (g @ f % p).any()) == product_half
+        with pytest.raises(LiftFailure, match="cover kernel"):
+            extensions._verify_presents(bad)
+
+
 def test_filt_levels_over_dual_numbers(dual, filt_pool):
     _, _, levels = filt_pool["dual"]
     k = residue_field(dual)

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artloc import linalg
-from artloc.catalog import complete_intersection_ring
+from artloc.algebra import IdealSubspace
+from artloc.catalog import complete_intersection_ring, pair_ring
 from artloc.linalg import PrimeFieldMatrix
 
 from oracles import (
@@ -65,10 +66,17 @@ def test_subspace_ops_over_f3():
     u = _mat([[1, 0], [0, 1], [0, 0]], 3)
     v = _mat([[1], [2], [0]], 3)
     assert linalg.is_subspace(v, u) and not linalg.is_subspace(u, v)
-    both = linalg.subspace_intersection(u, v)
-    assert both.cols == 1
-    assert linalg.contains_vector(both, np.array([1, 2, 0]))
-    assert linalg.subspace_sum(u, v).cols == 2
+    # over F_3[x,y]/(x^2,xy,y^2) m^2 = 0, so every subspace of m is an ideal
+    A = pair_ring(3)
+    m = A.maxideal()
+    line = IdealSubspace(A, _mat([[0], [1], [2]], 3))
+    other = IdealSubspace(A, _mat([[0], [1], [1]], 3))
+    both = m.intersection(line)
+    assert both == line and both.dim == 1
+    assert both.contains(np.array([0, 2, 1]))
+    assert line.intersection(other).is_zero()
+    assert line.sum(other) == m and m.sum(line) == m
+    assert A.zero_ideal().intersection(m).is_zero() and m.intersection(A.zero_ideal()).is_zero()
 
 
 def test_contains_vector_and_column_space():
@@ -617,16 +625,72 @@ def test_sparse_elimination_matches_the_dense_kernels(seed, p, rows, cols, kind)
 @example(0, 3, 3, 0, 1.0)
 @example(1, 5, 4, 6, 0.0)
 @example(2, 65521, 8, 8, 1.0)
-def test_kernel_space_is_the_canonical_kernel_basis(seed, p, rows, cols, density):
-    """kernel_space(m), from one elimination of m with its columns reversed,
-    is column_space(kernel_basis(m)); its columns are kernel vectors in
-    reduced echelon form (each the unit vector at its own leading row)."""
+def test_sparse_kernel_space_is_the_canonical_kernel_basis(seed, p, rows, cols, density):
+    """sparse_kernel_space(m), from one elimination of m with its columns
+    reversed, is column_space(kernel_basis(m)); its rows are kernel vectors
+    in reduced echelon form (each the unit vector at its own leading column,
+    which it reports)."""
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
     m = PrimeFieldMatrix(a, p)
-    got = linalg.kernel_space(m)
-    assert got == linalg.column_space(linalg.kernel_basis(m))
-    assert not ((a @ got.array) % p).any()
-    lead = [int(np.flatnonzero(col)[0]) for col in got.array.T]
-    assert lead == sorted(lead)
-    assert _same(got.array[lead], np.eye(len(lead), dtype=np.int64))
+    lead, ker = linalg.sparse_kernel_space(linalg.SparseMatrix.from_dense(m.array), p)
+    got = ker.to_dense().T
+    assert _same(got, linalg.column_space(linalg.kernel_basis(m)).array)
+    assert not ((a @ got) % p).any()
+    assert lead.tolist() == [int(np.flatnonzero(col)[0]) for col in got.T]
+    assert lead.tolist() == sorted(lead.tolist())
+    assert _same(got[lead], np.eye(lead.size, dtype=np.int64))
+
+
+def _exactness_case(rng, p, u, v, w, kind):
+    """(f, g) for U -> V -> W with dim V = v. 'random' draws both; the others
+    build f from a kernel basis K of a random g: 'exact' spans ker g exactly
+    (K plus combinations of it), 'deficit' spans ker g less one K column (the
+    rank half fails), and 'outside' trades that column for a vector g does
+    not kill, when there is one (the product half fails)."""
+    g = rng.integers(0, p, size=(w, v)) * (rng.random((w, v)) < 0.6)
+    if kind == "random":
+        return rng.integers(0, p, size=(v, u)) * (rng.random((v, u)) < 0.6), g
+    K = linalg.kernel_basis(PrimeFieldMatrix(g, p)).array
+    if kind != "exact" and K.shape[1]:
+        K = K[:, 1:]
+        if kind == "outside":
+            hit = np.flatnonzero(g.any(axis=0))
+            if hit.size:
+                K = np.hstack([K, np.eye(v, dtype=np.int64)[:, hit[:1]]])
+    f = np.hstack([K, K @ rng.integers(0, p, size=(K.shape[1], u)) % p])
+    return f[:, rng.permutation(f.shape[1])], g
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 65521]),
+    st.integers(0, 4),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(["random", "exact", "deficit", "outside"]),
+)
+@example(0, 2, 0, 0, 0, "exact")  # every space zero
+@example(0, 3, 2, 0, 3, "random")  # V = 0: im f = ker g = 0
+@example(1, 3, 0, 4, 0, "exact")  # W = 0: ker g = V
+@example(2, 65521, 1, 6, 2, "exact")
+@example(3, 2, 2, 6, 3, "deficit")
+@example(4, 65521, 0, 5, 2, "outside")
+@example(5, 3, 3, 7, 4, "outside")
+def test_exactness_is_the_kernel_comparison(seed, p, u, v, w, kind):
+    """exactness(f, g) gives the ranks of f and g, and im f == ker g exactly
+    when their canonical bases, column_space(f) and
+    column_space(kernel_basis(g)), are equal."""
+    rng = np.random.default_rng(seed)
+    f, g = _exactness_case(rng, p, u, v, w, kind)
+    rank_f, rank_g, exact = linalg.exactness(f, g, p)
+    assert (rank_f, rank_g) == (rank_fp(f, p), rank_fp(g, p))
+    want = linalg.column_space(PrimeFieldMatrix(f, p)) == linalg.column_space(
+        linalg.kernel_basis(PrimeFieldMatrix(g, p))
+    )
+    assert exact == want
+    if kind == "exact":
+        assert exact
+    # spans in spaces of different dimensions are never equal
+    assert not linalg.exactness(np.zeros((v + 1, 0), dtype=np.int64), g, p)[2]

@@ -128,7 +128,7 @@ def test_quotient_then_sub_roundtrip(example1):
     assert (comp == np.eye(4, dtype=np.int64)).all()
     sm = sub_module(R, example1.socle().basis)
     assert sm.module.dim == 1
-    assert sm.include.is_injective()
+    assert linalg.rank_mod(sm.include.matrix, 2) == sm.module.dim
 
 
 def test_quotients_and_submodules_by_ideals_are_modules(example1, stretched, pair):
