@@ -37,7 +37,6 @@ from .modules import (
     ModuleMap,
     Resolution,
     RingMatrix,
-    SearchInconclusive,
     base_change,
     betti_numbers,
     cyclic_module,

@@ -24,7 +24,6 @@ from .modules import (
     HomSequenceKeys,
     ModuleMap,
     RingMatrix,
-    SearchInconclusive,
     canonical_fingerprint,
     cover_matrix,
     direct_sum,
@@ -242,15 +241,6 @@ def _orbit_minima(ext: Ext1Space):
         yield np.array(pending)
 
 
-def _merges(cls: FpModule, M: FpModule) -> bool:
-    """Whether M is isomorphic to the class representative; an inconclusive
-    test never merges without a witness."""
-    try:
-        return is_isomorphic(cls, M).isomorphic
-    except SearchInconclusive:
-        return False
-
-
 def filt_enumerate(
     A: LocalAlgebra, x: np.ndarray, n: int, *, budget: int = DEFAULT_COCYCLE_BUDGET
 ) -> list[list[FiltNode]]:
@@ -265,13 +255,12 @@ def filt_enumerate(
     acting by xi -> [g phi_xi]. Pushing an extension out along an
     automorphism of Y gives an isomorphic middle term, so every class is a
     union of G-orbits and its least member is an orbit minimum. Each middle
-    term is deduplicated as soon as it is built, and a class keeps its
-    first member. So when every isomorphism test is conclusive, the first
-    member of every class, with its chain and presentation, is the one a
-    scan of every cocycle in digit order would keep. The budget still
-    counts all p^dim cocycles per class; it also bounds the orbit scan's
-    bitmap of p^dim bytes. Isomorphism tests that stay inconclusive keep
-    candidates as distinct classes rather than merging them."""
+    term is deduplicated as soon as it is built, by the exact is_isomorphic
+    (ValueError past its cap), and a class keeps its first member, so that
+    member, with its chain and presentation, is the one a scan of every
+    cocycle in digit order would keep. The budget still counts all p^dim
+    cocycles per class; it also bounds the orbit scan's bitmap of p^dim
+    bytes."""
     if n < 1:
         raise ValueError("need at least one level")
     x = np.asarray(x, dtype=np.int64) % A.p
@@ -299,7 +288,7 @@ def filt_enumerate(
                     witness = extension_from_cocycle(es, coeffs)
                     M = witness.middle
                     key = (M.iso_profile(), tuple(out_row), tuple(in_row))
-                    if any(_merges(classes[idx].module, M) for idx in buckets.get(key, ())):
+                    if any(is_isomorphic(classes[idx].module, M).isomorphic for idx in buckets.get(key, ())):
                         continue
                     pres = _triangular_step(ynode.presentation, witness, x, base)
                     buckets.setdefault(key, []).append(len(classes))
@@ -372,8 +361,7 @@ def build_presentation_matrix(node: FiltNode) -> FreePresentation:
     A = pres.relations.algebra
     free = free_module(A, pres.relations.rows)
     coker = quotient_module(free, pres.relations.as_linear_map()).module
-    verdict = is_isomorphic(coker, node.module)
-    if not verdict.isomorphic:
+    if not is_isomorphic(coker, node.module):
         raise LiftFailure("presentation cokernel is not isomorphic to the module")
     return pres
 

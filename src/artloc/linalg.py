@@ -19,6 +19,7 @@ import numpy as np
 
 MAX_MODULUS = 1 << 16
 BLOCK_ROWS = 4096  # rows per block of the batched enumerations
+DETERMINANT_CELL_CAP = 1 << 22  # cells of one expansion row in reduced_determinant
 
 
 class DimensionMismatch(ValueError):
@@ -382,6 +383,66 @@ def monic_index(rows: np.ndarray, p: int) -> np.ndarray:
     top = width - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
     scale = inverse_table(p)[rows[np.arange(rows.shape[0]), top]]  # 0 on the zero row
     return (rows * scale[:, None] % p) @ p ** np.arange(width, dtype=np.int64)
+
+
+def _merge_terms(terms: np.ndarray, coefs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum mod p the coefficients of equal rows of the uint8 array terms; drop zero sums."""
+    keys = np.ascontiguousarray(terms).view(np.dtype((np.void, terms.shape[1]))).ravel()
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.concatenate(([keys.size > 0], keys[order][1:] != keys[order][:-1])))
+    sums = np.add.reduceat(coefs[order], starts) % p
+    return terms[order[starts[sums != 0]]], sums[sums != 0]
+
+
+def reduced_determinant(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """det(c_1 W_1 + ... + c_r W_r) for the (r, mu, mu) stack of the W_t, as
+    uint8 exponent rows and nonzero coefficients mod p, with every exponent
+    reduced by c^p = c: a ring map onto the functions F_p^r -> F_p that is
+    injective on reduced polynomials, so the result is empty exactly when no
+    member of the span is invertible. It is expanded along rows over the
+    sets of used columns, which each term flags; a row whose terms would
+    fill more than DETERMINANT_CELL_CAP cells raises ValueError unbuilt."""
+    stack = np.mod(np.asarray(stack, dtype=np.int64), p)
+    r, mu = stack.shape[0], stack.shape[1]
+    terms, coefs = np.zeros((1, r + mu), dtype=np.uint8), np.ones(1, dtype=np.int64)
+    for i in range(mu):
+        cols, var = np.nonzero(stack[:, i, :].T)  # c_var appears in entry (i, col)
+        src, pick = np.nonzero(terms[:, r + cols] == 0)  # a term times an entry of an unused column
+        cells = src.size * (r + mu)
+        if cells > DETERMINANT_CELL_CAP:
+            raise ValueError(f"top-map determinant too large: r = {r}, mu = {mu}: {cells} cells in one "
+                             f"row, over the cap of {DETERMINANT_CELL_CAP}")
+        var, col = var[pick], cols[pick]
+        # the sign of a term placed in column j: the parity of its used columns past j
+        later = terms[:, r:][:, ::-1].cumsum(axis=1, dtype=np.int64)[:, ::-1] & 1
+        grown, at = terms[src], np.arange(src.size)
+        grown[at, var] = grown[at, var].astype(np.int64) % (p - 1) + 1  # c^p = c
+        grown[at, r + col] = 1
+        terms, coefs = _merge_terms(grown, coefs[src] * (1 - 2 * later[src, col]) * stack[var, i, col] % p, p)
+    return terms[:, :r], coefs
+
+
+def unit_combination(stack: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """Coefficients c with c_1 W_1 + ... + c_r W_r invertible, or None when
+    the reduced determinant is zero; c_1, c_2, ... are fixed in turn to the
+    least value that leaves its restriction nonzero."""
+    terms, coefs = reduced_determinant(stack, p)
+    if not coefs.size:
+        return None
+    point = np.zeros(terms.shape[1], dtype=np.int64)
+    for t in range(point.size):
+        e = terms[:, t].astype(np.int64)
+        if not e.all():  # c_t = 0 keeps exactly the terms free of c_t
+            terms, coefs = terms[e == 0], coefs[e == 0]
+            continue
+        terms[:, t] = 0
+        for a in range(1, p):  # some a works, as the restriction is nonzero
+            merged = _merge_terms(terms, coefs * np.array([pow(a, k, p) for k in range(e.max() + 1)])[e] % p, p)
+            if merged[1].size:
+                break
+        point[t] = a
+        terms, coefs = merged
+    return point
 
 
 def contains_vector(basis: PrimeFieldMatrix, v: np.ndarray) -> bool:

@@ -20,10 +20,6 @@ from .linalg import PrimeFieldMatrix
 from .algebra import IdealSubspace, LocalAlgebra, QuotientRing
 
 
-class SearchInconclusive(RuntimeError):
-    """Randomized isomorphism search exhausted its budget without a verdict."""
-
-
 class FpModule:
     """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
     shape is checked; the package's constructions preserve the axioms."""
@@ -705,76 +701,31 @@ class IsoResult:
         return self.isomorphic
 
 
-EXHAUSTIVE_COMBO_BUDGET = 1 << 17
-SAMPLE_BUDGET = 1 << 14
-
-
-def _find_unit_combo(stack: np.ndarray, coeff_blocks, p: int) -> Optional[np.ndarray]:
-    """First coefficient row whose combination of the stacked square
-    matrices is invertible, or None."""
-    for coeffs in coeff_blocks:
-        cands = np.tensordot(coeffs, stack, axes=(1, 0)) % p
-        hit = np.nonzero(linalg.invertible_batch(cands, p))[0]
-        if hit.size:
-            return coeffs[hit[0]]
-    return None
-
-
 def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
-    """Decide M = N by searching the image of Hom(M, N) in Hom_k(M/mM, N/mN).
-
-    By Nakayama, a hom between modules of equal dimension is an isomorphism
-    iff its top map is invertible, and that image has dimension r at most
-    mu(M) mu(N). The scan over monic combinations of r independent top maps
-    (linalg.monic_blocks) is exhaustive (hence definite) when their count
-    fits EXHAUSTIVE_COMBO_BUDGET. Otherwise, once the hom dimensions agree,
-    at most SAMPLE_BUDGET random combinations, drawn with the fixed seed 0,
-    are tried, and running out raises SearchInconclusive, which is distinct
-    from a definite no. Only the winning combination is lifted to a matrix,
-    and it is checked to be A-linear and invertible before it is returned.
-    """
+    """Decide M = N exactly. By Nakayama, a hom between modules of equal
+    dimension is an isomorphism iff its top map is invertible, so M = N iff
+    the image of Hom(M, N) in Hom_k(M/mM, N/mN), spanned by r <= mu(M) mu(N)
+    independent top maps, holds an invertible map: linalg.unit_combination,
+    which raises ValueError past its cap. The combination it finds is lifted
+    and checked to be A-linear and invertible before it is returned."""
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
     p = M.algebra.p
-    if M.dim != N.dim:
+    if M.dim != N.dim or M.iso_profile() != N.iso_profile():
         return IsoResult(False, None)
     if M.dim == 0:
         return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
-    if M.iso_profile() != N.iso_profile():
-        return IsoResult(False, None)
     lift, imgs = _generator_images(M, N)
-    h = imgs.shape[0]
-    if h == 0:
-        return IsoResult(False, None)
     # rows of `top` are functionals vanishing exactly on mN: a fixed N -> N/mN.
     # Equal profiles give dim mM = dim mN, so the top maps are square.
     top = linalg.kernel_basis(N.radical_subspace().transpose()).array.T
     tops = np.einsum("un,tin->tui", top, imgs) % p
     # the top maps of the first independent Hom basis elements span the image
-    keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(h, -1).T, p)).pivots)
-    stack, imgs = tops[keep], imgs[keep]
-    r = len(keep)
-
-    def lifted(coeffs: np.ndarray) -> IsoResult:
-        H = ModuleMap(M, N, _hom_matrices(N, lift, np.tensordot(coeffs, imgs, axes=(0, 0)) % p))
-        if not H.is_linear() or linalg.rank_mod(H.matrix, p) != M.dim:
-            raise RuntimeError("lifted top-space witness is not an isomorphism")
-        return IsoResult(True, H)
-
-    # scaling preserves invertibility, so one combination per line is enough
-    if (p**r - 1) // (p - 1) <= EXHAUSTIVE_COMBO_BUDGET:
-        coeffs = _find_unit_combo(stack, linalg.monic_blocks(p, r), p)
-        return IsoResult(False, None) if coeffs is None else lifted(coeffs)
-    # necessary for isomorphism: Hom(M,N), Hom(N,M), End(M), End(N) all share
-    # a dimension (composition with an isomorphism is a linear bijection)
-    if hom_dim(M, M) != h or hom_dim(N, N) != h or hom_dim(N, M) != h:
+    keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(len(tops), len(top) ** 2).T, p)).pivots)
+    coeffs = linalg.unit_combination(tops[keep], p)
+    if coeffs is None:
         return IsoResult(False, None)
-    rng = np.random.default_rng(0)
-    takes = [min(1024, SAMPLE_BUDGET - done) for done in range(0, SAMPLE_BUDGET, 1024)]
-    coeffs = _find_unit_combo(stack, (rng.integers(0, p, size=(t, r)) for t in takes), p)
-    if coeffs is not None:
-        return lifted(coeffs)
-    raise SearchInconclusive(
-        f"no invertible top map found in {SAMPLE_BUDGET} samples (dim Hom = {h}, top image dim = {r}); "
-        "not a proof of non-isomorphism"
-    )
+    H = ModuleMap(M, N, _hom_matrices(N, lift, np.tensordot(coeffs, imgs[keep], axes=(0, 0)) % p))
+    if not H.is_linear() or linalg.rank_mod(H.matrix, p) != M.dim:
+        raise RuntimeError("lifted top-space witness is not an isomorphism")
+    return IsoResult(True, H)

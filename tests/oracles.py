@@ -217,6 +217,17 @@ def hom_basis_kron(M_action: np.ndarray, N_action: np.ndarray, p: int) -> list[n
     return [v.reshape(dm, dn).T for v in null]
 
 
+def unit_in_span_brute(stack, p: int) -> bool:
+    """Whether some combination of the (r, n, n) stack of matrices has rank
+    n over F_p; every one of the p^r combinations is tried, so keep r small."""
+    stack = np.asarray(stack, dtype=np.int64)
+    n = stack.shape[1]
+    for coeffs in itertools.product(range(p), repeat=stack.shape[0]):
+        if rank_fp(np.tensordot(np.array(coeffs, dtype=np.int64), stack, axes=1), p) == n:
+            return True
+    return False
+
+
 def is_isomorphic_brute(M_action: np.ndarray, N_action: np.ndarray, p: int) -> bool:
     """M = N iff some combination of a Hom basis has full rank; every one of
     the p^h combinations is tried, so keep h small."""
@@ -224,11 +235,7 @@ def is_isomorphic_brute(M_action: np.ndarray, N_action: np.ndarray, p: int) -> b
     if N_action.shape[1] != n:
         return False
     basis = hom_basis_kron(M_action, N_action, p)
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        H = sum((c * B for c, B in zip(coeffs, basis)), np.zeros((n, n), dtype=np.int64))
-        if rank_fp(H, p) == n:
-            return True
-    return False
+    return unit_in_span_brute(np.array(basis, dtype=np.int64).reshape(len(basis), n, n), p)
 
 
 def greedy_picks(span_vectors, candidates, p: int) -> list[int]:

@@ -33,7 +33,6 @@ from artloc.extensions import (
 )
 from artloc.modules import (
     RingMatrix,
-    SearchInconclusive,
     base_change,
     betti_numbers,
     cyclic_module,
@@ -72,16 +71,13 @@ def _cyclic(A, text):
 
 
 def _definitely_distinct(M, N) -> bool:
-    """True only on positive evidence: an invariant separates the modules or
-    the exhaustive isomorphism search comes back empty."""
+    """True when an invariant separates the modules or the exact isomorphism
+    decision finds no invertible top map."""
     if M.dim != N.dim or M.iso_profile() != N.iso_profile():
         return True
     if hom_dim(M, M) != hom_dim(N, N) or hom_dim(M, N) != hom_dim(N, M):
         return True
-    try:
-        return not bool(is_isomorphic(M, N))
-    except SearchInconclusive:
-        return False
+    return not bool(is_isomorphic(M, N))
 
 
 def test_criterion_01_hypersurface_ladder(report):

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import artloc.cli as cli
+from artloc import linalg
 from artloc.algebra import check_axioms
 from artloc.catalog import complete_intersection_ring, example1_ring
 from artloc.cli import CliError, load_ring, main, parse_module_expr, resolve_element
@@ -336,6 +337,18 @@ def test_missing_ring_file_is_a_usage_error(capsys):
     out = capsys.readouterr()
     assert code == 2
     assert "error:" in out.err
+
+
+def test_isomorphism_decision_over_its_cap_is_a_usage_error(monkeypatch, capsys):
+    """A top-map determinant past the cap stops the census with exit 2 and
+    one error line naming r, mu and the cap, not a traceback."""
+    monkeypatch.setattr(linalg, "DETERMINANT_CELL_CAP", 1)
+    code = main(["filt", _ring("goto.ring"), "--depth", "3"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: top-map determinant too large: r = ")
+    assert ", mu = " in out.err and "cap of 1\n" in out.err
+    assert "Traceback" not in out.err + out.out
 
 
 def test_bad_relation_reports_position(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from oracles import (
     project_by_pivots,
     rank_fp,
     span_of_products_loop,
+    unit_in_span_brute,
 )
 
 
@@ -694,3 +697,93 @@ def test_exactness_is_the_kernel_comparison(seed, p, u, v, w, kind):
         assert exact
     # spans in spaces of different dimensions are never equal
     assert not linalg.exactness(np.zeros((v + 1, 0), dtype=np.int64), g, p)[2]
+
+
+def _reduced_det_sympy(stack, p):
+    """det(c_1 W_1 + ... + c_r W_r) expanded by sympy, its coefficients
+    taken mod p and its exponents reduced by c^p = c, as {exponents: coef}."""
+    sympy = pytest.importorskip("sympy")
+    r, mu = stack.shape[0], stack.shape[1]
+    cs = sympy.symbols(f"c0:{r}")
+    entry = lambda i, j: sum(int(stack[t, i, j]) * cs[t] for t in range(r))
+    det = sympy.expand(sympy.Matrix(mu, mu, entry).det(method="berkowitz"))
+    terms = sympy.Poly(det, *cs).terms() if r else [((), int(det))]
+    out: dict = {}
+    for exps, c in terms:
+        key = tuple(0 if e == 0 else (e - 1) % (p - 1) + 1 for e in exps)
+        out[key] = (out.get(key, 0) + int(c)) % p
+    return {k: c for k, c in out.items() if c}
+
+
+def _pencil_case(rng, p, r, mu, kind):
+    """An (r, mu, mu) stack: random entries, a last row that is zero in
+    every member, rank-1 members u v_t^T sharing u, or rank-1 members."""
+    if kind == "random":
+        return rng.integers(0, p, size=(r, mu, mu))
+    if kind == "zero_last_row":
+        stack = rng.integers(0, p, size=(r, mu, mu))
+        stack[:, -1, :] = 0
+        return stack
+    vs = rng.integers(0, p, size=(r, 1, mu))
+    us = rng.integers(0, p, size=(1 if kind == "shared_rank_one" else r, mu, 1))
+    return us @ vs % p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.sampled_from(["random", "zero_last_row", "shared_rank_one", "rank_one"]),
+)
+@example(0, 3, 0, 2, "random")  # r = 0: nothing to combine
+@example(1, 2, 6, 4, "zero_last_row")
+@example(2, 5, 4, 3, "shared_rank_one")
+@example(3, 3, 4, 4, "rank_one")  # four rank-1 maps can sum to a unit
+@example(4, 2, 1, 1, "random")
+def test_unit_combination_agrees_with_brute_force_and_sympy(seed, p, r, mu, kind):
+    """The reduced determinant equals sympy's expanded det with coefficients
+    mod p and exponents reduced by c^p = c; it is zero exactly when none of
+    the p^r combinations is invertible; a returned point is invertible."""
+    while p**r > 4096:
+        r -= 1
+    stack = _pencil_case(np.random.default_rng(seed), p, r, mu, kind)
+    terms, coefs = linalg.reduced_determinant(stack, p)
+    assert dict(zip(map(tuple, terms.tolist()), coefs.tolist())) == _reduced_det_sympy(stack, p)
+    point = linalg.unit_combination(stack, p)
+    assert (point is not None) == unit_in_span_brute(stack, p)
+    if point is not None:
+        assert rank_fp(np.tensordot(point, stack, axes=1) % p, p) == mu
+    if kind in ("zero_last_row", "shared_rank_one") and mu > 1:
+        assert point is None
+
+
+def test_unit_combination_fixes_coordinates_to_their_least_values():
+    """Over F_3, det(c_1 I + c_2 J) for J = diag(1, 2) is c_1^2 - c_2^2:
+    c_1 = 0 leaves -c_2^2, nonzero, and then c_2 = 1 is the least value."""
+    stack = np.array([np.eye(2, dtype=np.int64), np.diag([1, 2])])
+    terms, coefs = linalg.reduced_determinant(stack, 3)
+    assert dict(zip(map(tuple, terms.tolist()), coefs.tolist())) == {(2, 0): 1, (0, 2): 2}
+    assert linalg.unit_combination(stack, 3).tolist() == [0, 1]
+    # det(diag(c_1, c_2, c_1 + c_2)) = c_1^2 c_2 + c_1 c_2^2 reduces to 0 over F_2
+    stack = np.array([np.diag([1, 0, 1]), np.diag([0, 1, 1])])
+    assert linalg.reduced_determinant(stack, 2)[1].size == 0
+    assert linalg.unit_combination(stack, 2) is None
+    assert linalg.unit_combination(stack, 3).tolist() == [1, 1]
+
+
+def test_reduced_determinant_refuses_an_expansion_over_the_cap(monkeypatch):
+    """A row of the expansion past DETERMINANT_CELL_CAP raises ValueError
+    naming r, mu and the cap before its terms are built: here the second
+    row would hold 2 x 200 x 200 terms of 202 cells, 16 MB as uint8."""
+    stack = np.ones((200, 2, 2), dtype=np.int64)
+    monkeypatch.setattr(linalg, "DETERMINANT_CELL_CAP", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"r = 200, mu = 2: .* cap of 1048576"):
+            linalg.reduced_determinant(stack, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -23,7 +23,6 @@ from artloc.modules import (
     ModuleMap,
     Resolution,
     RingMatrix,
-    SearchInconclusive,
     base_change,
     betti_numbers,
     cover_matrix,
@@ -60,6 +59,7 @@ from oracles import (
     module_axioms_hold,
     socle_series_loop,
     span_of_products_loop,
+    unit_in_span_brute,
 )
 
 
@@ -691,32 +691,71 @@ def test_is_isomorphic_agrees_with_brute_force_oracle(example1, goto, stretched)
     assert verdicts.count(False) == len(pairs) - len(modules)
 
 
-def test_is_isomorphic_budget_exhaustion_raises(pair, monkeypatch):
+def _record_searches(monkeypatch):
+    """Every (stack, p, point) linalg.unit_combination sees from now on."""
+    seen = []
+    real = linalg.unit_combination
+
+    def spy(stack, p):
+        point = real(stack, p)
+        seen.append((np.array(stack), p, point))
+        return point
+
+    monkeypatch.setattr(linalg, "unit_combination", spy)
+    return seen
+
+
+def test_is_isomorphic_decides_k5_over_f2_with_a_verified_witness(pair, monkeypatch):
+    """k^5 against k^5 over F_2: the top maps span all 25 of Hom_k(k^5, k^5),
+    2^25 - 1 nonzero combinations, and the reduced determinant still finds
+    an invertible one, checked here again."""
     k = residue_field(pair)
     M = direct_sum(direct_sum(k, k), direct_sum(k, k))
-    M5 = direct_sum(M, k)
-    monkeypatch.setattr(modules, "SAMPLE_BUDGET", 0)
-    with pytest.raises(SearchInconclusive):
-        is_isomorphic(M5, direct_sum(M, k))
+    M5, N5 = direct_sum(M, k), direct_sum(k, M)
+    seen = _record_searches(monkeypatch)
+    result = is_isomorphic(M5, N5)
+    assert [stack.shape for stack, _, _ in seen] == [(25, 5, 5)]
+    assert result
+    H = result.witness.matrix
+    assert linalg.rank_mod(H, 2) == 5
+    assert not ((N5.action @ H - H @ M5.action) % 2).any()
 
 
-def test_sampling_branch_merges_classes_over_f5(monkeypatch):
-    """Over F_5 the depth-4 level of the pair ring needs top images of
-    dimension 10: 2,441,406 monic combinations, over the exhaustive budget,
-    so these merges are proved by sampled witnesses."""
+def test_determinant_decision_proves_the_f5_merges_without_sampling(monkeypatch):
+    """Over F_5 the depth-4 level of the pair ring needs a top image of
+    dimension 10: 2,441,406 monic combinations. The reduced determinant
+    decides it, and no random generator is ever drawn from."""
     A = pair_ring(5)
     x = closure_element(A)
     draws = []
     real_rng = np.random.default_rng
 
-    def spy(seed):
-        draws.append(seed)
-        return real_rng(seed)
+    def spy(*args, **kwargs):
+        draws.append(args)
+        return real_rng(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "default_rng", spy)
+    seen = _record_searches(monkeypatch)
     levels = filt_enumerate(A, x, 4)
     assert [len(level) for level in levels] == [1, 2, 3, 5]
-    assert draws and set(draws) == {0}
+    assert max(stack.shape[0] for stack, _, _ in seen) == 10
+    assert draws == []
+
+
+def test_module_searches_agree_with_brute_force(goto, stretched, monkeypatch):
+    """Every isomorphism search filt_enumerate makes on goto and stretched
+    at depth 3 with p^r <= 4096, and those for the F_3 Kronecker pairs,
+    get the verdict of trying all p^r combinations of their top maps."""
+    seen = _record_searches(monkeypatch)
+    for A in (goto, stretched):
+        filt_enumerate(A, closure_element(A), 3)
+    K = make_ring(["x", "y"], ["x^2", "xy", "y^2"], 3)
+    M1, M2 = _kronecker_module(K, 1), _kronecker_module(K, 2)
+    assert not is_isomorphic(M1, M2) and not is_isomorphic(direct_sum(M1, M1), direct_sum(M1, M2))
+    small = [(stack, p, point) for stack, p, point in seen if p ** stack.shape[0] <= 4096]
+    assert len(small) >= 10 and any(point is None for _, _, point in small[-2:])
+    for stack, p, point in small:
+        assert (point is not None) == unit_in_span_brute(stack, p)
 
 
 def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
