@@ -10,8 +10,7 @@ from tensor products, and from quotients by ideals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,19 +28,24 @@ class EdimTooSmallError(ValueError):
     """An operation needs at least two minimal generators of m."""
 
 
-@dataclass(frozen=True, eq=False)
 class Presentation:
     """Polynomial origin of an algebra F_p[variables]/(relations): the
     matrices X_v multiplying by each variable v on the standard monomials,
     the least t with v^t = 0 for each v, and the coordinates of the
-    monomials evaluated so far, seeded with the standard monomials."""
+    monomials evaluated so far, seeded with the standard monomials.
+    Presentations compare by identity."""
 
-    variables: tuple[str, ...]
-    p: int
-    relations: tuple[Polynomial, ...]
-    variable_matrices: np.ndarray
-    nilpotency: tuple[int, ...]
-    coordinates: dict[Monomial, np.ndarray]
+    __slots__ = ("variables", "p", "relations", "variable_matrices", "nilpotency", "coordinates")
+
+    def __init__(self, variables: tuple[str, ...], p: int, relations: tuple[Polynomial, ...],
+                 variable_matrices: np.ndarray, nilpotency: tuple[int, ...],
+                 coordinates: dict[Monomial, np.ndarray]):
+        self.variables = variables
+        self.p = p
+        self.relations = relations
+        self.variable_matrices = variable_matrices
+        self.nilpotency = nilpotency
+        self.coordinates = coordinates
 
     def monomial_vector(self, u: Monomial) -> np.ndarray:
         """Coordinates of the monomial with exponents u (not to be written
@@ -60,8 +64,7 @@ class Presentation:
         return w
 
 
-@dataclass(frozen=True)
-class AlgebraInvariants:
+class AlgebraInvariants(NamedTuple):
     length: int
     edim: int
     hilbert: tuple[int, ...]
@@ -69,8 +72,7 @@ class AlgebraInvariants:
     top_socle_degree: int
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
+class AlgebraClass(NamedTuple):
     is_field: bool
     is_hypersurface: bool
     is_gorenstein: bool
@@ -441,6 +443,21 @@ def check_axioms(A: LocalAlgebra) -> list[str]:
     return problems
 
 
+def digit_codes(digits: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """One int64 code per row of the (rows, n) array digits, digit v below
+    radices[v]: equal rows get equal codes, and codes increase with the rows
+    in lexicographic order. The digits are read as one mixed-radix number;
+    where that could pass 2^62, the codes so far are first replaced by their
+    ranks, which keeps their order."""
+    codes = np.zeros(digits.shape[0], dtype=np.int64)
+    size = 1
+    for v, radix in enumerate(radices):
+        if size * radix >= 1 << 62:
+            size, codes = codes.size, np.unique(codes, return_index=True, return_inverse=True)[2]
+        codes, size = codes * radix + digits[:, v], size * radix
+    return codes
+
+
 def from_presentation(variables: Sequence[str], relations: Sequence[Polynomial]) -> LocalAlgebra:
     """Quotient F_p[variables]/(relations) as a LocalAlgebra.
 
@@ -487,11 +504,15 @@ def from_presentation(variables: Sequence[str], relations: Sequence[Polynomial])
         nilpotency.append(t)
     coordinates = dict(zip(monomials, unit_vectors))
     pres = Presentation(variables, p, tuple(relations), X, tuple(nilpotency), coordinates)
-    # e_i e_j is the monomial m_i m_j: evaluate each distinct product once
+    # e_i e_j is the monomial m_i m_j: evaluate each distinct product once.
+    # An exponent past its variable's nilpotency index t_v gives the same
+    # zero as t_v itself, so capped at t_v the exponents are digits in radix
+    # t_v + 1, and each product is one integer code
     exps = np.array(monomials, dtype=np.int64).reshape(dim, n)
-    sums = (exps[:, None] + exps[None]).reshape(dim * dim, n)
-    products, inverse = np.unique(sums, axis=0, return_inverse=True)
-    coords = np.array([pres.monomial_vector(tuple(u)) for u in products.tolist()])
+    sums = np.minimum((exps[:, None] + exps[None]).reshape(dim * dim, n), nilpotency)
+    codes = digit_codes(sums, [t + 1 for t in nilpotency])
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    coords = np.array([pres.monomial_vector(tuple(u)) for u in sums[first].tolist()])
     table = coords[inverse.reshape(dim, dim)]
     labels = [polyparse.monomial_label(m, variables) for m in monomials]
     return LocalAlgebra(p, table, labels, presentation=pres)
@@ -534,8 +555,7 @@ def tensor_product(S: LocalAlgebra, T: LocalAlgebra) -> LocalAlgebra:
     return LocalAlgebra(S.p, full, labels)
 
 
-@dataclass
-class QuotientRing:
+class QuotientRing(NamedTuple):
     """A/I as a LocalAlgebra plus the projection and a linear section."""
 
     algebra: LocalAlgebra

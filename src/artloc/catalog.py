@@ -8,8 +8,7 @@ ids and run in id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -106,8 +105,7 @@ def analyze_payload(A: LocalAlgebra) -> dict:
     return {**invariants, "classify": flags, "basis": list(A.labels)}
 
 
-@dataclass
-class CorpusResult:
+class CorpusResult(NamedTuple):
     id: str
     description: str
     ok: bool

@@ -24,9 +24,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,8 +62,7 @@ class CliError(Exception):
     """Input problem: bad file, bad expression, bad flag value."""
 
 
-@dataclass
-class RingFile:
+class RingFile(NamedTuple):
     algebra: LocalAlgebra
     named: dict
     p: int

@@ -7,7 +7,6 @@ exclusive (triviality rules out the rest)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,19 +25,25 @@ VERDICT_NECESSARY_FAIL = "NecessaryConditionsFail"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
 class DiagnosisReport:
-    invariants: AlgebraInvariants
-    classification: AlgebraClass
-    verdict: str
-    applicable: list[str]
-    pair: Optional[tuple[np.ndarray, np.ndarray]] = None
-    bounded_betti_x: Optional[np.ndarray] = None
-    bounded_betti_sequence: Optional[list[int]] = None
-    goto_variable: Optional[str] = None
-    goto_l: Optional[int] = None
-    census: Optional[ClosureVerdict] = None
-    notes: list[str] = field(default_factory=list)
+    """What diagnose found, filled in check by check."""
+
+    __slots__ = ("invariants", "classification", "verdict", "applicable", "pair", "bounded_betti_x",
+                 "bounded_betti_sequence", "goto_variable", "goto_l", "census", "notes")
+
+    def __init__(self, invariants: AlgebraInvariants, classification: AlgebraClass, verdict: str,
+                 applicable: list[str]):
+        self.invariants = invariants
+        self.classification = classification
+        self.verdict = verdict
+        self.applicable = applicable
+        self.pair: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self.bounded_betti_x: Optional[np.ndarray] = None
+        self.bounded_betti_sequence: Optional[list[int]] = None
+        self.goto_variable: Optional[str] = None
+        self.goto_l: Optional[int] = None
+        self.census: Optional[ClosureVerdict] = None
+        self.notes: list[str] = []
 
 
 def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:

@@ -9,8 +9,7 @@ the extension closure of R/(x) by scanning every node for a k-summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .modules import (
     free_module,
     hom_space_matrices,
     is_isomorphic,
+    iso_profiles,
     quotient_module,
     regular_module,
     splits_off_k,
@@ -60,8 +60,7 @@ class EnumerationBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     """Verified short exact sequence 0 -> sub -> middle -> quotient -> 0."""
 
     sub: FpModule
@@ -112,8 +111,7 @@ def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWi
     return witness
 
 
-@dataclass
-class FiltNode:
+class FiltNode(NamedTuple):
     """Iso-class representative at one level of filt^n(R/(x)).
 
     chain holds the n-1 extension steps that realize the filtration;
@@ -284,8 +282,9 @@ def filt_enumerate(
             keys_of = hom_keys.keys_for(es)
             for block in _orbit_minima(es):
                 homs_out, homs_in = keys_of(block)
-                for coeffs, out_row, in_row in zip(block, homs_out.tolist(), homs_in.tolist()):
-                    witness = extension_from_cocycle(es, coeffs)
+                witnesses = [extension_from_cocycle(es, coeffs) for coeffs in block]
+                iso_profiles([w.middle for w in witnesses])
+                for witness, out_row, in_row in zip(witnesses, homs_out.tolist(), homs_in.tolist()):
                     M = witness.middle
                     key = (M.iso_profile(), tuple(out_row), tuple(in_row))
                     if any(is_isomorphic(classes[idx].module, M).isomorphic for idx in buckets.get(key, ())):
@@ -464,16 +463,14 @@ def strict_upper_reduction(pres: FreePresentation) -> ReducedPresentation:
 # -- the extension closure question -------------------------------------------------------
 
 
-@dataclass
-class LevelCensus:
+class LevelCensus(NamedTuple):
     level: int
     count: int
     lengths: tuple[int, ...]
     splits: tuple[bool, ...]
 
 
-@dataclass
-class ClosureVerdict:
+class ClosureVerdict(NamedTuple):
     """Bounded-depth answer to "does k lie in the extension closure of R/(x)".
 
     A positive answer carries a verified witness node plus the splitting
@@ -556,8 +553,7 @@ def ext_closure_contains_k(
 # -- hypersurface ladder ---------------------------------------------------------------------
 
 
-@dataclass
-class LadderReport:
+class LadderReport(NamedTuple):
     n: int
     x: Optional[np.ndarray]
     witnesses: list[ExtensionWitness]

@@ -20,6 +20,9 @@ import numpy as np
 MAX_MODULUS = 1 << 16
 BLOCK_ROWS = 4096  # rows per block of the batched enumerations
 DETERMINANT_CELL_CAP = 1 << 22  # cells of one expansion row in reduced_determinant
+# row limit of the one-word F_2 elimination: each pivot visits every row in
+# Python, and past a few hundred sparse rows numpy's generic path is faster
+WORD_ROWS = 256
 
 
 class DimensionMismatch(ValueError):
@@ -71,6 +74,8 @@ def _row_reduce(a: np.ndarray, p: int, pivot_cols: Optional[int] = None) -> tupl
     """
     rows = a.shape[0]
     limit = a.shape[1] if pivot_cols is None else pivot_cols
+    if p == 2 and a.shape[1] <= 64 and rows <= WORD_ROWS:
+        return _row_reduce_words(a, limit)
     inv = inverse_table(p)
     r = 0
     pivots: list[int] = []
@@ -93,6 +98,44 @@ def _row_reduce(a: np.ndarray, p: int, pivot_cols: Optional[int] = None) -> tupl
         r += 1
         if r == rows:
             break
+    return r, pivots
+
+
+_BIT_VALUES = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _row_reduce_words(a: np.ndarray, limit: int) -> tuple[int, list[int]]:
+    """_row_reduce at p = 2 for at most 64 columns, with each row one
+    Python int (bit j is column j) and row operations as XOR (Albrecht,
+    Bard & Hart, "Algorithm 898", ACM TOMS 37(1), 2010). It takes the same
+    pivot rows as the generic path, the first 1 at or below row r, so it
+    writes back the same array."""
+    n, cols = a.shape
+    rows = (a.view(np.uint64) @ _BIT_VALUES[:cols]).tolist()
+    live = 0
+    for word in rows:
+        live |= word
+    live &= (1 << limit) - 1
+    r = 0
+    pivots: list[int] = []
+    while live and r < n:
+        bit = live & -live  # the next live column, lowest first
+        live ^= bit
+        for k in range(r, n):
+            if rows[k] & bit:
+                break
+        else:
+            continue
+        piv = rows[k]
+        rows[k] = rows[r]
+        rows[r] = piv
+        for i in range(n):
+            if rows[i] & bit and i != r:
+                rows[i] ^= piv
+        pivots.append(bit.bit_length() - 1)
+        r += 1
+    words = np.array(rows, dtype="<u8").view(np.uint8).reshape(n, 8)
+    a[:] = np.unpackbits(words, axis=1, count=cols, bitorder="little")
     return r, pivots
 
 
@@ -210,13 +253,16 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     Each matrix keeps its own pivot row (its rank so far); only the rows
     from there down are live, and a column with no nonzero live entry adds
     nothing. Only the rank is needed, so pivots are never scaled. The stack
-    is transposed first when that shortens the loop over columns."""
+    is transposed first when that shortens the loop over columns. At p = 2
+    the cells are uint8: a difference wraps mod 256, which is even, so its
+    residue mod 2 is exact."""
     check_modulus(p)
     m = np.mod(np.asarray(mats, dtype=np.int64), p)
     if m.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) stack")
     if m.shape[1] < m.shape[2]:
-        m = np.ascontiguousarray(m.transpose(0, 2, 1))
+        m = m.transpose(0, 2, 1)
+    m = np.ascontiguousarray(m, dtype=np.uint8 if p == 2 else np.int64)
     B, r, c = m.shape
     inv = inverse_table(p)
     rank = np.zeros(B, dtype=np.int64)
@@ -235,7 +281,7 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         m[bidx, pr] = m[bidx, k]
         # clear column j with top. Dead rows may change too; where nothing
         # was found, top is zero at j unless no live rows are left
-        f = m[:, :, j] * inv[top[:, j]][:, None] % p
+        f = (m[:, :, j] * inv[top[:, j]][:, None] % p).astype(m.dtype, copy=False)
         m[:, :, j:] = (m[:, :, j:] - f[:, :, None] * top[:, None, j:]) % p
         rank += found
     return rank

@@ -10,7 +10,6 @@ produce identical arrays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -18,6 +17,8 @@ import numpy as np
 from . import linalg
 from .linalg import PrimeFieldMatrix
 from .algebra import IdealSubspace, LocalAlgebra, QuotientRing
+
+PROFILE_CELLS = 1 << 19  # int64 cells of the stacked actions per chunk of iso_profiles
 
 
 class FpModule:
@@ -70,42 +71,10 @@ class FpModule:
     def iso_profile(self) -> tuple:
         """Cheap isomorphism invariants, used to separate modules before any
         Hom computation: radical series dims, socle series dims, and the rank
-        profile of every basis element's powers.
-
-        Both series act through the minimal generators of m only, which is
-        exact because their terms are submodules; the power profiles stay on
-        every basis element, because canonical_fingerprint sorts by them."""
-        if self._profile is not None:
-            return self._profile
-        p = self.algebra.p
-        gens = self.action[self.algebra.generator_indices]
-        rad: list[int] = []
-        if self.dim:
-            span = self.radical_subspace()
-            rad.append(span.cols)
-            while span.cols:
-                span = self.radical_subspace(span)
-                rad.append(span.cols)
-        soc: list[int] = []
-        known = PrimeFieldMatrix.zeros(self.dim, 0, p)
-        while known.cols < self.dim:
-            # functionals vanishing on the socle-series term found so far
-            funcs = linalg.kernel_basis(known.transpose()).array.T
-            stacked = (funcs @ gens) % p
-            known = linalg.kernel_basis(PrimeFieldMatrix(stacked.reshape(-1, self.dim), p))
-            soc.append(known.cols)
-        powers = []
-        for i in range(1, self.algebra.dim):
-            prof = []
-            m = self.action[i]
-            while True:
-                r = linalg.rank_mod(m, p)
-                prof.append(r)
-                if r == 0:
-                    break
-                m = (m @ self.action[i]) % p
-            powers.append(tuple(prof))
-        self._profile = (self.dim, tuple(rad), tuple(soc), tuple(powers))
+        profile of every basis element's powers; iso_profiles with this
+        module alone."""
+        if self._profile is None:
+            iso_profiles([self])
         return self._profile
 
     def __repr__(self) -> str:
@@ -208,6 +177,62 @@ def residue_field(A: LocalAlgebra) -> FpModule:
     return cyclic_module(A, A.maxideal())
 
 
+def iso_profiles(modules: Sequence[FpModule]) -> None:
+    """Fill the iso_profile of every module that lacks one, each stack of
+    modules of one dimension d at once, from a few linalg.rank_batch calls:
+
+    - the radical series, dim m^j M = rank of the actions of a basis of m^j
+      placed side by side, down to the first 0;
+    - the socle series, dim (0 :_M m^j) = d - rank of the same actions
+      stacked, up to the first d;
+    - the rank of every power of each basis element of m, down to the
+      first 0; canonical_fingerprint sorts by these.
+
+    The stacks are cut into chunks of at most PROFILE_CELLS cells."""
+    groups: dict[int, list[FpModule]] = {}
+    for M in modules:
+        if M._profile is None:
+            groups.setdefault(M.dim, []).append(M)
+    for d, group in groups.items():
+        A = group[0].algebra
+        if any(M.algebra is not A for M in group):
+            raise ValueError("modules live over different algebras")
+        if d == 0:
+            for M in group:
+                M._profile = (0, (), (), ((0,),) * (A.dim - 1))
+            continue
+        p = A.p
+        bases = [power.basis.array for power in A.maxideal_powers()[1:-1]]  # m^1 .. m^L
+        cells = d * d * (A.dim + 2 * sum(b.shape[1] for b in bases) + len(bases) * (A.dim - 1))
+        chunk = max(1, PROFILE_CELLS // cells)
+        for lo in range(0, len(group), chunk):
+            part = group[lo : lo + chunk]
+            acts = np.stack([M.action for M in part])  # (B, dim_A, d, d)
+            B = len(part)
+            rad = np.zeros((B, len(bases)), dtype=np.int64)
+            soc = np.zeros_like(rad)
+            for j, basis in enumerate(bases):
+                blocks = np.tensordot(acts, basis, axes=(1, 0)).transpose(0, 3, 1, 2) % p
+                # rank [b_1 | b_2 | ...] = rank of the transposes stacked
+                side = blocks.transpose(0, 1, 3, 2).reshape(B, -1, d)
+                ranks = linalg.rank_batch(np.concatenate([side, blocks.reshape(B, -1, d)]), p)
+                rad[:, j], soc[:, j] = ranks[:B], d - ranks[B:]
+            mult = acts[:, 1:]
+            powers = [mult]
+            while len(powers) < len(bases) and powers[-1].any():
+                powers.append(powers[-1] @ mult % p)
+            ranks = linalg.rank_batch(np.stack(powers, axis=1).reshape(-1, d, d), p)
+            ranks = ranks.reshape(B, len(powers), A.dim - 1).transpose(0, 2, 1).tolist()
+            for M, r, s, pw in zip(part, rad.tolist(), soc.tolist(), ranks):
+                M._profile = (d, _through(r + [0], 0), _through(s + [d], d),
+                              tuple(_through(prof + [0], 0) for prof in pw))
+
+
+def _through(values: list[int], stop: int) -> tuple[int, ...]:
+    """values up to and including the first entry equal to stop."""
+    return tuple(values[: values.index(stop) + 1])
+
+
 # -- ring-entry matrices and presentations ----------------------------------------------
 
 
@@ -287,8 +312,7 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols} over dim {self.algebra.dim})"
 
 
-@dataclass
-class FreePresentation:
+class FreePresentation(NamedTuple):
     """Exact A^b1 -> A^b0 -> M -> 0: relations is the b0 x b1 matrix and
     cover the (dim_M, b0 * dim_A) matrix of A^b0 -> M, as in Resolution.cover."""
 
@@ -506,10 +530,17 @@ def canonical_fingerprint(M: FpModule) -> tuple:
     return (M.dim, tuple(sorted(prof[0] for prof in powers)), M.action.tobytes())
 
 
+def _generator_span(M: FpModule) -> np.ndarray:
+    """[g_1 | g_2 | ...], the actions of the minimal generators of m side by
+    side: its columns span mM."""
+    gens = M.action[M.algebra.generator_indices]
+    return gens.transpose(1, 0, 2).reshape(M.dim, -1)
+
+
 def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
     """A witness v in socle(M) \\ mM when k is a direct summand, else None."""
     soc = M.socle_subspace()
-    picks = linalg.greedy_completion(M.radical_subspace(), soc)
+    picks = linalg.greedy_completion(PrimeFieldMatrix._own(_generator_span(M), M.algebra.p), soc)
     return soc.column(picks[0]) if picks else None
 
 
@@ -692,8 +723,7 @@ class HomSequenceKeys:
         return keys
 
 
-@dataclass
-class IsoResult:
+class IsoResult(NamedTuple):
     isomorphic: bool
     witness: Optional[ModuleMap]
 
@@ -716,9 +746,10 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     if M.dim == 0:
         return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
     lift, imgs = _generator_images(M, N)
-    # rows of `top` are functionals vanishing exactly on mN: a fixed N -> N/mN.
-    # Equal profiles give dim mM = dim mN, so the top maps are square.
-    top = linalg.kernel_basis(N.radical_subspace().transpose()).array.T
+    # rows of `top` are functionals vanishing exactly on mN, the span of the
+    # generator actions g: a fixed N -> N/mN. Equal profiles give
+    # dim mM = dim mN, so the top maps are square.
+    top = linalg.kernel_basis(PrimeFieldMatrix._own(_generator_span(N).T.copy(), p)).array.T
     tops = np.einsum("un,tin->tui", top, imgs) % p
     # the top maps of the first independent Hom basis elements span the image
     keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(len(tops), len(top) ** 2).T, p)).pivots)

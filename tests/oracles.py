@@ -384,6 +384,35 @@ def socle_series_loop(action, p: int) -> list[int]:
     return dims
 
 
+def iso_profile_loop(action, gens, p: int) -> tuple:
+    """(dim, radical series, socle series, power profiles) of a module, one
+    module at a time: the radical series from the spans of g W over the
+    generator actions g = action[gens], down to the first zero term; the
+    socle series of socle_series_loop; and for every basis element of m the
+    ranks of its powers, down to the first zero."""
+    action = np.asarray(action, dtype=np.int64) % p
+    n = action.shape[1]
+    rad = []
+    if n:
+        span = np.eye(n, dtype=np.int64)
+        while True:
+            prods = [(action[g] @ span) % p for g in gens]
+            span = _span_basis(np.hstack(prods).T if prods else [], p, n)
+            rad.append(span.shape[1])
+            if not span.shape[1]:
+                break
+    powers = []
+    for i in range(1, action.shape[0]):
+        prof, m = [], action[i]
+        while True:
+            prof.append(rank_fp(m, p) if n else 0)
+            if prof[-1] == 0:
+                break
+            m = (m @ action[i]) % p
+        powers.append(tuple(prof))
+    return n, tuple(rad), tuple(socle_series_loop(action, p)), tuple(powers)
+
+
 def free_action(mult, rank: int) -> np.ndarray:
     """Action on A^rank: one Kronecker product per basis element of A."""
     eye = np.eye(rank, dtype=np.int64)

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artloc.algebra import (
     EdimTooSmallError,
     LocalAlgebra,
     NotLocalError,
     check_axioms,
+    digit_codes,
     from_presentation,
     idealization,
     quotient_ring,
@@ -274,6 +277,42 @@ def test_invariants_never_build_the_full_multiplication_stack(monkeypatch):
     A.invariants()
     A.classify()
     assert calls == []
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 50), st.lists(st.integers(1, 2**40), max_size=8))
+@example(0, 30, [2**40] * 8)  # past 2^62 twice: the codes are re-ranked
+@example(1, 0, [3, 5])
+@example(2, 9, [])
+def test_digit_codes_order_rows_as_a_row_sort(seed, rows, radices):
+    """Equal rows get equal codes and the codes rank the rows as
+    np.unique(..., axis=0) does, also where the mixed-radix number would
+    overflow int64."""
+    rng = np.random.default_rng(seed)
+    digits = np.zeros((rows, len(radices)), dtype=np.int64)
+    for v, radix in enumerate(radices):
+        digits[:, v] = rng.integers(0, min(radix, 3), size=rows) * (radix // min(radix, 3))
+    codes = digit_codes(digits, radices)
+    want = np.unique(digits, axis=0, return_index=True, return_inverse=True)[2].reshape(-1)
+    got = np.unique(codes, return_index=True, return_inverse=True)[2]
+    assert got.tolist() == want.tolist()
+
+
+def test_product_codes_give_the_row_sorted_tables():
+    """from_presentation keys each product exponent by one code; its tables
+    equal those of a row sort of the exponents on every ring file and on
+    F_2[x,y]/(x^12,y^12)."""
+    paths = sorted(RINGS.glob("*.ring")) + [RINGS.parent / "perfbench" / "rings" / "monomial64.ring"]
+    algebras = [load_ring(str(path)).algebra for path in paths] + [make_ring(["x", "y"], ["x^12", "y^12"], 2)]
+    for A in algebras:
+        pres = A.presentation
+        gb = polyparse.buchberger(list(pres.relations))
+        exps = np.array(polyparse.standard_monomial_basis(gb, pres.variables))
+        n, dim = len(pres.variables), A.dim
+        sums = (exps[:, None] + exps[None]).reshape(dim * dim, n)
+        products, inverse = np.unique(sums, axis=0, return_index=True, return_inverse=True)[::2]
+        coords = np.array([pres.monomial_vector(tuple(u)) for u in products.tolist()])
+        assert coords[inverse.reshape(dim, dim)].tobytes() == A.table.tobytes()
 
 
 def test_normal_forms_only_build_the_variable_matrices(monkeypatch):

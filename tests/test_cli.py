@@ -244,6 +244,15 @@ def test_commands_do_not_import_numpy_ma(argv, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_importing_the_cli_leaves_out_dataclasses():
+    """The package's records are NamedTuples and slots classes: importing
+    dataclasses (and copy) and decorating 14 classes took about 15 ms of
+    every command's start."""
+    script = "import sys, artloc.cli\nsys.exit(3 if 'dataclasses' in sys.modules else 0)\n"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
 def test_tor_command(capsys):
     code = main(
         [

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from artloc import extensions, linalg, modules
+from artloc import cli, extensions, linalg, modules
 from artloc.catalog import example1_ring, goto_ring, hypersurface_ring, pair_ring, stretched_ring
 from artloc.extensions import (
     EnumerationBudgetExceeded,
@@ -434,6 +436,36 @@ def test_filt_resolves_only_modules_that_become_classes(goto, monkeypatch):
     levels = filt_enumerate(goto, closure_element(goto), 3)
     kept = [node.module for level in levels for node in level]
     assert resolved and all(any(M is K for K in kept) for M in resolved)
+
+
+def test_filt_profiles_every_cocycle_block_in_one_batch(monkeypatch, tmp_path):
+    """`filt rings/example1.ring --depth 3` fills the iso profiles of each
+    block of orbit minima with one iso_profiles call on that block's middle
+    terms, and never computes a profile one module at a time."""
+    blocks, batches, unprofiled = [], [], []
+    real_minima, real_batch, real_profile = extensions._orbit_minima, extensions.iso_profiles, FpModule.iso_profile
+
+    def minima(ext):
+        for block in real_minima(ext):
+            blocks.append(len(block))
+            yield block
+
+    def batch(mods):
+        batches.append(len(mods))
+        return real_batch(mods)
+
+    def profile(M):
+        if M._profile is None:
+            unprofiled.append(M)
+        return real_profile(M)
+
+    monkeypatch.setattr(extensions, "_orbit_minima", minima)
+    monkeypatch.setattr(extensions, "iso_profiles", batch)
+    monkeypatch.setattr(FpModule, "iso_profile", profile)
+    ring = Path(__file__).resolve().parent.parent / "rings" / "example1.ring"
+    assert cli.main(["filt", str(ring), "--depth", "3", "--quiet", "--json", str(tmp_path / "r.json")]) == 0
+    assert blocks and batches == blocks
+    assert not unprofiled
 
 
 def test_closure_negative_census(closure_pair, closure_y3):

@@ -417,6 +417,56 @@ def test_kernel_functions_match_rref_oracle(seed, p, rows, cols, zero_lines, con
     _check_against_rref_oracle(p, a, rhs, span)
 
 
+@settings(deadline=None, max_examples=120)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 70),
+    st.sampled_from([0, 1, 16, 63, 64, 65]) | st.integers(0, 66),
+    st.sampled_from(["dense", "sparse", "zero", "repeated"]),
+    st.booleans(),
+)
+@example(0, 0, 5, "dense", True)
+@example(1, 6, 0, "dense", True)
+@example(2, 9, 64, "zero", False)
+@example(3, 12, 64, "repeated", True)
+@example(4, 12, 65, "repeated", False)
+@example(5, 64, 64, "dense", True)
+@example(6, 70, 64, "sparse", False)
+def test_one_word_f2_elimination_matches_the_oracle(seed, rows, cols, kind, consistent):
+    """At p = 2 a matrix of at most 64 columns is reduced one word per row;
+    rref, rank_mod, kernel_basis, column_space, solve_matrix (pivots only in
+    the first cols columns of [a | rhs]) and greedy_completion match the
+    oracle on both sides of the 64-column limit, for empty shapes, all-zero
+    matrices and repeated rows."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        a = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "sparse":
+        a = (rng.random((rows, cols)) < 0.1).astype(np.int64)
+    else:
+        a = rng.integers(0, 2, size=(rows, cols))
+    if kind == "repeated" and rows:
+        a = a[rng.integers(0, max(1, rows // 3), size=rows)]
+    k = int(rng.integers(0, 4))
+    rhs = a @ rng.integers(0, 2, size=(cols, k)) % 2 if consistent else rng.integers(0, 2, size=(rows, k))
+    _check_against_rref_oracle(2, a, rhs, rng.integers(0, 2, size=(rows, int(rng.integers(0, 4)))))
+    assert linalg.rank_mod(a, 2) == rank_fp(a, 2)
+
+
+def test_one_word_path_takes_only_f2_matrices_of_at_most_64_columns(monkeypatch):
+    words = []
+    real = linalg._row_reduce_words
+
+    def spy(a, limit):
+        words.append(a.shape)
+        return real(a, limit)
+
+    monkeypatch.setattr(linalg, "_row_reduce_words", spy)
+    for p, shape in [(2, (5, 64)), (2, (5, 65)), (3, (5, 8)), (2, (linalg.WORD_ROWS + 1, 8))]:
+        linalg.rref(PrimeFieldMatrix(np.ones(shape, dtype=np.int64), p))
+    assert words == [(5, 64)]
+
+
 def test_kernel_functions_match_rref_oracle_on_argmax_pivots():
     """Columns whose first nonzero at or below the pivot row is not the
     largest residue, so the kernel's argmax pivot is a different row from

@@ -34,6 +34,7 @@ from artloc.modules import (
     hom_space,
     hom_space_matrices,
     is_isomorphic,
+    iso_profiles,
     jordan_type,
     matlis_dual,
     minimal_free_resolution,
@@ -56,6 +57,7 @@ from oracles import (
     free_action,
     hom_dim_kron,
     is_isomorphic_brute,
+    iso_profile_loop,
     module_axioms_hold,
     socle_series_loop,
     span_of_products_loop,
@@ -774,6 +776,46 @@ def test_iso_profile_is_permutation_invariant(example1):
     Pinv = np.eye(6, dtype=np.int64)[perm, :]
     conj = np.stack([(Pinv @ R.action[i] @ P) % 2 for i in range(6)])
     assert FpModule(example1, conj).iso_profile() == R.iso_profile()
+
+
+def _conjugate(M, rng):
+    """M with its action conjugated by a random invertible matrix: an
+    isomorphic module in other coordinates."""
+    p, d = M.algebra.p, M.dim
+    while True:
+        P = rng.integers(0, p, size=(d, d))
+        if linalg.rank_mod(P, p) == d:
+            break
+    Pinv = linalg.solve_matrix(linalg.PrimeFieldMatrix(P, p), linalg.PrimeFieldMatrix.identity(d, p)).array
+    return FpModule(M.algebra, Pinv @ M.action @ P % p)
+
+
+@pytest.mark.parametrize("make", [example1_ring, goto_ring, functools.partial(pair_ring, 3),
+                                  functools.partial(stretched_ring, 3), functools.partial(pair_ring, 5),
+                                  functools.partial(hypersurface_ring, 5, 1)])
+def test_batched_profiles_match_the_per_module_loop(make):
+    """iso_profiles on one block of modules of mixed dimensions (0 among
+    them), holding isomorphic copies in other coordinates next to modules
+    that are not isomorphic, gives each module the profile of the old
+    per-module loop, at p = 2, 3 and 5; and iso_profile is that batch with
+    one module."""
+    A = make()
+    p = A.p
+    rng = np.random.default_rng(p)
+    k, R = residue_field(A), regular_module(A)
+    base = [k, R, direct_sum(k, k), direct_sum(k, R), FpModule(A, np.zeros((A.dim, 0, 0), dtype=np.int64))]
+    if A.dim > 1:
+        x = A.generator_set.column(0)
+        base.append(quotient_module(R, A.principal_ideal(x).basis).module)
+    pairs = [(FpModule(A, M.action), _conjugate(M, rng)) for M in base]
+    block = [M for pair in pairs for M in pair]
+    iso_profiles([block[i] for i in rng.permutation(len(block))])
+    gens = A.generator_indices.tolist()
+    for M in block:
+        assert M._profile == iso_profile_loop(M.action, gens, p)
+        assert FpModule(A, M.action).iso_profile() == M._profile
+    assert all(M._profile == N._profile for M, N in pairs)
+    assert len({M._profile for M in block}) > 2
 
 
 def test_base_change_to_hypersurface_quotient(ci):
