@@ -21,8 +21,10 @@ MAX_MODULUS = 1 << 16
 BLOCK_ROWS = 4096  # rows per block of the batched enumerations
 DETERMINANT_CELL_CAP = 1 << 22  # cells of one expansion row in reduced_determinant
 # row limit of the one-word F_2 elimination: each pivot visits every row in
-# Python, and past a few hundred sparse rows numpy's generic path is faster
-WORD_ROWS = 256
+# Python. On the first k rows of the 64-column matrices `analyze` reduces on
+# length-64 rings, the packed path was faster up to 224 rows and slower from
+# 240 (median of six matrices)
+WORD_ROWS = 224
 
 
 class DimensionMismatch(ValueError):
@@ -253,16 +255,13 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     Each matrix keeps its own pivot row (its rank so far); only the rows
     from there down are live, and a column with no nonzero live entry adds
     nothing. Only the rank is needed, so pivots are never scaled. The stack
-    is transposed first when that shortens the loop over columns. At p = 2
-    the cells are uint8: a difference wraps mod 256, which is even, so its
-    residue mod 2 is exact."""
+    is transposed first when that shortens the loop over columns."""
     check_modulus(p)
     m = np.mod(np.asarray(mats, dtype=np.int64), p)
     if m.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) stack")
     if m.shape[1] < m.shape[2]:
-        m = m.transpose(0, 2, 1)
-    m = np.ascontiguousarray(m, dtype=np.uint8 if p == 2 else np.int64)
+        m = np.ascontiguousarray(m.transpose(0, 2, 1))
     B, r, c = m.shape
     inv = inverse_table(p)
     rank = np.zeros(B, dtype=np.int64)
@@ -281,7 +280,7 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         m[bidx, pr] = m[bidx, k]
         # clear column j with top. Dead rows may change too; where nothing
         # was found, top is zero at j unless no live rows are left
-        f = (m[:, :, j] * inv[top[:, j]][:, None] % p).astype(m.dtype, copy=False)
+        f = m[:, :, j] * inv[top[:, j]][:, None] % p
         m[:, :, j:] = (m[:, :, j:] - f[:, :, None] * top[:, None, j:]) % p
         rank += found
     return rank

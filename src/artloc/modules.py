@@ -530,17 +530,10 @@ def canonical_fingerprint(M: FpModule) -> tuple:
     return (M.dim, tuple(sorted(prof[0] for prof in powers)), M.action.tobytes())
 
 
-def _generator_span(M: FpModule) -> np.ndarray:
-    """[g_1 | g_2 | ...], the actions of the minimal generators of m side by
-    side: its columns span mM."""
-    gens = M.action[M.algebra.generator_indices]
-    return gens.transpose(1, 0, 2).reshape(M.dim, -1)
-
-
 def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
     """A witness v in socle(M) \\ mM when k is a direct summand, else None."""
     soc = M.socle_subspace()
-    picks = linalg.greedy_completion(PrimeFieldMatrix._own(_generator_span(M), M.algebra.p), soc)
+    picks = linalg.greedy_completion(M.radical_subspace(), soc)
     return soc.column(picks[0]) if picks else None
 
 
@@ -746,10 +739,9 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     if M.dim == 0:
         return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
     lift, imgs = _generator_images(M, N)
-    # rows of `top` are functionals vanishing exactly on mN, the span of the
-    # generator actions g: a fixed N -> N/mN. Equal profiles give
-    # dim mM = dim mN, so the top maps are square.
-    top = linalg.kernel_basis(PrimeFieldMatrix._own(_generator_span(N).T.copy(), p)).array.T
+    # rows of `top` are functionals vanishing exactly on mN: a fixed N -> N/mN.
+    # Equal profiles give dim mM = dim mN, so the top maps are square.
+    top = linalg.kernel_basis(N.radical_subspace().transpose()).array.T
     tops = np.einsum("un,tin->tui", top, imgs) % p
     # the top maps of the first independent Hom basis elements span the image
     keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(len(tops), len(top) ** 2).T, p)).pivots)
