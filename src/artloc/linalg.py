@@ -252,10 +252,13 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p of each matrix in a (B, r, c) stack, from one vectorized
     elimination over the whole batch.
 
-    Each matrix keeps its own pivot row (its rank so far); only the rows
-    from there down are live, and a column with no nonzero live entry adds
-    nothing. Only the rank is needed, so pivots are never scaled. The stack
-    is transposed first when that shortens the loop over columns."""
+    Column j is cleared in every row by the first row nonzero there, top,
+    which clears itself to zero: the rows left span a space that meets
+    top's span in 0 (they are zero at j), so the rank grows by one where a
+    top was found and the pivot rows need no bookkeeping. Only the rank is
+    needed, so pivots are never scaled. The stack is transposed first when
+    that shortens the loop over columns; over F_2 a matrix of at most 64
+    columns is then reduced as one word per row (_rank_batch_words)."""
     check_modulus(p)
     m = np.mod(np.asarray(mats, dtype=np.int64), p)
     if m.ndim != 3:
@@ -263,25 +266,40 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     if m.shape[1] < m.shape[2]:
         m = np.ascontiguousarray(m.transpose(0, 2, 1))
     B, r, c = m.shape
+    if p == 2 and c <= 64:
+        return _rank_batch_words(m.view(np.uint64) @ _BIT_VALUES[:c])
     inv = inverse_table(p)
     rank = np.zeros(B, dtype=np.int64)
     bidx = np.arange(B)
-    rows = np.arange(r)
     for j in range(c):
-        has = (m[:, :, j] != 0) & (rows >= rank[:, None])
-        found = has.any(axis=1)
+        col = m[:, :, j]
+        hit = col != 0
+        found = hit.any(axis=1)
         if not found.any():
             continue
-        # the pivot row top leaves the live rows: row k, which dies next,
-        # moves into its slot (where nothing was found, pr = k)
-        k = np.minimum(rank, r - 1)
-        pr = np.where(found, has.argmax(axis=1), k)
-        top = m[bidx, pr]
-        m[bidx, pr] = m[bidx, k]
-        # clear column j with top. Dead rows may change too; where nothing
-        # was found, top is zero at j unless no live rows are left
-        f = m[:, :, j] * inv[top[:, j]][:, None] % p
+        # where nothing was found, top is zero at j and f is zero
+        top = m[bidx, hit.argmax(axis=1)]
+        f = col * inv[top[:, j]][:, None] % p
         m[:, :, j:] = (m[:, :, j:] - f[:, :, None] * top[:, None, j:]) % p
+        rank += found
+    return rank
+
+
+def _rank_batch_words(words: np.ndarray) -> np.ndarray:
+    """rank_batch over F_2 for the (B, r) uint64 stack whose row words hold
+    bit j for column j (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS
+    37(1), 2010): the same elimination with XOR. Row operations only move
+    bits among the columns some row has set, so only those are visited."""
+    rank = np.zeros(words.shape[0], dtype=np.int64)
+    bidx = np.arange(words.shape[0])
+    live = int(np.bitwise_or.reduce(words, axis=None)) if words.size else 0
+    while live:
+        bit = live & -live
+        live ^= bit
+        hit = (words & np.uint64(bit)) != 0
+        found = hit.any(axis=1)
+        top = words[bidx, hit.argmax(axis=1)]
+        words ^= np.where(hit, top[:, None], np.uint64(0))
         rank += found
     return rank
 

@@ -25,7 +25,7 @@ class FpModule:
     """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
     shape is checked; the package's constructions preserve the axioms."""
 
-    __slots__ = ("algebra", "dim", "action", "_profile", "_homdata", "_radical")
+    __slots__ = ("algebra", "dim", "action", "_profile", "_resolution", "_homdata", "_end_dim", "_radical")
 
     def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
         action = np.mod(np.asarray(action, dtype=np.int64), algebra.p)
@@ -36,7 +36,9 @@ class FpModule:
         self.dim = action.shape[1]
         self.action = action
         self._profile: Optional[tuple] = None
+        self._resolution: Optional[Resolution] = None
         self._homdata: Optional[tuple] = None
+        self._end_dim: Optional[int] = None
         self._radical: Optional[PrimeFieldMatrix] = None
 
     # -- basic operations ---------------------------------------------------------
@@ -472,7 +474,10 @@ class Ext1Space:
         p = A.p
         self.X = X
         self.L = L
-        res = minimal_free_resolution(X, 2)
+        # resolved once per X: every space over it and its presentation share it
+        if X._resolution is None:
+            X._resolution = Resolution(X, 2)
+        res = X._resolution
         self.beta0, self.beta1 = res.betti[0], res.betti[1]
         self.d1 = res.differential(1)
         self.cover0 = res.cover  # matrix dim_X x (beta0 * dim_A)
@@ -578,9 +583,11 @@ def base_change(M: FpModule, qr: QuotientRing) -> FpModule:
 
 def _presentation_data(M: FpModule) -> tuple:
     """Cached (d1, lift): minimal relations of M and a linear section of the
-    cover A^b0 -> M. A hom out of M is then a kernel element of d1 acting."""
+    cover A^b0 -> M, from the resolution an Ext1Space left on M if there is
+    one (its steps do not depend on how many are taken). A hom out of M is
+    then a kernel element of d1 acting."""
     if M._homdata is None:
-        res = Resolution(M, 1)
+        res = M._resolution or Resolution(M, 1)
         cover = PrimeFieldMatrix(res.cover, M.algebra.p)
         lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(M.dim, M.algebra.p))
         M._homdata = (res.differentials[0], lift.array)
@@ -701,16 +708,19 @@ class HomSequenceKeys:
             rows, h, b1T = g1.shape
             ins = (cov @ g1.reshape(rows, h * b1T)).reshape(e, Y.dim, h, b1T)
             ins = ins.transpose(0, 2, 3, 1).reshape(e, h, b1T * Y.dim) @ proj_in.T
-            sides.append((hom_XT + f, out.transpose(0, 2, 1) % p,
-                          hom_dim(T, Y) + h, ins.transpose(0, 2, 1) % p))
+            sides.append((hom_XT + f, np.ascontiguousarray(out.transpose(0, 2, 1) % p, dtype=np.float64),
+                          hom_dim(T, Y) + h, np.ascontiguousarray(ins.transpose(0, 2, 1) % p, dtype=np.float64)))
 
         def keys(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = np.asarray(coeffs, dtype=np.int64)
+            # float64 products run through BLAS and are exact: an entry is a
+            # sum of e products of residues below p < 2^16, and the orbit scan
+            # holds p^e flags, so e < 64 and the sum stays below 2^38 < 2^53
+            coeffs = np.asarray(coeffs, dtype=np.float64)
             homs_out = np.empty((coeffs.shape[0], len(sides)), dtype=np.int64)
             homs_in = np.empty_like(homs_out)
             for t, (base_out, out, base_in, ins) in enumerate(sides):
-                homs_out[:, t] = base_out - linalg.rank_batch(np.tensordot(coeffs, out, axes=1), p)
-                homs_in[:, t] = base_in - linalg.rank_batch(np.tensordot(coeffs, ins, axes=1), p)
+                homs_out[:, t] = base_out - linalg.rank_batch(np.tensordot(coeffs, out, axes=1).astype(np.int64), p)
+                homs_in[:, t] = base_in - linalg.rank_batch(np.tensordot(coeffs, ins, axes=1).astype(np.int64), p)
             return homs_out, homs_in
 
         return keys
@@ -725,7 +735,8 @@ class IsoResult(NamedTuple):
 
 
 def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
-    """Decide M = N exactly. By Nakayama, a hom between modules of equal
+    """Decide M = N exactly. dim Hom(M, N) must equal dim End(M), cached on
+    M, the first argument. By Nakayama, a hom between modules of equal
     dimension is an isomorphism iff its top map is invertible, so M = N iff
     the image of Hom(M, N) in Hom_k(M/mM, N/mN), spanned by r <= mu(M) mu(N)
     independent top maps, holds an invertible map: linalg.unit_combination,
@@ -739,6 +750,11 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     if M.dim == 0:
         return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
     lift, imgs = _generator_images(M, N)
+    # M = N would make Hom(M, N) = End(M): unequal dimensions are an exact no
+    if M._end_dim is None:
+        M._end_dim = hom_dim(M, M)
+    if len(imgs) != M._end_dim:
+        return IsoResult(False, None)
     # rows of `top` are functionals vanishing exactly on mN: a fixed N -> N/mN.
     # Equal profiles give dim mM = dim mN, so the top maps are square.
     top = linalg.kernel_basis(N.radical_subspace().transpose()).array.T

@@ -468,6 +468,24 @@ def test_filt_profiles_every_cocycle_block_in_one_batch(monkeypatch, tmp_path):
     assert not unprofiled
 
 
+def test_filt_resolves_x_once_per_census(example1, monkeypatch):
+    """Every Ext^1(X, Y) of a census and the presentation of X share one
+    two-step resolution of X = R/(x); nothing else is resolved two steps."""
+    made = []
+    real = modules.Resolution.__init__
+
+    def spy(self, M, steps):
+        made.append((M, steps))
+        real(self, M, steps)
+
+    monkeypatch.setattr(modules.Resolution, "__init__", spy)
+    levels = filt_enumerate(example1, closure_element(example1), 3)
+    X = levels[0][0].module
+    assert [len(level) for level in levels] == [1, 8, 134]
+    assert [M for M, steps in made if steps == 2] == [X]
+    assert all(M is not X for M, steps in made if steps == 1)
+
+
 def test_closure_negative_census(closure_pair, closure_y3):
     for verdict in (closure_pair, closure_y3):
         assert not verdict.contains_k

@@ -128,6 +128,12 @@ def test_invertible_batch_matches_per_matrix_rank():
 @example(0, 3, 4, 0, 5, "dense")
 @example(0, 65521, 4, 5, 0, "dense")
 @example(0, 65521, 5, 6, 4, "low-rank")
+@example(1, 2, 3, 64, 80, "low-rank")  # transposed: one word per row, 64 bits
+@example(2, 2, 3, 65, 80, "low-rank")  # transposed: 65 columns stay generic
+@example(3, 2, 4, 9, 64, "sparse")
+@example(4, 2, 2, 70, 65, "dense")
+@example(5, 2, 3, 200, 64, "low-rank")  # tall, not transposed
+@example(6, 3, 3, 4, 90, "sparse")  # transposed, p = 3
 def test_rank_batch_matches_rank_mod(seed, p, batch, rows, cols, kind):
     rng = np.random.default_rng(seed)
     mats = rng.integers(0, p, size=(batch, rows, cols))
@@ -465,6 +471,20 @@ def test_one_word_path_takes_only_f2_matrices_of_at_most_64_columns(monkeypatch)
     for p, shape in [(2, (5, 64)), (2, (5, 65)), (3, (5, 8)), (2, (linalg.WORD_ROWS + 1, 8))]:
         linalg.rref(PrimeFieldMatrix(np.ones(shape, dtype=np.int64), p))
     assert words == [(5, 64)]
+
+
+def test_packed_rank_batch_takes_only_f2_stacks_whose_shorter_side_is_at_most_64(monkeypatch):
+    words = []
+    real = linalg._rank_batch_words
+
+    def spy(stack):
+        words.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(linalg, "_rank_batch_words", spy)
+    for p, shape in [(2, (3, 100, 64)), (2, (3, 64, 100)), (2, (3, 65, 65)), (3, (3, 8, 8)), (2, (0, 5, 5))]:
+        linalg.rank_batch(np.ones(shape, dtype=np.int64), p)
+    assert words == [(3, 100), (3, 100), (0, 5)]
 
 
 def test_kernel_functions_match_rref_oracle_on_argmax_pivots():

@@ -665,7 +665,8 @@ def _kronecker_module(A, lam):
 def test_is_isomorphic_agrees_with_brute_force_oracle(example1, goto, stretched):
     rng = np.random.default_rng(20)
     # the Kronecker modules for lam = 1, 2 share iso_profile and every hom
-    # dimension below, so only the search over Hom can tell them apart
+    # dimension below; is_isomorphic tells them apart by dim Hom(M1, M2)
+    # against dim End(M1)
     K = make_ring(["x", "y"], ["x^2", "xy", "y^2"], 3)
     M1, M2 = _kronecker_module(K, 1), _kronecker_module(K, 2)
     assert M1.iso_profile() == M2.iso_profile()
@@ -746,18 +747,50 @@ def test_determinant_decision_proves_the_f5_merges_without_sampling(monkeypatch)
 
 def test_module_searches_agree_with_brute_force(goto, stretched, monkeypatch):
     """Every isomorphism search filt_enumerate makes on goto and stretched
-    at depth 3 with p^r <= 4096, and those for the F_3 Kronecker pairs,
-    get the verdict of trying all p^r combinations of their top maps."""
+    at depth 3 with p^r <= 4096 gets the verdict of trying all p^r
+    combinations of its top maps, and some of them find no invertible one.
+    The F_3 Kronecker pairs are told apart before any search, by dim
+    Hom(M, N) against dim End(M), and agree with the brute-force oracle."""
     seen = _record_searches(monkeypatch)
     for A in (goto, stretched):
         filt_enumerate(A, closure_element(A), 3)
-    K = make_ring(["x", "y"], ["x^2", "xy", "y^2"], 3)
-    M1, M2 = _kronecker_module(K, 1), _kronecker_module(K, 2)
-    assert not is_isomorphic(M1, M2) and not is_isomorphic(direct_sum(M1, M1), direct_sum(M1, M2))
     small = [(stack, p, point) for stack, p, point in seen if p ** stack.shape[0] <= 4096]
-    assert len(small) >= 10 and any(point is None for _, _, point in small[-2:])
+    assert len(small) >= 10 and any(point is None for _, _, point in small)
     for stack, p, point in small:
         assert (point is not None) == unit_in_span_brute(stack, p)
+    K = make_ring(["x", "y"], ["x^2", "xy", "y^2"], 3)
+    M1, M2 = _kronecker_module(K, 1), _kronecker_module(K, 2)
+    searches = len(seen)
+    for M, N in [(M1, M2), (direct_sum(M1, M1), direct_sum(M1, M2))]:
+        assert not is_isomorphic(M, N) and not is_isomorphic_brute(M.action, N.action, 3)
+    assert len(seen) == searches
+
+
+def test_end_dimension_gate_answers_before_any_search(monkeypatch):
+    """is_isomorphic(M, N) says no, with no determinant, when dim Hom(M, N)
+    differs from dim End(M), which it computes once and keeps on M; an
+    isomorphic pair passes the gate and gets its witness from the search."""
+    K = make_ring(["x", "y"], ["x^2", "xy", "y^2"], 3)
+    M1, M2 = _kronecker_module(K, 1), _kronecker_module(K, 2)
+    assert M1.iso_profile() == M2.iso_profile()
+    assert hom_dim(M1, M2) != hom_dim(M1, M1)
+    seen = _record_searches(monkeypatch)
+    ends = []
+    real = modules.hom_dim
+
+    def spy(M, N):
+        ends.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(modules, "hom_dim", spy)
+    assert not is_isomorphic(M1, M2)
+    assert not is_isomorphic_brute(M1.action, M2.action, 3)
+    assert seen == [] and ends == [(M1, M1)]
+    N1 = _random_conjugate(M1, np.random.default_rng(3))
+    result = is_isomorphic(M1, N1)
+    assert result and len(seen) == 1 and ends == [(M1, M1)]
+    H = result.witness.matrix
+    assert linalg.rank_mod(H, 3) == 2 and not ((N1.action @ H - H @ M1.action) % 3).any()
 
 
 def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
