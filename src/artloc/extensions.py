@@ -290,6 +290,7 @@ def filt_enumerate(
                     if any(is_isomorphic(classes[idx].module, M).isomorphic for idx in buckets.get(key, ())):
                         continue
                     pres = _triangular_step(ynode.presentation, witness, x, base)
+                    M.use_presentation(pres)
                     buckets.setdefault(key, []).append(len(classes))
                     classes.append(FiltNode(lev, M, ynode.chain + (witness,), pres))
         order = sorted(range(len(classes)), key=lambda i: canonical_fingerprint(classes[i].module))

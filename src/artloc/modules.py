@@ -25,7 +25,7 @@ class FpModule:
     """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
     shape is checked; the package's constructions preserve the axioms."""
 
-    __slots__ = ("algebra", "dim", "action", "_profile", "_resolution", "_homdata", "_end_dim", "_radical")
+    __slots__ = ("algebra", "dim", "action", "_profile", "_resolution", "_presentation", "_lift", "_end_dim", "_radical")
 
     def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
         action = np.mod(np.asarray(action, dtype=np.int64), algebra.p)
@@ -37,7 +37,8 @@ class FpModule:
         self.action = action
         self._profile: Optional[tuple] = None
         self._resolution: Optional[Resolution] = None
-        self._homdata: Optional[tuple] = None
+        self._presentation: Optional[FreePresentation] = None
+        self._lift: Optional[np.ndarray] = None
         self._end_dim: Optional[int] = None
         self._radical: Optional[PrimeFieldMatrix] = None
 
@@ -78,6 +79,12 @@ class FpModule:
         if self._profile is None:
             iso_profiles([self])
         return self._profile
+
+    def use_presentation(self, pres: "FreePresentation") -> None:
+        """Take homs out of this module through pres from now on. pres must
+        present the module (A^b1 -> A^b0 -> M -> 0 exact), which is not
+        checked here; it need not be minimal."""
+        self._presentation, self._lift = pres, None
 
     def __repr__(self) -> str:
         return f"FpModule(dim={self.dim} over p={self.algebra.p})"
@@ -581,41 +588,52 @@ def base_change(M: FpModule, qr: QuotientRing) -> FpModule:
 # -- hom spaces and isomorphism testing ------------------------------------------------------
 
 
-def _presentation_data(M: FpModule) -> tuple:
-    """Cached (d1, lift): minimal relations of M and a linear section of the
-    cover A^b0 -> M, from the resolution an Ext1Space left on M if there is
-    one (its steps do not depend on how many are taken). A hom out of M is
-    then a kernel element of d1 acting."""
-    if M._homdata is None:
+def _presentation_data(M: FpModule) -> FreePresentation:
+    """The presentation homs out of M are computed through: the one handed
+    over by use_presentation (filt_enumerate gives each class its verified
+    triangular one), else the minimal one of the resolution an Ext1Space
+    left on M (its steps do not depend on how many are taken), else that of
+    Resolution(M, 1). A map out of coker(d1) is a tuple of generator images
+    killed by the relations d1, for any presentation, so a hom out of M is a
+    kernel element of d1 acting."""
+    if M._presentation is None:
         res = M._resolution or Resolution(M, 1)
-        cover = PrimeFieldMatrix(res.cover, M.algebra.p)
-        lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(M.dim, M.algebra.p))
-        M._homdata = (res.differentials[0], lift.array)
-    return M._homdata
+        M._presentation = FreePresentation(res.differentials[0], res.cover)
+    return M._presentation
 
 
-def _hom_constraint(M: FpModule, N: FpModule) -> tuple:
-    """(d1, lift, D) where Hom(M, N) = ker D inside N^b0."""
+def _cover_lift(M: FpModule) -> np.ndarray:
+    """A linear section of the cover of _presentation_data(M), computed on
+    first use: it turns generator images into hom matrices."""
+    if M._lift is None:
+        p = M.algebra.p
+        cover = PrimeFieldMatrix(_presentation_data(M).cover, p)
+        M._lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(M.dim, p)).array
+    return M._lift
+
+
+def _hom_constraint(M: FpModule, N: FpModule) -> tuple[RingMatrix, PrimeFieldMatrix]:
+    """(d1, D): the relations of M's presentation and D, with Hom(M, N) = ker D
+    inside N^b0."""
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
-    d1, lift = _presentation_data(M)
-    return d1, lift, d1.transpose().acting_on(N)
+    d1 = _presentation_data(M).relations
+    return d1, d1.transpose().acting_on(N)
 
 
 def hom_dim(M: FpModule, N: FpModule) -> int:
     """dim Hom_A(M, N) without extracting a basis."""
     if M.dim == 0 or N.dim == 0:
         return 0
-    d1, _, D = _hom_constraint(M, N)
+    d1, D = _hom_constraint(M, N)
     return d1.rows * N.dim - linalg.rank_mod(D.array, M.algebra.p)
 
 
-def _generator_images(M: FpModule, N: FpModule) -> tuple[np.ndarray, np.ndarray]:
-    """(lift, imgs): imgs[t, i] is the image of M's i-th minimal generator
-    under the t-th canonical basis element of Hom_A(M, N)."""
-    d1, lift, D = _hom_constraint(M, N)
+def _generator_images(b0: int, D: PrimeFieldMatrix, N: FpModule) -> np.ndarray:
+    """imgs[t, i] is the image of the i-th of the b0 presentation generators
+    under the t-th canonical basis element of Hom_A(M, N) = ker D."""
     ker = linalg.kernel_basis(D)
-    return lift, ker.array.T.reshape(ker.cols, d1.rows, N.dim)
+    return ker.array.T.reshape(ker.cols, b0, N.dim)
 
 
 def _hom_matrices(N: FpModule, lift: np.ndarray, imgs: np.ndarray) -> np.ndarray:
@@ -626,16 +644,16 @@ def _hom_matrices(N: FpModule, lift: np.ndarray, imgs: np.ndarray) -> np.ndarray
 def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
     """Basis of Hom_A(M, N) as (dim_N, dim_M) matrices, canonically ordered.
 
-    Computed through a minimal presentation of M: a map out of coker(d1) is
-    a tuple of generator images killed by the relations, so the system has
-    b0 * dim_N unknowns instead of dim_M * dim_N.
+    Computed through the presentation of M (_presentation_data): a map out
+    of coker(d1) is a tuple of generator images killed by the relations, so
+    the system has b0 * dim_N unknowns instead of dim_M * dim_N.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
     if M.dim == 0 or N.dim == 0:
         return []
-    lift, imgs = _generator_images(M, N)
-    return list(_hom_matrices(N, lift, imgs))
+    d1, D = _hom_constraint(M, N)
+    return list(_hom_matrices(N, _cover_lift(M), _generator_images(d1.rows, D, N)))
 
 
 def hom_space(M: FpModule, N: FpModule) -> list[ModuleMap]:
@@ -653,12 +671,15 @@ class HomSequenceKeys:
       delta_xi: Hom(Y, T) -> Ext^1(X, T), f -> [f phi_xi];
       dim Hom(T, M) = dim Hom(T, Y) + dim Hom(T, X) - rank d_xi,
       d_xi: Hom(T, X) -> Ext^1(T, Y), g -> [phi_xi g_1],
-    where g_1: F_1(T) -> F_1(X) lifts g through the minimal presentations.
-    Both images are cocycles, so the ranks are taken in cochains modulo
-    coboundaries: T^b1(X) / im d1(X)^T and Y^b1(T) / im d1(T)^T. Both maps
-    are linear in xi: keys_for(ext) builds one tensor per test and side over
-    the basis cocycles, and a block of cocycles then costs one tensordot and
-    one rank_batch each.
+    where g_1: F_1(T) -> F_1(X) lifts g through the presentations. Ext^1 can
+    be computed from any projective resolution, so T's presentation is
+    whichever _presentation_data gives (the triangular one of a filt class),
+    while X's is the minimal one every Ext1Space(X, Y) takes its cocycles
+    against. Both images are cocycles, so the ranks are taken in cochains
+    modulo coboundaries: T^b1(X) / im d1(X)^T and Y^b1(T) / im d1(T)^T.
+    Both maps are linear in xi: keys_for(ext) builds one tensor per test and
+    side over the basis cocycles, and a block of cocycles then costs one
+    tensordot and one rank_batch each.
     """
 
     def __init__(self, X: FpModule, tests: Sequence[FpModule]):
@@ -666,15 +687,18 @@ class HomSequenceKeys:
         p = A.p
         self.X = X
         self.tests = list(tests)
-        self.d1, lift = _presentation_data(X)
+        # X's own presentation: the cocycles of every Ext1Space(X, Y) are
+        # taken against it, so the two must share d1
+        self.d1 = _presentation_data(X).relations
+        lift = _cover_lift(X)
         d1_lin = self.d1.as_linear_map()
         # per test: dim Hom(X, T), the projection of T^b1(X) onto the
         # coboundary complement, and every g in Hom(T, X) lifted to g_1
         self._per_test = []
         for T in self.tests:
             proj, _, _ = linalg.complement_projection(self.d1.transpose().acting_on(T))
-            d1T, _ = _presentation_data(T)
-            _, imgs = _generator_images(T, X)
+            d1T, D = _hom_constraint(T, X)
+            imgs = _generator_images(d1T.rows, D, X)
             h, b0T, b1T = imgs.shape[0], d1T.rows, d1T.cols
             # g_0 sends T's k-th generator to a lift in A^b0(X) of g(t_k) ...
             g0 = (imgs @ lift.T) % p
@@ -734,6 +758,12 @@ class IsoResult(NamedTuple):
         return self.isomorphic
 
 
+def _top_functionals(M: FpModule) -> np.ndarray:
+    """The (mu, dim_M) rows of functionals vanishing exactly on mM: a fixed
+    map M -> M/mM."""
+    return linalg.kernel_basis(M.radical_subspace().transpose()).array.T
+
+
 def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     """Decide M = N exactly. dim Hom(M, N) must equal dim End(M), cached on
     M, the first argument. By Nakayama, a hom between modules of equal
@@ -741,30 +771,42 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     the image of Hom(M, N) in Hom_k(M/mM, N/mN), spanned by r <= mu(M) mu(N)
     independent top maps, holds an invertible map: linalg.unit_combination,
     which raises ValueError past its cap. The combination it finds is lifted
-    and checked to be A-linear and invertible before it is returned."""
+    and checked to be A-linear and invertible before it is returned.
+
+    Homs are taken through M's presentation, which may have more than
+    mu(M) generators. A top map is fixed by its values on a basis of M/mM,
+    so each is read on the generators whose tops form one: the pivots of
+    the generators' top coordinates."""
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
-    p = M.algebra.p
+    A = M.algebra
+    p = A.p
     if M.dim != N.dim or M.iso_profile() != N.iso_profile():
         return IsoResult(False, None)
     if M.dim == 0:
         return IsoResult(True, ModuleMap(M, N, np.zeros((0, 0), dtype=np.int64)))
-    lift, imgs = _generator_images(M, N)
     # M = N would make Hom(M, N) = End(M): unequal dimensions are an exact no
     if M._end_dim is None:
         M._end_dim = hom_dim(M, M)
-    if len(imgs) != M._end_dim:
+    d1, D = _hom_constraint(M, N)
+    if d1.rows * N.dim - linalg.rank_mod(D.array, p) != M._end_dim:
         return IsoResult(False, None)
-    # rows of `top` are functionals vanishing exactly on mN: a fixed N -> N/mN.
-    # Equal profiles give dim mM = dim mN, so the top maps are square.
-    top = linalg.kernel_basis(N.radical_subspace().transpose()).array.T
+    imgs = _generator_images(d1.rows, D, N)
+    # Equal profiles give dim mM = dim mN, so mu(M) = mu(N) and, once read
+    # on a basis of M/mM, the top maps are square.
+    top = _top_functionals(N)
     tops = np.einsum("un,tin->tui", top, imgs) % p
+    if d1.rows > len(top):
+        # column k * dim_A of the cover is e_0 = 1 times generator k
+        gens = _presentation_data(M).cover[:, :: A.dim]
+        basis = list(linalg.rref(PrimeFieldMatrix(_top_functionals(M) @ gens, p)).pivots)
+        tops = tops[:, :, basis]
     # the top maps of the first independent Hom basis elements span the image
     keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(len(tops), len(top) ** 2).T, p)).pivots)
     coeffs = linalg.unit_combination(tops[keep], p)
     if coeffs is None:
         return IsoResult(False, None)
-    H = ModuleMap(M, N, _hom_matrices(N, lift, np.tensordot(coeffs, imgs[keep], axes=(0, 0)) % p))
+    H = ModuleMap(M, N, _hom_matrices(N, _cover_lift(M), np.tensordot(coeffs, imgs[keep], axes=(0, 0)) % p))
     if not H.is_linear() or linalg.rank_mod(H.matrix, p) != M.dim:
         raise RuntimeError("lifted top-space witness is not an isomorphism")
     return IsoResult(True, H)

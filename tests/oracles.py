@@ -238,6 +238,36 @@ def is_isomorphic_brute(M_action: np.ndarray, N_action: np.ndarray, p: int) -> b
     return unit_in_span_brute(np.array(basis, dtype=np.int64).reshape(len(basis), n, n), p)
 
 
+def top_map_basis(M_action: np.ndarray, N_action: np.ndarray, homs, p: int) -> np.ndarray:
+    """An independent (r, mu(N), mu(M)) stack spanning the top maps
+    M/mM -> N/mN of the homs (a Hom basis such as hom_basis_kron). mM is the
+    span of every e_i w, i >= 1 (the non-unit basis elements span m); M/mM
+    gets the basis vectors that greedy_picks keeps over mM, and N/mN the
+    functionals vanishing on mN."""
+    n, m = N_action.shape[1], M_action.shape[1]
+    mM = span_of_products_loop(M_action[1:], np.eye(m, dtype=np.int64), p)
+    mN = span_of_products_loop(N_action[1:], np.eye(n, dtype=np.int64), p)
+    picks = greedy_picks(mM.T, np.eye(m, dtype=np.int64), p)
+    funcs = np.array(null_space_fp(mN.T, p, n), dtype=np.int64).reshape(-1, n)
+    tops = [((funcs @ h[:, picks]) % p).ravel() for h in homs]
+    rows, pivots = _rref_fp(tops, p) if tops else (None, [])
+    return np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), len(funcs), len(picks))
+
+
+def is_isomorphic_top_brute(M_action: np.ndarray, N_action: np.ndarray, p: int, homs=None) -> bool:
+    """is_isomorphic_brute over the top maps only: by Nakayama a hom between
+    modules of equal dimension is invertible iff its top map is, so M = N
+    iff mu(M) = mu(N) and some combination of top_map_basis has full rank;
+    every one of its p^r combinations is tried, r <= mu(M) mu(N). homs is a
+    Hom basis when the caller has one (default hom_basis_kron)."""
+    if N_action.shape[1] != M_action.shape[1]:
+        return False
+    if homs is None:
+        homs = hom_basis_kron(M_action, N_action, p)
+    tops = top_map_basis(M_action, N_action, homs, p)
+    return tops.shape[1] == tops.shape[2] and unit_in_span_brute(tops, p)
+
+
 def greedy_picks(span_vectors, candidates, p: int) -> list[int]:
     """Indices of the candidates a per-vector greedy scan keeps: each kept
     one raises the rank of the span vectors plus the candidates kept so far."""

@@ -45,6 +45,7 @@ from oracles import (
     base_p_digits,
     commutes_with_action,
     hom_dim_kron,
+    is_isomorphic_top_brute,
     module_axioms_hold,
     orbit_minima_brute,
 )
@@ -142,6 +143,26 @@ def test_filt_nodes_are_modules_with_linear_witnesses(filt_pool):
             for step in node.chain:
                 for f in (step.inject, step.project):
                     assert commutes_with_action(f.source.action, f.target.action, f.matrix, A.p)
+
+
+def test_filt_pool_counts_agree_with_a_brute_force_oracle(filt_pool):
+    """The pinned class counts of dual, pair, y3, ci and goto, and of
+    example1 through level 2, hold up under an oracle independent of
+    is_isomorphic: two classes of one level with different iso profiles are
+    not isomorphic, and no two with equal profiles are isomorphic by a brute
+    force over every combination of their top maps. (A brute force over a
+    Hom basis would need 2^13 to 2^38 combinations on these pairs.)"""
+    checked = 0
+    for name in ("dual", "pair", "y3", "ci", "goto", "example1"):
+        A, _, levels = filt_pool[name]
+        for level in levels[:2] if name == "example1" else levels:
+            mods = [node.module for node in level]
+            for i, M in enumerate(mods):
+                for N in mods[i + 1 :]:
+                    if M.iso_profile() == N.iso_profile():
+                        assert not is_isomorphic_top_brute(M.action, N.action, A.p)
+                        checked += 1
+    assert checked == 28
 
 
 def test_filt_presentations_are_triangular(filt_pool):
@@ -421,21 +442,21 @@ def test_sequence_keys_on_split_extensions_and_empty_hom_spaces():
 
 
 def test_filt_resolves_only_modules_that_become_classes(goto, monkeypatch):
-    """Bucket keys come from the cocycles, so a minimal presentation is only
-    ever built for X or for a module kept as a class (a test one level up,
-    or a class facing an isomorphism test)."""
-    resolved = []
-    real = modules.Resolution
+    """Bucket keys come from the cocycles, and every class above level 1
+    takes its homs through its verified triangular presentation, so the
+    only class ever resolved is X = R/(x), by the two-step resolution its
+    Ext^1 spaces share; no one-step resolution is built at all."""
+    made = []
+    real = modules.Resolution.__init__
 
-    def spy(M, steps):
-        if steps == 1:
-            resolved.append(M)
-        return real(M, steps)
+    def spy(self, M, steps):
+        made.append((M, steps))
+        real(self, M, steps)
 
-    monkeypatch.setattr(modules, "Resolution", spy)
+    monkeypatch.setattr(modules.Resolution, "__init__", spy)
     levels = filt_enumerate(goto, closure_element(goto), 3)
-    kept = [node.module for level in levels for node in level]
-    assert resolved and all(any(M is K for K in kept) for M in resolved)
+    assert [len(level) for level in levels] == [1, 4, 13]
+    assert made == [(levels[0][0].module, 2)]
 
 
 def test_filt_profiles_every_cocycle_block_in_one_batch(monkeypatch, tmp_path):

@@ -55,10 +55,13 @@ from oracles import (
     commutes_with_action,
     cover_columns,
     free_action,
+    hom_basis_kron,
     hom_dim_kron,
     is_isomorphic_brute,
+    is_isomorphic_top_brute,
     iso_profile_loop,
     module_axioms_hold,
+    rank_fp,
     socle_series_loop,
     span_of_products_loop,
     unit_in_span_brute,
@@ -685,6 +688,7 @@ def test_is_isomorphic_agrees_with_brute_force_oracle(example1, goto, stretched)
         assert hom_dim(M, N) <= 10
         result = is_isomorphic(M, N)
         assert bool(result) == is_isomorphic_brute(M.action, N.action, p)
+        assert bool(result) == is_isomorphic_top_brute(M.action, N.action, p)
         verdicts.append(bool(result))
         if result:
             H = result.witness.matrix
@@ -800,6 +804,81 @@ def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
     monkeypatch.setattr(modules, "_hom_matrices", broken)
     with pytest.raises(RuntimeError, match="not an isomorphism"):
         is_isomorphic(R, R)
+
+
+def _assert_witness(result, M, N):
+    """The witness of a positive decision is A-linear and invertible."""
+    p = M.algebra.p
+    H = result.witness.matrix
+    assert rank_fp(H, p) == M.dim and commutes_with_action(M.action, N.action, H, p)
+
+
+def test_homs_through_filt_presentations_match_the_oracles(filt_pool):
+    """Every class of goto level 3 and example1 level 2 takes its homs
+    through its triangular node presentation, and six goto classes have
+    fewer minimal generators than that presentation has rows. For every
+    ordered pair of classes of one level, hom_dim is the textbook count,
+    hom_space_matrices spans the textbook Hom space, and is_isomorphic
+    agrees with a brute force over the top maps (at most 2^9 combinations
+    here), with a verified witness when it says yes."""
+    short = 0
+    for name, lev in (("goto", 2), ("example1", 1)):
+        A, _, levels = filt_pool[name]
+        p = A.p
+        nodes = levels[lev]
+        assert all(modules._presentation_data(n.module) is n.presentation for n in nodes)
+        short += sum(len(minimal_generators(n.module)) < n.presentation.betti0 for n in nodes)
+        for M, N in ((a.module, b.module) for a in nodes for b in nodes):
+            kron = hom_basis_kron(M.action, N.action, p)
+            homs = hom_space_matrices(M, N)
+            assert hom_dim(M, N) == len(homs) == len(kron)
+            flat = [h.ravel() for h in homs]
+            assert rank_fp(flat, p) == len(kron) == rank_fp(flat + [h.ravel() for h in kron], p)
+            result = is_isomorphic(M, N)
+            assert bool(result) == (M is N) == is_isomorphic_top_brute(M.action, N.action, p, kron)
+            if result:
+                _assert_witness(result, M, N)
+    assert short == 6
+
+
+def _redundant_presentation(M, pres, x):
+    """pres with one more generator put first, w = g_1 + x g_2, and the
+    relation e_w - e_1 - x e_2 for it; certified by linalg.exactness. w and
+    g_1 have the same top, so the first mu generators are no basis of M/mM."""
+    A = M.algebra
+    p, d = A.p, A.dim
+    b0, b1 = pres.relations.rows, pres.relations.cols
+    w = (pres.cover[:, 0] + M.action_of(x) @ pres.cover[:, d]) % p
+    entries = np.zeros((b0 + 1, b1 + 1, d), dtype=np.int64)
+    entries[1:, :b1] = pres.relations.entries
+    entries[0, b1], entries[1, b1], entries[2, b1] = A.unit(), -A.unit(), -x
+    bigger = modules.FreePresentation(RingMatrix(A, entries), np.hstack([cover_matrix(M, w[None]), pres.cover]))
+    assert linalg.exactness(bigger.relations.as_linear_map().array, bigger.cover, p)[2]
+    return bigger
+
+
+def test_a_redundant_presentation_gets_the_same_decision(goto, monkeypatch):
+    """A goto level-3 module presented with a redundant generator in front
+    gets from is_isomorphic the decision of its copy presented minimally,
+    against an isomorphic copy in other coordinates and against every class
+    of equal profile, some of them told apart only by the determinant; each
+    yes has a verified witness."""
+    x = closure_element(goto)
+    nodes = filt_enumerate(goto, x, 3)[2]
+    seen = _record_searches(monkeypatch)
+    rng = np.random.default_rng(5)
+    for node in nodes:
+        M = FpModule(goto, node.module.action)
+        plain = FpModule(goto, node.module.action)
+        M.use_presentation(_redundant_presentation(M, minimal_presentation(M), x))
+        assert modules._presentation_data(M).betti0 == len(minimal_generators(M)) + 1
+        others = [n.module for n in nodes if n.module.iso_profile() == M.iso_profile()]
+        for N in others + [_random_conjugate(M, rng)]:
+            result = is_isomorphic(M, N)
+            assert bool(result) == bool(is_isomorphic(plain, N))
+            if result:
+                _assert_witness(result, M, N)
+    assert any(point is None for _, _, point in seen)
 
 
 def test_iso_profile_is_permutation_invariant(example1):
