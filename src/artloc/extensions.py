@@ -277,7 +277,7 @@ def filt_enumerate(
         # bucket on iso invariants so candidates only ever face their
         # plausible classmates; hom dims against the previous level's
         # canonical classes separate most remaining distinct classes
-        hom_keys = HomSequenceKeys(X, [node.module for node in prev] + [X])
+        hom_keys = HomSequenceKeys(X, spaces + [ext1(X, X)])
         for ynode, es in zip(prev, spaces):
             keys_of = hom_keys.keys_for(es)
             for block in _orbit_minima(es):
@@ -300,28 +300,17 @@ def filt_enumerate(
 
 def splice_nodes(bottom: FiltNode, top: FiltNode) -> FiltNode:
     """A level-(p+q) node for bottom + top built by direct construction:
-    bottom's chain, then top's chain extended identically on the summand."""
+    bottom's chain, then top's chain extended identically on the summand.
+    Its first step, the split 0 -> M -> M + X -> X -> 0, is the trivial
+    0 -> 0 -> X -> X -> 0 extended the same way."""
     M = bottom.module
     A = M.algebra
-    chain = list(bottom.chain)
-    carried = M
-    top_modules = [top.chain[0].sub if top.chain else top.module]
-    steps = list(top.chain)
-    # first spliced step: 0 -> M -> M + X -> X -> 0 split
-    X = top_modules[0]
-    mid = direct_sum(carried, X)
-    inj = np.zeros((mid.dim, carried.dim), dtype=np.int64)
-    inj[: carried.dim] = np.eye(carried.dim, dtype=np.int64)
-    prj = np.zeros((X.dim, mid.dim), dtype=np.int64)
-    prj[:, carried.dim :] = np.eye(X.dim, dtype=np.int64)
-    w0 = ExtensionWitness(carried, mid, X,
-                          ModuleMap(carried, mid, inj),
-                          ModuleMap(mid, X, prj))
-    if w0.verify():
-        raise LiftFailure("split step failed to verify")
-    chain.append(w0)
-    carried = mid
-    for w in steps:
+    X = top.chain[0].sub if top.chain else top.module
+    zero = FpModule(A, np.zeros((A.dim, 0, 0), dtype=np.int64))
+    split = ExtensionWitness(zero, X, X, ModuleMap(zero, X, np.zeros((X.dim, 0))),
+                             ModuleMap(X, X, np.eye(X.dim)))
+    chain, carried = list(bottom.chain), M
+    for w in (split, *top.chain):
         new_mid = direct_sum(M, w.middle)
         inj = np.zeros((new_mid.dim, carried.dim), dtype=np.int64)
         inj[: M.dim, : M.dim] = np.eye(M.dim, dtype=np.int64)
@@ -402,13 +391,12 @@ def check_matrix_condition(pres: FreePresentation, x: np.ndarray) -> list[bool]:
     return out
 
 
-class ReducedPresentation:
+class ReducedPresentation(NamedTuple):
     """Result of strict_upper_reduction: the new presentation plus the
     complement ideal I with m = (x) + I."""
 
-    def __init__(self, presentation: FreePresentation, complement: IdealSubspace):
-        self.presentation = presentation
-        self.complement = complement
+    presentation: FreePresentation
+    complement: IdealSubspace
 
 
 def complement_ideal(A: LocalAlgebra, x: np.ndarray) -> IdealSubspace:

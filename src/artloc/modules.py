@@ -469,16 +469,27 @@ def tor(M: FpModule, N: FpModule, i: int) -> int:
     return res.betti[i] * N.dim - int(sum(ranks))
 
 
+def _coboundary_projection(d1: RingMatrix, N: FpModule) -> tuple[np.ndarray, int]:
+    """(proj, dim Hom(M, N)) for M presented by d1, from one reduction of
+    D = d1^T acting on N: Hom(M, N) = ker D, and proj maps the cochains N^b1
+    onto a complement of the coboundaries B^1 = im D, with kernel B^1."""
+    D = d1.transpose().acting_on(N)
+    proj = linalg.complement_projection(D)[0]
+    return proj, D.cols - D.rows + proj.shape[0]
+
+
 class Ext1Space:
-    """Ext^1(X, L) with representative cocycles against a fixed minimal
-    resolution of X. reps[t] is a (dim_L, b1) matrix giving the images of
-    the b1 free generators of F_1."""
+    """Ext^1(X, L) = Z^1 / B^1 with representative cocycles against a fixed
+    minimal resolution of X. reps[t] is a (dim_L, b1) matrix giving the
+    images of the b1 free generators of F_1. Cochains are taken modulo B^1
+    through proj (_coboundary_projection, which also gives hom_dim =
+    dim Hom(X, L)); the reps are the canonical basis vectors of Z^1 at the
+    pivot columns of rref(proj Z), a basis of Z^1 modulo B^1."""
 
     def __init__(self, X: FpModule, L: FpModule):
         if X.algebra is not L.algebra:
             raise ValueError("modules live over different algebras")
-        A = X.algebra
-        p = A.p
+        p = X.algebra.p
         self.X = X
         self.L = L
         # resolved once per X: every space over it and its presentation share it
@@ -488,18 +499,12 @@ class Ext1Space:
         self.beta0, self.beta1 = res.betti[0], res.betti[1]
         self.d1 = res.differential(1)
         self.cover0 = res.cover  # matrix dim_X x (beta0 * dim_A)
-        d2 = res.differential(2)
         # cocycles: phi with phi . d2 = 0, phi stored as L^{beta1}
-        z_map = d2.transpose().acting_on(L)
-        Z = linalg.kernel_basis(z_map)
-        # the coboundaries B^1 span the image of d1 acting; only the span counts
-        B = self.d1.transpose().acting_on(L)
-        picks = linalg.greedy_completion(B, Z)
-        self.reps = Z.array[:, picks].T.reshape(len(picks), self.beta1, L.dim).transpose(0, 2, 1)
+        Z = linalg.kernel_basis(res.differential(2).transpose().acting_on(L)).array
+        self.proj, self.hom_dim = _coboundary_projection(self.d1, L)
+        picks = list(linalg.rref(PrimeFieldMatrix(self.proj @ Z, p)).pivots)
+        self.reps = Z[:, picks].T.reshape(len(picks), self.beta1, L.dim).transpose(0, 2, 1)
         self.dim = len(picks)
-        # Z^1 spanned by [reps | coboundaries], for coordinates of cocycles:
-        # the reps are independent modulo B^1, so their coordinates are unique
-        self._cocycle_span = PrimeFieldMatrix._own(np.hstack([Z.array[:, picks], B.array]), p)
 
     def cocycle(self, coeffs: Sequence[int]) -> np.ndarray:
         """The (dim_L, beta1) cocycle matrix for coordinates in the basis."""
@@ -516,15 +521,16 @@ class Ext1Space:
     def pushforward(self, maps: np.ndarray) -> Optional[np.ndarray]:
         """For a (k, dim_L, dim_L) stack of A-linear maps g: L -> L, the
         (k, dim, dim) matrices of xi -> [g phi_xi] on cocycle coordinates
-        (column t is the image of reps[t]), from one solve against
-        [reps | coboundaries]; None if some g phi_xi is not a cocycle."""
+        (column t is the image of reps[t]), from one solve against the reps,
+        both through proj; None if some g phi_xi is not a cocycle."""
         p = self.X.algebra.p
         k, e = maps.shape[0], self.dim
         moved = np.einsum("gij,tjl->gtli", maps, self.reps).reshape(k * e, self.beta1 * self.L.dim)
-        sol = linalg.solve_matrix(self._cocycle_span, PrimeFieldMatrix(moved.T, p))
+        reps = self.reps.transpose(0, 2, 1).reshape(e, self.beta1 * self.L.dim)
+        sol = linalg.solve_matrix(PrimeFieldMatrix(self.proj @ reps.T, p), PrimeFieldMatrix(self.proj @ moved.T, p))
         if sol is None:
             return None
-        return sol.array[:e].reshape(e, k, e).transpose(1, 0, 2)
+        return sol.array.reshape(e, k, e).transpose(1, 0, 2)
 
 
 def ext1(X: FpModule, L: FpModule) -> Ext1Space:
@@ -662,8 +668,9 @@ def hom_space(M: FpModule, N: FpModule) -> list[ModuleMap]:
 
 class HomSequenceKeys:
     """dim Hom(M, T) and dim Hom(T, M) for the middle terms M of the
-    extensions 0 -> Y -> M -> X -> 0, against a fixed list of tests T, read off
-    the cocycle phi_xi of each extension rather than off M.
+    extensions 0 -> Y -> M -> X -> 0, against the tests T of a fixed list of
+    spaces Ext1Space(X, T), read off the cocycle phi_xi of each extension
+    rather than off M.
 
     The long exact sequences of Hom and Ext (Weibel, An Introduction to
     Homological Algebra, 2.5 and 3.4) give
@@ -675,40 +682,43 @@ class HomSequenceKeys:
     be computed from any projective resolution, so T's presentation is
     whichever _presentation_data gives (the triangular one of a filt class),
     while X's is the minimal one every Ext1Space(X, Y) takes its cocycles
-    against. Both images are cocycles, so the ranks are taken in cochains
-    modulo coboundaries: T^b1(X) / im d1(X)^T and Y^b1(T) / im d1(T)^T.
-    Both maps are linear in xi: keys_for(ext) builds one tensor per test and
-    side over the basis cocycles, and a block of cocycles then costs one
-    tensordot and one rank_batch each.
+    against, and so the spaces'. Both images are cocycles, so the ranks are
+    taken modulo coboundaries, each through one _coboundary_projection that
+    also gives its side's dim Hom: Ext1Space(X, T)'s for the out side, and
+    one per class Y for the in side. Both maps are linear in xi:
+    keys_for(ext) builds one tensor per test and side over the basis
+    cocycles, and a block of cocycles then costs one tensordot and one
+    rank_batch each.
     """
 
-    def __init__(self, X: FpModule, tests: Sequence[FpModule]):
+    def __init__(self, X: FpModule, spaces: Sequence[Ext1Space]):
         A = X.algebra
         p = A.p
+        if any(es.X is not X for es in spaces):
+            raise ValueError("every space must be an Ext^1 out of X")
         self.X = X
-        self.tests = list(tests)
-        # X's own presentation: the cocycles of every Ext1Space(X, Y) are
-        # taken against it, so the two must share d1
-        self.d1 = _presentation_data(X).relations
-        lift = _cover_lift(X)
-        d1_lin = self.d1.as_linear_map()
-        # per test: dim Hom(X, T), the projection of T^b1(X) onto the
-        # coboundary complement, and every g in Hom(T, X) lifted to g_1
+        self.tests = [es.L for es in spaces]
+        # per test: dim Hom(X, T), the projection of T^b1(X) modulo
+        # coboundaries, and every g in Hom(T, X) lifted to g_1
         self._per_test = []
-        for T in self.tests:
-            proj, _, _ = linalg.complement_projection(self.d1.transpose().acting_on(T))
-            d1T, D = _hom_constraint(T, X)
+        if not spaces:
+            return
+        d1, cover = spaces[0].d1, PrimeFieldMatrix(spaces[0].cover0, p)  # X's resolution, shared by all
+        lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(X.dim, p)).array
+        d1_lin = d1.as_linear_map()
+        for es in spaces:
+            d1T, D = _hom_constraint(es.L, X)
             imgs = _generator_images(d1T.rows, D, X)
             h, b0T, b1T = imgs.shape[0], d1T.rows, d1T.cols
             # g_0 sends T's k-th generator to a lift in A^b0(X) of g(t_k) ...
             g0 = (imgs @ lift.T) % p
-            g0 = g0.reshape(h, b0T, self.d1.rows, A.dim)
+            g0 = g0.reshape(h, b0T, d1.rows, A.dim)
             # ... so g_0 d1(T) maps F_1(T) into im d1(X), and g_1 solves d1(X) g_1 = g_0 d1(T)
             rhs = np.einsum("gkja,abc,klc->jbgl", g0, A.mult_matrices(), d1T.entries) % p
             g1 = linalg.solve_matrix(d1_lin, PrimeFieldMatrix(rhs.reshape(d1_lin.rows, h * b1T), p))
             if g1 is None:
                 raise RuntimeError("a hom T -> X did not lift through the presentations")
-            self._per_test.append((hom_dim(X, T), proj, d1T, g1.array.reshape(d1_lin.cols, h, b1T)))
+            self._per_test.append((es.hom_dim, es.proj, d1T, g1.array.reshape(d1_lin.cols, h, b1T)))
 
     def keys_for(self, ext: "Ext1Space"):
         """The function sending a (B, dim Ext^1(X, Y)) block of cocycle
@@ -727,13 +737,13 @@ class HomSequenceKeys:
             F = np.array(homs, dtype=np.int64).reshape(f, T.dim, Y.dim)
             # delta: column f holds f phi_i in T^b1(X), generator major
             out = np.einsum("fty,iyl->iflt", F, reps).reshape(e, f, ext.beta1 * T.dim) @ proj_out.T
-            proj_in, _, _ = linalg.complement_projection(d1T.transpose().acting_on(Y))
+            proj_in, hom_TY = _coboundary_projection(d1T, Y)
             # d: column g holds phi_i g_1 in Y^b1(T), generator major
             rows, h, b1T = g1.shape
             ins = (cov @ g1.reshape(rows, h * b1T)).reshape(e, Y.dim, h, b1T)
             ins = ins.transpose(0, 2, 3, 1).reshape(e, h, b1T * Y.dim) @ proj_in.T
             sides.append((hom_XT + f, np.ascontiguousarray(out.transpose(0, 2, 1) % p, dtype=np.float64),
-                          hom_dim(T, Y) + h, np.ascontiguousarray(ins.transpose(0, 2, 1) % p, dtype=np.float64)))
+                          hom_TY + h, np.ascontiguousarray(ins.transpose(0, 2, 1) % p, dtype=np.float64)))
 
         def keys(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # float64 products run through BLAS and are exact: an entry is a

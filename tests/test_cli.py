@@ -477,7 +477,7 @@ def test_json_reports_are_deterministic(tmp_path):
          "808a5a2506dfebe2e779d926e1095297f85101066d1e99bc37542598de4fa40f"),
         (["closure", "stretched.ring", "--depth", "3"],
          "741655e94f82d322230d72dc10992a5f8d82eb040cbc073edc33a518009bdb61"),
-        # over F_5 the depth-4 merges are proved by sampled witnesses
+        # over F_5 the depth-4 merges are decided by the reduced top-map determinant
         (["filt", "pair.ring", "--p", "5", "--depth", "4"],
          "86aef7c2e68edf0c09c2fdff3bd46d4ca3d84bc0fcfcf5249de93d6f99751ff6"),
     ],

@@ -7,6 +7,7 @@ import pytest
 
 from artloc import cli, extensions, linalg, modules
 from artloc.catalog import example1_ring, goto_ring, hypersurface_ring, pair_ring, stretched_ring
+from artloc.linalg import PrimeFieldMatrix
 from artloc.extensions import (
     EnumerationBudgetExceeded,
     LiftFailure,
@@ -377,7 +378,7 @@ def _assert_sequence_keys(X, tests, Y, blocks, oracle_rows=0):
     """The keys of every cocycle in blocks equal hom_dim on the middle term;
     the first oracle_rows of them are also checked against hom_dim_kron."""
     es = ext1(X, Y)
-    keys_of = HomSequenceKeys(X, tests).keys_for(es)
+    keys_of = HomSequenceKeys(X, [ext1(X, T) for T in tests]).keys_for(es)
     checked = 0
     for block in blocks(es):
         homs_out, homs_in = keys_of(block)
@@ -433,12 +434,100 @@ def test_sequence_keys_on_split_extensions_and_empty_hom_spaces():
     assert ext1(X, R).dim == 0 and ext1(X, zero).dim == 0 and ext1(X, k).dim > 0
     for Y in (R, zero, k, X):
         _assert_sequence_keys(X, tests, Y, every, oracle_rows=2)
-    keys_of = HomSequenceKeys(X, tests).keys_for(ext1(X, k))
+    keys_of = HomSequenceKeys(X, [ext1(X, T) for T in tests]).keys_for(ext1(X, k))
     assert [a.shape for a in keys_of(np.zeros((0, ext1(X, k).dim), dtype=np.int64))] == [(0, 4), (0, 4)]
     homs_out, homs_in = HomSequenceKeys(X, []).keys_for(ext1(X, k))(np.zeros((3, ext1(X, k).dim)))
     assert homs_out.shape == homs_in.shape == (3, 0)
     with pytest.raises(ValueError):
-        HomSequenceKeys(X, tests).keys_for(ext1(k, R))
+        HomSequenceKeys(X, [ext1(X, T) for T in tests]).keys_for(ext1(k, R))
+
+
+@pytest.mark.parametrize("ring", ["example1", "goto", "stretched", "pair5"])
+def test_ext1_space_through_its_projection_matches_the_augmented_solve(ring, filt_pool):
+    """Each space that builds filt levels 2 and 3 agrees with Ext^1 taken
+    against [reps | B^1]: the reps are the cocycles of the canonical basis
+    of Z^1 that a greedy completion of the coboundaries B^1 keeps, the
+    action of End(Y) is the first coordinates of the solve against
+    [reps | B^1], and the stored dim Hom(X, Y) is hom_dim's."""
+    if ring == "pair5":
+        A = pair_ring(5)
+        levels = filt_enumerate(A, closure_element(A), 2)
+    else:
+        A, _, levels = filt_pool[ring]
+    p = A.p
+    X = levels[0][0].module
+    res = minimal_free_resolution(X, 2)
+    for Y in [node.module for level in levels[:2] for node in level]:
+        es = ext1(X, Y)
+        Z = linalg.kernel_basis(res.differential(2).transpose().acting_on(Y))
+        B = res.differential(1).transpose().acting_on(Y)
+        picks = linalg.greedy_completion(B, Z)
+        e = len(picks)
+        assert es.dim == e and es.hom_dim == hom_dim(X, Y)
+        # cocycle coordinates are generator major: entry (i, l) of reps[t] is row l * dim_Y + i
+        assert np.array_equal(es.reps.transpose(0, 2, 1).reshape(e, -1), Z.array[:, picks].T)
+        homs = hom_space_matrices(Y, Y)
+        moved = [(g @ es.reps[t]).T.reshape(-1) for g in homs for t in range(e)]
+        span = PrimeFieldMatrix(np.hstack([Z.array[:, picks], B.array]), p)
+        sol = linalg.solve_matrix(span, PrimeFieldMatrix(np.reshape(moved, (len(moved), Z.rows)).T, p))
+        assert sol is not None
+        expected = sol.array[:e].reshape(e, len(homs), e).transpose(1, 0, 2)
+        assert np.array_equal(es.pushforward(np.reshape(homs, (len(homs), Y.dim, Y.dim))), expected)
+
+
+def test_keys_reduce_each_hom_constraint_once(goto, monkeypatch):
+    """On the goto depth-3 census an Ext1Space takes Z^1 modulo B^1 through
+    its one projection, with no greedy completion; HomSequenceKeys reads
+    each test's dim Hom(X, T) and projection off its space, with no
+    projection or hom_dim of its own; and keys_for builds one projection per
+    test, the in side's, which also gives dim Hom(T, Y), with no hom_dim.
+    X's resolution, built by the first space, picks its generators
+    greedily, so it counts as a phase of its own."""
+    phases, calls = ["census"], []
+
+    def phase(name, real):
+        def run(*args, **kwargs):
+            phases.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                phases.pop()
+        return run
+
+    def spy(name, real):
+        def run(*args, **kwargs):
+            calls.append((phases[-1], name))
+            return real(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(modules.Resolution, "__init__", phase("resolution", modules.Resolution.__init__))
+    monkeypatch.setattr(modules.Ext1Space, "__init__", phase("ext1", modules.Ext1Space.__init__))
+    monkeypatch.setattr(modules.HomSequenceKeys, "__init__", phase("keys", modules.HomSequenceKeys.__init__))
+    keys_for = modules.HomSequenceKeys.keys_for
+    tests_seen = []
+
+    def counted_keys_for(self, ext):
+        tests_seen.append(len(self.tests))
+        return phase("keys_for", keys_for)(self, ext)
+
+    monkeypatch.setattr(modules.HomSequenceKeys, "keys_for", counted_keys_for)
+    for name in ("greedy_completion", "complement_projection"):
+        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    monkeypatch.setattr(modules, "hom_dim", spy("hom_dim", modules.hom_dim))
+    levels = filt_enumerate(goto, closure_element(goto), 3)
+    assert [len(level) for level in levels] == [1, 4, 13]
+
+    def count(where, name):
+        return calls.count((where, name))
+
+    assert count("resolution", "greedy_completion") > 0
+    assert count("ext1", "greedy_completion") == 0
+    # one per space: level 2 takes Ext^1(X, X) twice, level 3 four spaces and X
+    assert count("ext1", "complement_projection") == (1 + 1) + (4 + 1)
+    assert count("keys", "complement_projection") == count("keys", "hom_dim") == 0
+    assert tests_seen == [2] + [5] * 4
+    assert count("keys_for", "complement_projection") == sum(tests_seen)
+    assert count("keys_for", "hom_dim") == 0
 
 
 def test_filt_resolves_only_modules_that_become_classes(goto, monkeypatch):
