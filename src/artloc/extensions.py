@@ -277,7 +277,7 @@ def filt_enumerate(
         # bucket on iso invariants so candidates only ever face their
         # plausible classmates; hom dims against the previous level's
         # canonical classes separate most remaining distinct classes
-        hom_keys = HomSequenceKeys(X, spaces + [ext1(X, X)])
+        hom_keys = HomSequenceKeys(X, spaces)
         for ynode, es in zip(prev, spaces):
             keys_of = hom_keys.keys_for(es)
             for block in _orbit_minima(es):
@@ -511,7 +511,7 @@ def ext_closure_contains_k(
             splits.append(w is not None)
         census.append(
             LevelCensus(
-                level=level_nodes[0].level if level_nodes else len(census) + 1,
+                level=level_nodes[0].level,
                 count=len(level_nodes),
                 lengths=tuple(n.module.dim for n in level_nodes),
                 splits=tuple(splits),

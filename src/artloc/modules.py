@@ -73,9 +73,8 @@ class FpModule:
 
     def iso_profile(self) -> tuple:
         """Cheap isomorphism invariants, used to separate modules before any
-        Hom computation: radical series dims, socle series dims, and the rank
-        profile of every basis element's powers; iso_profiles with this
-        module alone."""
+        Hom computation: (dim M, dim mM, rank of the action of each basis
+        element of m); iso_profiles with this module alone."""
         if self._profile is None:
             iso_profiles([self])
         return self._profile
@@ -187,17 +186,13 @@ def residue_field(A: LocalAlgebra) -> FpModule:
 
 
 def iso_profiles(modules: Sequence[FpModule]) -> None:
-    """Fill the iso_profile of every module that lacks one, each stack of
-    modules of one dimension d at once, from a few linalg.rank_batch calls:
+    """Fill the iso_profile (dim M, dim mM, rank of the action of each basis
+    element of m) of every module that lacks one, each stack of modules of
+    one dimension d at once, from two linalg.rank_batch calls per chunk of
+    at most PROFILE_CELLS cells: dim mM is the rank of those actions placed
+    side by side, and the ranks of the actions themselves follow.
 
-    - the radical series, dim m^j M = rank of the actions of a basis of m^j
-      placed side by side, down to the first 0;
-    - the socle series, dim (0 :_M m^j) = d - rank of the same actions
-      stacked, up to the first d;
-    - the rank of every power of each basis element of m, down to the
-      first 0; canonical_fingerprint sorts by these.
-
-    The stacks are cut into chunks of at most PROFILE_CELLS cells."""
+    is_isomorphic relies on dim mM: equal profiles give mu(M) = mu(N)."""
     groups: dict[int, list[FpModule]] = {}
     for M in modules:
         if M._profile is None:
@@ -208,38 +203,18 @@ def iso_profiles(modules: Sequence[FpModule]) -> None:
             raise ValueError("modules live over different algebras")
         if d == 0:
             for M in group:
-                M._profile = (0, (), (), ((0,),) * (A.dim - 1))
+                M._profile = (0, 0, (0,) * (A.dim - 1))
             continue
-        p = A.p
-        bases = [power.basis.array for power in A.maxideal_powers()[1:-1]]  # m^1 .. m^L
-        cells = d * d * (A.dim + 2 * sum(b.shape[1] for b in bases) + len(bases) * (A.dim - 1))
-        chunk = max(1, PROFILE_CELLS // cells)
+        chunk = max(1, PROFILE_CELLS // (d * d * A.dim))
         for lo in range(0, len(group), chunk):
             part = group[lo : lo + chunk]
-            acts = np.stack([M.action for M in part])  # (B, dim_A, d, d)
+            mult = np.stack([M.action[1:] for M in part])  # (B, dim_A - 1, d, d)
             B = len(part)
-            rad = np.zeros((B, len(bases)), dtype=np.int64)
-            soc = np.zeros_like(rad)
-            for j, basis in enumerate(bases):
-                blocks = np.tensordot(acts, basis, axes=(1, 0)).transpose(0, 3, 1, 2) % p
-                # rank [b_1 | b_2 | ...] = rank of the transposes stacked
-                side = blocks.transpose(0, 1, 3, 2).reshape(B, -1, d)
-                ranks = linalg.rank_batch(np.concatenate([side, blocks.reshape(B, -1, d)]), p)
-                rad[:, j], soc[:, j] = ranks[:B], d - ranks[B:]
-            mult = acts[:, 1:]
-            powers = [mult]
-            while len(powers) < len(bases) and powers[-1].any():
-                powers.append(powers[-1] @ mult % p)
-            ranks = linalg.rank_batch(np.stack(powers, axis=1).reshape(-1, d, d), p)
-            ranks = ranks.reshape(B, len(powers), A.dim - 1).transpose(0, 2, 1).tolist()
-            for M, r, s, pw in zip(part, rad.tolist(), soc.tolist(), ranks):
-                M._profile = (d, _through(r + [0], 0), _through(s + [d], d),
-                              tuple(_through(prof + [0], 0) for prof in pw))
-
-
-def _through(values: list[int], stop: int) -> tuple[int, ...]:
-    """values up to and including the first entry equal to stop."""
-    return tuple(values[: values.index(stop) + 1])
+            # rank [a_1 | a_2 | ...] = rank of the transposes stacked
+            rad = linalg.rank_batch(mult.transpose(0, 1, 3, 2).reshape(B, -1, d), A.p)
+            ranks = linalg.rank_batch(mult.reshape(-1, d, d), A.p).reshape(B, A.dim - 1)
+            for M, r, acts in zip(part, rad.tolist(), ranks.tolist()):
+                M._profile = (d, r, tuple(acts))
 
 
 # -- ring-entry matrices and presentations ----------------------------------------------
@@ -541,11 +516,10 @@ def ext1(X: FpModule, L: FpModule) -> Ext1Space:
 
 
 def canonical_fingerprint(M: FpModule) -> tuple:
-    """Sort key for module lists: dimension, sorted action ranks (the first
-    entries of the power profiles), then the raw action bytes as a final
-    deterministic tiebreak."""
-    powers = M.iso_profile()[3]
-    return (M.dim, tuple(sorted(prof[0] for prof in powers)), M.action.tobytes())
+    """Sort key for module lists: dimension, the action ranks of the
+    iso_profile sorted, then the raw action bytes as a final deterministic
+    tiebreak."""
+    return (M.dim, tuple(sorted(M.iso_profile()[2])), M.action.tobytes())
 
 
 def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
@@ -670,7 +644,8 @@ class HomSequenceKeys:
     """dim Hom(M, T) and dim Hom(T, M) for the middle terms M of the
     extensions 0 -> Y -> M -> X -> 0, against the tests T of a fixed list of
     spaces Ext1Space(X, T), read off the cocycle phi_xi of each extension
-    rather than off M.
+    rather than off M. filt_enumerate passes the spaces it builds for the
+    previous level, so the tests are exactly that level's classes.
 
     The long exact sequences of Hom and Ext (Weibel, An Introduction to
     Homological Algebra, 2.5 and 3.4) give

@@ -173,14 +173,8 @@ class Polynomial:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.variables, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "".join(factors)
-            if not body:
+            body = monomial_label(m, self.variables)
+            if body == "1":
                 parts.append(str(c))
             elif c == 1:
                 parts.append(body)

@@ -399,48 +399,15 @@ def span_of_products_loop(mats, W, p: int) -> np.ndarray:
     return _span_basis(vectors, p, rows)
 
 
-def socle_series_loop(action, p: int) -> list[int]:
-    """Dimensions of the socle series of a module: soc_(k+1) is cut out by
-    f e_i = 0 for every functional f vanishing on soc_k and every e_i, i >= 1."""
-    action = np.asarray(action, dtype=np.int64) % p
-    n = action.shape[1]
-    known = np.zeros((0, n), dtype=np.int64)  # basis of soc_k as rows
-    dims = []
-    while known.shape[0] < n:
-        funcs = null_space_fp(known, p, n)
-        rows = [(f @ action[i]) % p for i in range(1, action.shape[0]) for f in funcs]
-        known = np.array(null_space_fp(rows, p, n), dtype=np.int64).reshape(-1, n)
-        dims.append(known.shape[0])
-    return dims
-
-
 def iso_profile_loop(action, gens, p: int) -> tuple:
-    """(dim, radical series, socle series, power profiles) of a module, one
-    module at a time: the radical series from the spans of g W over the
-    generator actions g = action[gens], down to the first zero term; the
-    socle series of socle_series_loop; and for every basis element of m the
-    ranks of its powers, down to the first zero."""
+    """(dim M, dim mM, rank of the action of each basis element of m) of a
+    module, one module at a time: dim mM is the dimension of the span of
+    the g M over the generator actions g = action[gens]."""
     action = np.asarray(action, dtype=np.int64) % p
     n = action.shape[1]
-    rad = []
-    if n:
-        span = np.eye(n, dtype=np.int64)
-        while True:
-            prods = [(action[g] @ span) % p for g in gens]
-            span = _span_basis(np.hstack(prods).T if prods else [], p, n)
-            rad.append(span.shape[1])
-            if not span.shape[1]:
-                break
-    powers = []
-    for i in range(1, action.shape[0]):
-        prof, m = [], action[i]
-        while True:
-            prof.append(rank_fp(m, p) if n else 0)
-            if prof[-1] == 0:
-                break
-            m = (m @ action[i]) % p
-        powers.append(tuple(prof))
-    return n, tuple(rad), tuple(socle_series_loop(action, p)), tuple(powers)
+    prods = [action[g] for g in gens]
+    rad = _span_basis(np.hstack(prods).T if prods else [], p, n).shape[1]
+    return n, rad, tuple(rank_fp(action[i], p) if n else 0 for i in range(1, action.shape[0]))
 
 
 def free_action(mult, rank: int) -> np.ndarray:

@@ -163,7 +163,7 @@ def test_filt_pool_counts_agree_with_a_brute_force_oracle(filt_pool):
                     if M.iso_profile() == N.iso_profile():
                         assert not is_isomorphic_top_brute(M.action, N.action, A.p)
                         checked += 1
-    assert checked == 28
+    assert checked == 29
 
 
 def test_filt_presentations_are_triangular(filt_pool):
@@ -522,10 +522,11 @@ def test_keys_reduce_each_hom_constraint_once(goto, monkeypatch):
 
     assert count("resolution", "greedy_completion") > 0
     assert count("ext1", "greedy_completion") == 0
-    # one per space: level 2 takes Ext^1(X, X) twice, level 3 four spaces and X
-    assert count("ext1", "complement_projection") == (1 + 1) + (4 + 1)
+    # one per space: the tests are the previous level's classes, X at
+    # level 2 and the four level-2 classes at level 3
+    assert count("ext1", "complement_projection") == 1 + 4
     assert count("keys", "complement_projection") == count("keys", "hom_dim") == 0
-    assert tests_seen == [2] + [5] * 4
+    assert tests_seen == [1] + [4] * 4
     assert count("keys_for", "complement_projection") == sum(tests_seen)
     assert count("keys_for", "hom_dim") == 0
 
@@ -576,6 +577,31 @@ def test_filt_profiles_every_cocycle_block_in_one_batch(monkeypatch, tmp_path):
     assert cli.main(["filt", str(ring), "--depth", "3", "--quiet", "--json", str(tmp_path / "r.json")]) == 0
     assert blocks and batches == blocks
     assert not unprofiled
+
+
+@pytest.mark.parametrize("command, ring, depth, tests", [
+    ("filt", "example1", 3, 126),
+    ("filt", "goto", 3, 9),
+    ("closure", "stretched", 3, 25),
+    ("filt", "goto", 4, 62),
+])
+def test_census_isomorphism_test_counts(monkeypatch, tmp_path, command, ring, depth, tests):
+    """The number of isomorphism tests a census makes: a middle term faces
+    only the classes in its bucket, keyed on its iso profile and its Hom
+    dimensions against the previous level's classes, so a change to the
+    bucket key shows here."""
+    calls = []
+    real = extensions.is_isomorphic
+
+    def spy(M, N):
+        calls.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(extensions, "is_isomorphic", spy)
+    path = Path(__file__).resolve().parent.parent / "rings" / f"{ring}.ring"
+    args = [command, str(path), "--depth", str(depth), "--quiet", "--json", str(tmp_path / "r.json")]
+    assert cli.main(args) == 0
+    assert len(calls) == tests
 
 
 def test_filt_resolves_x_once_per_census(example1, monkeypatch):

@@ -57,6 +57,17 @@ def test_parse_integer_reduces_mod_p():
     assert dict(parse_polynomial("7", XY, 5).terms) == {(0, 0): 2}
 
 
+@pytest.mark.parametrize("text, rendered", [
+    ("3x^2y - 1 + z", "3x^2y + z + 4"),
+    ("x", "x"),
+    ("1", "1"),
+    ("0", "0"),
+    ("y^2+x^2", "x^2 + y^2"),
+])
+def test_render_terms_in_order_with_constant_last(text, rendered):
+    assert parse_polynomial(text, ("x", "y", "z"), 5).render() == rendered
+
+
 def test_parse_minus_binds_per_term():
     f = parse_polynomial("x^3-y^2", ("x", "y", "z"), 3)
     assert dict(f.terms) == {(3, 0, 0): 1, (0, 2, 0): 2}
