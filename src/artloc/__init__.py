@@ -53,6 +53,7 @@ from .modules import (
     regular_module,
     residue_field,
     splits_off_k,
+    splitting_flags,
     sub_module,
     tor,
 )

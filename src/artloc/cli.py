@@ -39,7 +39,6 @@ from .extensions import (
     check_matrix_condition,
     ext_closure_contains_k,
     filt_enumerate,
-    splits_off_k,
     strict_upper_reduction,
 )
 from .modules import (
@@ -53,6 +52,7 @@ from .modules import (
     quotient_module,
     regular_module,
     residue_field,
+    splitting_flags,
     tor,
 )
 from .polyparse import InfiniteDimensionError, PolyParseError, parse_polynomial
@@ -314,6 +314,7 @@ def _cmd_filt(args) -> tuple[dict, list[str], int]:
         exceeded = True
     level_payload = []
     for nodes in levels:
+        splits = splitting_flags([node.module for node in nodes])
         level_payload.append(
             {
                 "level": nodes[0].level,
@@ -321,10 +322,10 @@ def _cmd_filt(args) -> tuple[dict, list[str], int]:
                 "modules": [
                     {
                         "dim": node.module.dim,
-                        "splits_off_k": splits_off_k(node.module) is not None,
+                        "splits_off_k": split,
                         "presentation": _render_matrix(A, node.presentation.relations),
                     }
-                    for node in nodes
+                    for node, split in zip(nodes, splits)
                 ],
             }
         )

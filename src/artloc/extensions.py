@@ -24,6 +24,7 @@ from .modules import (
     ModuleMap,
     RingMatrix,
     canonical_fingerprint,
+    chunk_rows,
     cover_matrix,
     direct_sum,
     ext1,
@@ -34,6 +35,7 @@ from .modules import (
     quotient_module,
     regular_module,
     splits_off_k,
+    splitting_flags,
 )
 
 DEFAULT_COCYCLE_BUDGET = 1 << 20
@@ -71,44 +73,109 @@ class ExtensionWitness(NamedTuple):
 
     def verify(self) -> list[str]:
         """What keeps this from being a short exact sequence of A-modules;
-        empty when it is one. Exactness at the middle is linalg.exactness:
-        project . inject = 0 and rank inject + rank project = dim middle."""
-        problems = []
-        if self.middle.dim != self.sub.dim + self.quotient.dim:
-            problems.append("length is not additive")
-        p = self.middle.algebra.p
-        rank_in, rank_out, exact = linalg.exactness(self.inject.matrix, self.project.matrix, p)
-        if rank_in != self.sub.dim:
-            problems.append("inject has a kernel")
-        if rank_out != self.quotient.dim:
-            problems.append("project is not onto")
-        if not exact:
-            problems.append("image(inject) differs from kernel(project)")
-        if not self.inject.is_linear():
-            problems.append("inject is not A-linear")
-        if not self.project.is_linear():
-            problems.append("project is not A-linear")
-        return problems
+        empty when it is one: verify_extensions with this witness alone."""
+        return verify_extensions([self])[0]
+
+
+def _actions(mods: Sequence[FpModule]) -> np.ndarray:
+    """The actions of mods as one stack; a stack of one when all are one module."""
+    if all(M is mods[0] for M in mods):
+        return mods[0].action[None]
+    return np.stack([M.action for M in mods])
+
+
+def verify_extensions(witnesses: Sequence[ExtensionWitness]) -> list[list[str]]:
+    """ExtensionWitness.verify for every witness, each stack of witnesses of
+    one shape at once, in chunks (chunk_rows). Exactness at the middle is
+    linalg.exactness on the stacks of maps: project . inject = 0 and
+    rank inject + rank project = dim middle; linearity is one stacked
+    commutator per map."""
+    out: list[list[str]] = [[] for _ in witnesses]
+    groups: dict[tuple, list[int]] = {}
+    for i, w in enumerate(witnesses):
+        groups.setdefault((w.sub.dim, w.middle.dim, w.quotient.dim), []).append(i)
+    for (ds, dm, dq), group in groups.items():
+        p = witnesses[group[0]].middle.algebra.p
+        chunk = chunk_rows(witnesses[group[0]].middle.algebra.dim * dm * dm)
+        for lo in range(0, len(group), chunk):
+            part = [witnesses[i] for i in group[lo : lo + chunk]]
+            sub, middle = _actions([w.sub for w in part]), _actions([w.middle for w in part])
+            quotient = _actions([w.quotient for w in part])
+            inject = np.stack([w.inject.matrix for w in part])
+            project = np.stack([w.project.matrix for w in part])
+            rank_in, rank_out, exact = linalg.exactness(inject, project, p)
+            inject, project = inject[:, None], project[:, None]  # broadcast over the actions
+            linear_in = ~((middle @ inject - inject @ sub) % p).any(axis=(1, 2, 3))
+            linear_out = ~((quotient @ project - project @ middle) % p).any(axis=(1, 2, 3))
+            checks = zip(rank_in.tolist(), rank_out.tolist(), exact.tolist(), linear_in.tolist(), linear_out.tolist())
+            for i, (r_in, r_out, ex, lin_in, lin_out) in zip(group[lo : lo + chunk], checks):
+                out[i] = [problem for problem, bad in (
+                    ("length is not additive", dm != ds + dq),
+                    ("inject has a kernel", r_in != ds),
+                    ("project is not onto", r_out != dq),
+                    ("image(inject) differs from kernel(project)", not ex),
+                    ("inject is not A-linear", not lin_in),
+                    ("project is not A-linear", not lin_out),
+                ) if bad]
+    return out
+
+
+def certify_extensions(witnesses: Sequence[ExtensionWitness]) -> None:
+    """Raise LiftFailure with the problems of the first witness that
+    verify_extensions finds not to be a short exact sequence."""
+    for problems in verify_extensions(witnesses):
+        if problems:
+            raise LiftFailure("cocycle produced a non-exact sequence: " + "; ".join(problems))
+
+
+def extension_block(ext: Ext1Space, block: np.ndarray) -> tuple[list[ExtensionWitness], list[np.ndarray]]:
+    """The middle terms (Y + F_0) / {(phi(z), -d1(z))} of the cocycles with
+    the rows of block as coordinates in ext.reps, the zero cocycle giving
+    Y + X, and gens: gens[i] (dim M, 1) is the class m of (0, 1) in the i-th
+    middle term (no column when X = 0).
+
+    The cocycles, their relation spans and the middle-term actions
+    proj . action . lift are stacked, with each row's own
+    complement_projection, in chunks (chunk_rows). One product per chunk
+    checks project . m = u, the class of 1 in R/(x) (X's first generator),
+    and certify_extensions checks the whole block as verify() would."""
+    X, Y = ext.X, ext.L
+    A = X.algebra
+    p = A.p
+    D, neg_d1 = ext.split_sum
+    spans = cover_matrix(Y, ext.cocycle(block).transpose(0, 2, 1))
+    spans = np.concatenate([spans, np.broadcast_to(neg_d1, (len(block),) + neg_d1.shape)], axis=1)
+    cuts = [linalg.complement_projection(PrimeFieldMatrix._own(W, p))[:2] for W in spans]
+    by_dim: dict[int, list[int]] = {}
+    for i, (proj, _) in enumerate(cuts):
+        by_dim.setdefault(proj.shape[0], []).append(i)
+    witnesses: list = [None] * len(block)
+    gens: list = [None] * len(block)
+    for dm, rows in by_dim.items():
+        chunk = chunk_rows(A.dim * dm * D.dim)
+        for lo in range(0, len(rows), chunk):
+            part = rows[lo : lo + chunk]
+            proj = np.stack([cuts[i][0] for i in part])
+            lift = np.stack([cuts[i][1] for i in part])
+            actions = proj[:, None] @ D.action @ lift[:, None] % p
+            # project factors cover0 . pr_F0 through the quotient; independent of lift
+            project = ext.cover0 @ lift[:, Y.dim :] % p
+            m = proj[:, :, Y.dim : Y.dim + 1]
+            if ((project @ m - ext.cover0[:, :1]) % p).any():
+                raise LiftFailure("the class of (0, 1) does not cover the generator of R/(x)")
+            for i, act, inj, prj, gen in zip(part, actions, proj[:, :, : Y.dim], project, m):
+                M = FpModule(A, act)
+                witnesses[i] = ExtensionWitness(Y, M, X, ModuleMap(Y, M, inj), ModuleMap(M, X, prj))
+                gens[i] = gen
+    certify_extensions(witnesses)
+    return witnesses, gens
 
 
 def extension_from_cocycle(ext: Ext1Space, coeffs: Sequence[int]) -> ExtensionWitness:
     """Middle term (Y + F_0) / {(phi(z), -d1(z))} for the cocycle with the
-    given coordinates in ext.reps. The zero cocycle yields Y + X."""
-    X, Y = ext.X, ext.L
-    p = X.algebra.p
-    D, neg_d1 = ext.split_sum
-    W = PrimeFieldMatrix(np.vstack([cover_matrix(Y, ext.cocycle(coeffs).T), neg_d1]), p)
-    qm = quotient_module(D, W)
-    M = qm.module
-    inject = ModuleMap(Y, M, qm.proj.matrix[:, : Y.dim])
-    # project factors cover0 . pr_F0 through the quotient; independent of lift
-    proj_mat = (ext.cover0 @ qm.lift.array[Y.dim :, :]) % p
-    project = ModuleMap(M, X, proj_mat)
-    witness = ExtensionWitness(sub=Y, middle=M, quotient=X, inject=inject, project=project)
-    problems = witness.verify()
-    if problems:
-        raise LiftFailure("cocycle produced a non-exact sequence: " + "; ".join(problems))
-    return witness
+    given coordinates in ext.reps: extension_block with this cocycle alone.
+    The zero cocycle yields Y + X."""
+    return extension_block(ext, np.reshape(np.asarray(coeffs, dtype=np.int64), (1, ext.dim)))[0][0]
 
 
 class FiltNode(NamedTuple):
@@ -132,45 +199,78 @@ def _base_presentation(A: LocalAlgebra, x: np.ndarray) -> tuple[FpModule, FreePr
 
 
 def _verify_presents(pres: FreePresentation) -> None:
-    """Exactness of A^c -> A^r -> M -> 0 at A^r, the image of T equal to the
-    kernel of cover, by linalg.exactness: cover . T = 0 and the two ranks
-    add up to dim A^r."""
-    T = pres.relations.as_linear_map()
-    if not linalg.exactness(T.array, pres.cover, T.p)[2]:
-        raise LiftFailure("matrix image does not match the cover kernel")
+    """_verify_presentations with this presentation alone."""
+    _verify_presentations([pres])
+
+
+def _verify_presentations(presentations: Sequence[FreePresentation]) -> None:
+    """Certify that each presentation is an exact A^c -> A^r -> M -> 0, each
+    stack of one shape at once, in chunks (chunk_rows): by linalg.exactness,
+    cover . T = 0 and the ranks of T and cover add up to dim A^r, so the
+    image of T is the kernel of cover; and rank cover = dim M, so the cover
+    is onto."""
+    groups: dict[tuple, list[FreePresentation]] = {}
+    for pres in presentations:
+        groups.setdefault((pres.relations.shape, pres.cover.shape), []).append(pres)
+    for ((_, b1), (dim, cols)), group in groups.items():
+        A = group[0].relations.algebra
+        chunk = chunk_rows(cols * (b1 * A.dim + dim))  # T and cover
+        for lo in range(0, len(group), chunk):
+            part = group[lo : lo + chunk]
+            T = np.stack([pres.relations.as_linear_map().array for pres in part])
+            _, rank_cover, exact = linalg.exactness(T, np.stack([pres.cover for pres in part]), A.p)
+            if not exact.all():
+                raise LiftFailure("matrix image does not match the cover kernel")
+            if (rank_cover != dim).any():
+                raise LiftFailure("the cover is not onto the module")
+
+
+def _generator_syzygy(ext: Ext1Space, x: np.ndarray) -> np.ndarray:
+    """z in F_1 with d1(z) = x e, e the first generator of F_0: in every
+    middle term, (0, d1(z)) = (phi_xi(z), 0), so x m = inject(phi_xi(z)) for
+    the class m of (0, e). When d1 = (d) and x = c d, z is c times the
+    generator of F_1; an X that is free has F_1 = 0, and then x = 0."""
+    A = ext.X.algebra
+    rhs = np.zeros(ext.beta0 * A.dim, dtype=np.int64)
+    rhs[: A.dim] = x
+    z = linalg.solve(ext.d1.as_linear_map(), rhs)
+    if z is None:
+        raise LiftFailure("x times the generator of F_0 is not a relation of R/(x)")
+    return z
+
+
+def _syzygy_lifts(ext: Ext1Space, pres_Y: FreePresentation, z: np.ndarray) -> np.ndarray:
+    """(dim, b0(Y) * dim_A): row i lifts phi_i(z) in Y, for the i-th basis
+    cocycle phi_i, through the cover of Y's presentation, from one solve.
+    The lift with free variables zero is linear in the right-hand side, so
+    the lift for the cocycle with coordinates xi is xi times these rows."""
+    p = ext.X.algebra.p
+    y0 = cover_matrix(ext.L, ext.reps.transpose(0, 2, 1)) @ z % p  # (dim, dim_Y)
+    lifts = linalg.solve_matrix(PrimeFieldMatrix(pres_Y.cover, p), PrimeFieldMatrix(y0.T, p))
+    if lifts is None:
+        raise LiftFailure("syzygy element does not lift through the free cover of Y")
+    return lifts.array.T
 
 
 def _triangular_step(
-    pres_Y: FreePresentation, witness: ExtensionWitness, x: np.ndarray, base: FreePresentation
+    pres_Y: FreePresentation, witness: ExtensionWitness, x: np.ndarray, B: np.ndarray, m: np.ndarray
 ) -> FreePresentation:
-    """Extend Y's n-1 triangular presentation through 0 -> Y -> M -> R/(x) -> 0.
+    """Extend Y's n-1 triangular presentation through 0 -> Y -> M -> R/(x) -> 0,
+    unverified (_verify_presentations certifies it).
 
-    The new last column is (-B; x) where B lifts the unique y0 with
-    inject(y0) = x * m and m covers the class of 1 in R/(x)."""
+    The new generator is m (a (dim M, 1) column), the class of (0, 1), and
+    the new last column is (-B; x), where B lifts the y0 with
+    inject(y0) = x * m through the cover of Y (_syzygy_lifts)."""
     A = pres_Y.relations.algebra
     p = A.p
     M = witness.middle
-    u = base.cover[:, 0]
-    m_vec = linalg.solve(PrimeFieldMatrix(witness.project.matrix, p), u)
-    if m_vec is None:
-        raise LiftFailure("could not lift the generator of R/(x) through the projection")
-    xm = (M.action_of(x) @ m_vec) % p
-    y0 = linalg.solve(PrimeFieldMatrix(witness.inject.matrix, p), xm)
-    if y0 is None:
-        raise LiftFailure("x*m does not land in the submodule")
-    B = linalg.solve(PrimeFieldMatrix(pres_Y.cover, p), y0)
-    if B is None:
-        raise LiftFailure("syzygy element does not lift through the free cover of Y")
     nprev = pres_Y.relations.rows
     entries = np.zeros((nprev + 1, nprev + 1, A.dim), dtype=np.int64)
     entries[:nprev, :nprev] = pres_Y.relations.entries
     entries[:nprev, nprev] = -B.reshape(nprev, A.dim)
     entries[nprev, nprev] = x
-    gen_cols = cover_matrix(M, m_vec[None])
-    cover = np.hstack([(witness.inject.matrix @ pres_Y.cover) % p, gen_cols])
-    pres = FreePresentation(RingMatrix(A, entries), cover)
-    _verify_presents(pres)
-    return pres
+    cover = np.hstack([(witness.inject.matrix @ pres_Y.cover) % p, cover_matrix(M, m.T)])
+    return FreePresentation(RingMatrix(A, entries), cover)
 
 
 def orbit_generators(ext: Ext1Space) -> tuple[np.ndarray, np.ndarray]:
@@ -278,21 +378,27 @@ def filt_enumerate(
         # plausible classmates; hom dims against the previous level's
         # canonical classes separate most remaining distinct classes
         hom_keys = HomSequenceKeys(X, spaces)
+        z = _generator_syzygy(spaces[0], x)
         for ynode, es in zip(prev, spaces):
             keys_of = hom_keys.keys_for(es)
+            lifts = _syzygy_lifts(es, ynode.presentation, z)
             for block in _orbit_minima(es):
                 homs_out, homs_in = keys_of(block)
-                witnesses = [extension_from_cocycle(es, coeffs) for coeffs in block]
+                witnesses, gens = extension_block(es, block)
                 iso_profiles([w.middle for w in witnesses])
-                for witness, out_row, in_row in zip(witnesses, homs_out.tolist(), homs_in.tolist()):
+                made = []
+                for witness, m, B, out_row, in_row in zip(witnesses, gens, block @ lifts % A.p,
+                                                          homs_out.tolist(), homs_in.tolist()):
                     M = witness.middle
                     key = (M.iso_profile(), tuple(out_row), tuple(in_row))
                     if any(is_isomorphic(classes[idx].module, M).isomorphic for idx in buckets.get(key, ())):
                         continue
-                    pres = _triangular_step(ynode.presentation, witness, x, base)
+                    pres = _triangular_step(ynode.presentation, witness, x, B, m)
                     M.use_presentation(pres)
+                    made.append(pres)
                     buckets.setdefault(key, []).append(len(classes))
                     classes.append(FiltNode(lev, M, ynode.chain + (witness,), pres))
+                _verify_presentations(made)
         order = sorted(range(len(classes)), key=lambda i: canonical_fingerprint(classes[i].module))
         levels.append([classes[i] for i in order])
     return levels
@@ -502,13 +608,12 @@ def ext_closure_contains_k(
     witness_node = None
     witness_vector = None
     for level_nodes in levels:
-        splits = []
-        for node in level_nodes:
-            w = splits_off_k(node.module)
-            if w is not None and witness_node is None:
-                witness_node = node
-                witness_vector = w
-            splits.append(w is not None)
+        splits = splitting_flags([node.module for node in level_nodes])
+        if witness_node is None and any(splits):
+            witness_node = level_nodes[splits.index(True)]
+            witness_vector = splits_off_k(witness_node.module)
+            if witness_vector is None:
+                raise LiftFailure("splitting_flags and splits_off_k disagree on a k-summand")
         census.append(
             LevelCensus(
                 level=level_nodes[0].level,

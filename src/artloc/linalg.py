@@ -260,7 +260,8 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     that shortens the loop over columns; over F_2 a matrix of at most 64
     columns is then reduced as one word per row (_rank_batch_words)."""
     check_modulus(p)
-    m = np.mod(np.asarray(mats, dtype=np.int64), p)
+    m = np.asarray(mats, dtype=np.int64)
+    m = m & 1 if p == 2 else np.mod(m, p)  # the same residues; & is the cheaper ufunc
     if m.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) stack")
     if m.shape[1] < m.shape[2]:
@@ -519,17 +520,26 @@ def is_subspace(inner: PrimeFieldMatrix, outer: PrimeFieldMatrix) -> bool:
     return solve_matrix(outer, inner) is not None
 
 
-def exactness(f: np.ndarray, g: np.ndarray, p: int) -> tuple[int, int, bool]:
+def exactness(f: np.ndarray, g: np.ndarray, p: int):
     """(rank f, rank g, im f == ker g) for the maps U -> V -> W given by the
     dense arrays f (dim V x dim U) and g (dim W x dim V) of residues mod p.
+    For (B, dim V, dim U) and (B, dim W, dim V) stacks it gives the same for
+    every pair, as three arrays, from two rank_batch calls and one batched
+    product; a single pair is the stack of one.
 
     im f lies in ker g exactly when g f = 0, and then the two are equal
     exactly when they have the same dimension, rank f = dim V - rank g: two
     ranks and one product, with no basis of either subspace built. Spans of
     different spaces (f's rows not g's columns) are never equal."""
-    rank_f, rank_g = rank_mod(f, p), rank_mod(g, p)
-    dim = f.shape[0]
-    exact = dim == g.shape[1] and rank_f + rank_g == dim and not (g @ f % p).any()
+    f, g = np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64)
+    if f.ndim == 2:
+        rank_f, rank_g, exact = exactness(f[None], g[None], p)
+        return int(rank_f[0]), int(rank_g[0]), bool(exact[0])
+    rank_f, rank_g = rank_batch(f, p), rank_batch(g, p)
+    dim = f.shape[1]
+    if dim != g.shape[2]:
+        return rank_f, rank_g, np.zeros(f.shape[0], dtype=bool)
+    exact = (rank_f + rank_g == dim) & ~(g @ f % p).any(axis=(1, 2))
     return rank_f, rank_g, exact
 
 

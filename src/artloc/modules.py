@@ -18,7 +18,7 @@ from . import linalg
 from .linalg import PrimeFieldMatrix
 from .algebra import IdealSubspace, LocalAlgebra, QuotientRing
 
-PROFILE_CELLS = 1 << 19  # int64 cells of the stacked actions per chunk of iso_profiles
+STACK_CELLS = 1 << 16  # int64 cells per chunk of a stacked computation over many modules
 
 
 class FpModule:
@@ -185,12 +185,18 @@ def residue_field(A: LocalAlgebra) -> FpModule:
     return cyclic_module(A, A.maxideal())
 
 
+def chunk_rows(cells: int) -> int:
+    """How many stacked items of `cells` int64 cells each make one chunk of
+    at most STACK_CELLS cells; at least one."""
+    return max(1, STACK_CELLS // max(1, cells))
+
+
 def iso_profiles(modules: Sequence[FpModule]) -> None:
     """Fill the iso_profile (dim M, dim mM, rank of the action of each basis
     element of m) of every module that lacks one, each stack of modules of
-    one dimension d at once, from two linalg.rank_batch calls per chunk of
-    at most PROFILE_CELLS cells: dim mM is the rank of those actions placed
-    side by side, and the ranks of the actions themselves follow.
+    one dimension d at once, from two linalg.rank_batch calls per chunk
+    (chunk_rows): dim mM is the rank of those actions placed side by side,
+    and the ranks of the actions themselves follow.
 
     is_isomorphic relies on dim mM: equal profiles give mu(M) = mu(N)."""
     groups: dict[int, list[FpModule]] = {}
@@ -205,7 +211,7 @@ def iso_profiles(modules: Sequence[FpModule]) -> None:
             for M in group:
                 M._profile = (0, 0, (0,) * (A.dim - 1))
             continue
-        chunk = max(1, PROFILE_CELLS // (d * d * A.dim))
+        chunk = chunk_rows(d * d * A.dim)
         for lo in range(0, len(group), chunk):
             part = group[lo : lo + chunk]
             mult = np.stack([M.action[1:] for M in part])  # (B, dim_A - 1, d, d)
@@ -482,7 +488,8 @@ class Ext1Space:
         self.dim = len(picks)
 
     def cocycle(self, coeffs: Sequence[int]) -> np.ndarray:
-        """The (dim_L, beta1) cocycle matrix for coordinates in the basis."""
+        """The (dim_L, beta1) cocycle matrix for coordinates in the basis;
+        a (..., dim) stack of coordinates gives the stack of matrices."""
         p = self.X.algebra.p
         return np.tensordot(np.asarray(coeffs, dtype=np.int64) % p, self.reps, axes=1) % p
 
@@ -527,6 +534,43 @@ def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
     soc = M.socle_subspace()
     picks = linalg.greedy_completion(M.radical_subspace(), soc)
     return soc.column(picks[0]) if picks else None
+
+
+def splitting_flags(modules: Sequence[FpModule]) -> list[bool]:
+    """[splits_off_k(M) is not None for M in modules], each stack of modules
+    of one algebra and one dimension d at once, from three linalg.rank_batch
+    calls per chunk (chunk_rows).
+
+    k splits off M iff soc M is not inside mM: a functional on M/mM that is
+    nonzero at a socle vector v splits k v off, and a summand k is spanned by
+    a socle vector outside mM = mN, N its complement. With G the actions of
+    the minimal generators of m stacked (kernel soc M) and R the same placed
+    side by side (column space mM), soc M meets mM in the kernel of G on
+    im R, of dimension rank R - rank GR; so k splits off iff
+    d - rank G > rank R - rank GR."""
+    flags = [False] * len(modules)
+    groups: dict[tuple, list[int]] = {}
+    for i, M in enumerate(modules):
+        groups.setdefault((M.algebra, M.dim), []).append(i)
+    for (A, d), group in groups.items():
+        gens = A.generator_indices
+        e = gens.size
+        # three (e d)^2 stacks are alive at once: GR as floats and as ints,
+        # and the residues rank_batch reduces
+        chunk = chunk_rows(3 * e * e * d * d)
+        for lo in range(0, len(group), chunk):
+            part = group[lo : lo + chunk]
+            acts = np.stack([modules[i].action[gens] for i in part])  # (B, e, d, d)
+            G = acts.reshape(len(part), e * d, d)
+            R = acts.transpose(0, 2, 1, 3).reshape(len(part), d, e * d)
+            rank_G, rank_R = linalg.rank_batch(G, A.p), linalg.rank_batch(R, A.p)
+            # float64 products run through BLAS and are exact: an entry is a
+            # sum of d products of residues below p < 2^16, so below 2^53
+            GR = G.astype(np.float64) @ R.astype(np.float64)
+            rank_GR = linalg.rank_batch(GR.astype(np.int64), A.p)
+            for i, split in zip(part, (d - rank_G > rank_R - rank_GR).tolist()):
+                flags[i] = split
+    return flags
 
 
 def jordan_type(M: FpModule, t: np.ndarray) -> tuple[int, ...]:

@@ -493,6 +493,32 @@ def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "ring, element, dims, splits, digest",
+    [
+        ("goto.ring", "0", [8, 16, 24], False,
+         "1860679eea40c29080678e2656276c38879f13420d4eee04dd4a7cf4e0daa91c"),
+        ("p=2 vars=x\nx^1\n", "x", [1, 2, 3], True,
+         "bb3c7d9af32505ff2067a8225cb3c368b2592cbbc9948349e863d8b6feddc5c5"),
+    ],
+    ids=["goto-free-x", "field"],
+)
+def test_filt_edge_censuses_keep_their_pinned_bytes(ring, element, dims, splits, digest, tmp_path):
+    """Two censuses at the edges of the block build, to depth 3: over goto
+    with x = 0, X = R is free, so F_1 = 0 and every Ext^1(X, Y) is zero;
+    over the field F_2 (embedding dimension 0) each level is one k^n, and
+    k splits off every class. Each level has one class of the given
+    dimension, and the reports keep the bytes they had before the blocks
+    were built in bulk."""
+    path = _ring(ring) if ring.endswith(".ring") else _write(tmp_path, ring)
+    target = tmp_path / "report.json"
+    assert main(["filt", path, "--element", element, "--depth", "3", "--json", str(target), "--quiet"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+    levels = json.loads(target.read_text())["results"]["levels"]
+    assert [[m["dim"] for m in level["modules"]] for level in levels] == [[d] for d in dims]
+    assert all(m["splits_off_k"] == splits for level in levels for m in level["modules"])
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (["resolve", "example1.ring", "--module", "k", "--steps", "5"],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,134 @@ def test_verify_presents_needs_both_halves_of_exactness(pair):
         assert (not (g @ f % p).any()) == product_half
         with pytest.raises(LiftFailure, match="cover kernel"):
             extensions._verify_presents(bad)
+
+
+def test_verify_presents_requires_the_cover_onto(example1):
+    """R/(x) + k over example1 with R/(x)'s own 1x1 relations and its cover
+    padded by a zero row: the image of the relations is still the kernel of
+    the cover, but the cover has rank 4 onto a module of dimension 5, so it
+    presents nothing and _verify_presents rejects it."""
+    x = closure_element(example1)
+    _, base = extensions._base_presentation(example1, x)
+    padded = FreePresentation(base.relations, np.vstack([base.cover, np.zeros((1, example1.dim), dtype=np.int64)]))
+    T = padded.relations.as_linear_map().array
+    assert linalg.exactness(T, padded.cover, example1.p)[2]
+    assert linalg.rank_mod(padded.cover, example1.p) == 4 and padded.cover.shape[0] == 5
+    with pytest.raises(LiftFailure, match="not onto"):
+        extensions._verify_presents(padded)
+
+
+def _tamper_one_witness(w, other):
+    """verify()'s problem strings, each with a copy of witness w that has it."""
+    M, p = w.middle, w.middle.algebra.p
+    Mk = direct_sum(M, residue_field(M.algebra))
+    inj, prj = w.inject.matrix.copy(), w.project.matrix.copy()
+    inj[:, 0] = 0
+    prj[0] = 0
+    swap = np.eye(M.dim, dtype=np.int64)[::-1]
+    return [
+        ("length is not additive", w._replace(
+            middle=Mk, inject=ModuleMap(w.sub, Mk, np.vstack([w.inject.matrix, np.zeros((1, w.sub.dim))])),
+            project=ModuleMap(Mk, w.quotient, np.hstack([w.project.matrix, np.zeros((w.quotient.dim, 1))])))),
+        ("inject has a kernel", w._replace(inject=ModuleMap(w.sub, M, inj))),
+        ("project is not onto", w._replace(project=ModuleMap(M, w.quotient, prj))),
+        ("image(inject) differs from kernel(project)", w._replace(inject=other.inject)),
+        ("inject is not A-linear", w._replace(inject=ModuleMap(w.sub, M, swap @ w.inject.matrix % p))),
+        ("project is not A-linear", w._replace(project=ModuleMap(M, w.quotient, w.project.matrix @ swap % p))),
+    ]
+
+
+def test_stacked_certificates_catch_one_bad_witness_in_a_block(goto, monkeypatch):
+    """A block of goto's level-3 middle terms passes verify_extensions; a
+    copy with one witness broken in each of verify()'s six ways flags that
+    witness alone with that problem, as its own verify() does, and
+    certify_extensions raises on it. extension_block certifies its block:
+    a relation map that leaves the kernel of X's cover, or one corrupted
+    complement projection, makes it raise."""
+    levels = filt_enumerate(goto, closure_element(goto), 2)
+    es = ext1(levels[0][0].module, levels[1][1].module)
+    block = next(extensions._orbit_minima(es))
+    witnesses, _ = extensions.extension_block(es, block)
+    assert len(witnesses) == 6
+    assert extensions.verify_extensions(witnesses) == [[]] * 6
+    for problem, bad in _tamper_one_witness(witnesses[2], witnesses[1]):
+        tampered = [*witnesses[:2], bad, *witnesses[3:]]
+        found = extensions.verify_extensions(tampered)
+        assert problem in found[2] and found[2] == bad.verify()
+        assert found[:2] + found[3:] == [[]] * 5
+        with pytest.raises(LiftFailure, match=re.escape(problem)):
+            extensions.certify_extensions(tampered)
+    # a relation with a unit coordinate in F_0 leaves the kernel of X's
+    # cover, so the class of (0, 1) no longer maps to X's generator
+    D, neg_d1 = es.split_sum
+    moved = neg_d1.copy()
+    moved[0, 0] = (moved[0, 0] + 1) % goto.p
+    bent = ext1(es.X, es.L)
+    bent.__dict__["split_sum"] = (D, moved)
+    with pytest.raises(LiftFailure, match="does not cover the generator"):
+        extensions.extension_block(bent, block)
+    real, calls = linalg.complement_projection, []
+
+    def corrupt(span):
+        proj, lift, keep = real(span)
+        calls.append(span)
+        return (proj[::-1] if len(calls) == 3 else proj), lift, keep
+
+    monkeypatch.setattr(linalg, "complement_projection", corrupt)
+    with pytest.raises(LiftFailure):
+        extensions.extension_block(es, block)
+
+
+def test_stacked_presentation_certificate_catches_one_bad_presentation(goto):
+    """The goto level-3 presentations pass one stacked certificate; with
+    one of them given a relation outside the cover's kernel, or a cover
+    padded by a zero row, the stack is rejected."""
+    levels = filt_enumerate(goto, closure_element(goto), 3)
+    good = [node.presentation for node in levels[2]]
+    extensions._verify_presentations(good)
+    entries = good[5].relations.entries.copy()
+    entries[0, -1] = (entries[0, -1] + goto.unit()) % goto.p
+    moved = good[5]._replace(relations=RingMatrix(goto, entries))
+    with pytest.raises(LiftFailure, match="cover kernel"):
+        extensions._verify_presentations([*good[:5], moved, *good[6:]])
+    padded = good[5]._replace(cover=np.vstack([good[5].cover, np.zeros((1, good[5].cover.shape[1]), dtype=np.int64)]))
+    with pytest.raises(LiftFailure, match="not onto"):
+        extensions._verify_presentations([*good[:5], padded, *good[6:]])
+
+
+def test_filt_certifies_every_new_presentation_per_block(goto, monkeypatch):
+    """The goto depth-3 census certifies the triangular presentations of
+    each block's new classes with one stacked _verify_presentations call,
+    and every class above level 1 is among them; with the lifts B bent, the
+    census raises."""
+    certified, blocks = [], []
+    real_verify, real_minima, real_step = (extensions._verify_presentations, extensions._orbit_minima,
+                                           extensions._triangular_step)
+
+    def verify(presentations):
+        certified.append(list(presentations))
+        return real_verify(presentations)
+
+    def minima(ext):
+        for block in real_minima(ext):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(extensions, "_verify_presentations", verify)
+    monkeypatch.setattr(extensions, "_orbit_minima", minima)
+    levels = filt_enumerate(goto, closure_element(goto), 3)
+    # the first call certifies the 1x1 presentation of X itself
+    assert [[id(pres) for pres in batch] for batch in certified[:1]] == [[id(levels[0][0].presentation)]]
+    assert len(certified) == 1 + len(blocks) > 1
+    assert sorted(map(id, (pres for batch in certified[1:] for pres in batch))) == sorted(
+        id(node.presentation) for level in levels[1:] for node in level)
+
+    def bent(pres_Y, witness, x, B, m):
+        return real_step(pres_Y, witness, x, (B + 1) % goto.p, m)
+
+    monkeypatch.setattr(extensions, "_triangular_step", bent)
+    with pytest.raises(LiftFailure, match="cover kernel"):
+        filt_enumerate(goto, closure_element(goto), 3)
 
 
 def test_filt_levels_over_dual_numbers(dual, filt_pool):
@@ -298,13 +427,13 @@ def test_orbit_minima_keep_the_first_member_of_every_class(make, p, depth, monke
     x = closure_element(A)
     want = _filt_by_every_cocycle(A, x, depth)
     built = []
-    real = extensions.extension_from_cocycle
+    real = extensions.extension_block
 
-    def spy(es, coeffs):
-        built.append((es.L, tuple(int(c) for c in coeffs)))
-        return real(es, coeffs)
+    def spy(es, block):
+        built.extend((es.L, tuple(int(c) for c in coeffs)) for coeffs in block)
+        return real(es, block)
 
-    monkeypatch.setattr(extensions, "extension_from_cocycle", spy)
+    monkeypatch.setattr(extensions, "extension_block", spy)
     levels = filt_enumerate(A, x, depth)
     assert [[node.module.action.tobytes() for node in level] for level in levels] == [
         [M.action.tobytes() for M in level] for level in want

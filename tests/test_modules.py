@@ -44,6 +44,7 @@ from artloc.modules import (
     regular_module,
     residue_field,
     splits_off_k,
+    splitting_flags,
     sub_module,
     tor,
 )
@@ -499,6 +500,38 @@ def test_splits_off_k(example1, dual):
         assert not ((M.action[i] @ w) % 2).any()
     assert splits_off_k(R) is None
     assert splits_off_k(regular_module(dual)) is None
+
+
+def _split_identity_holds(mods):
+    flags = splitting_flags(mods)
+    assert flags == [splits_off_k(M) is not None for M in mods]
+    return flags
+
+
+def test_splitting_flags_match_splits_off_k(example1, goto, stretched, pair, dual, filt_pool):
+    """splitting_flags reads "k splits off M" off three ranks per module,
+    d - rank G > rank R - rank GR, and agrees with the socle witness search
+    of splits_off_k on every census class of example1, goto and stretched
+    at depth 3 and pair at depth 4 (none splits), on the classes of
+    hypersurface4 and the dual numbers (some split), on M + k for census
+    classes M, and on one list mixing dimensions with a zero module."""
+    census = [node.module for level in filt_pool["example1"][2] for node in level]
+    census += [node.module for level in filt_pool["goto"][2] for node in level]
+    census += [node.module for level in filt_enumerate(stretched, closure_element(stretched), 3)
+               for node in level]
+    census += [node.module for level in filt_pool["pair"][2] for node in level]
+    assert not any(_split_identity_holds(census))
+    hyper = hypersurface_ring(3, 4)
+    splitting = [node.module for level in filt_enumerate(hyper, closure_element(hyper), 3) for node in level]
+    splitting += [node.module for level in filt_pool["dual"][2] for node in level]
+    flags = _split_identity_holds(splitting)
+    assert any(flags) and not all(flags)
+    sums = [direct_sum(M, residue_field(M.algebra)) for M in census[::7]]
+    assert all(_split_identity_holds(sums))
+    zero = FpModule(example1, np.zeros((example1.dim, 0, 0), dtype=np.int64))
+    k, R = residue_field(example1), regular_module(example1)
+    mixed = [R, zero, direct_sum(R, k), k, *census[1:12], direct_sum(k, k), zero]
+    assert _split_identity_holds(mixed)[:4] == [False, False, True, True]
 
 
 def test_is_isomorphic_finds_witness_for_permuted_module(example1):
