@@ -84,6 +84,12 @@ def _actions(mods: Sequence[FpModule]) -> np.ndarray:
     return np.stack([M.action for M in mods])
 
 
+def _commutes(target: np.ndarray, maps: np.ndarray, source: np.ndarray, p: int) -> np.ndarray:
+    """For each map f of a (B, 1, m, n) stack, whether target . f = f . source
+    for every action of the stacks of module actions."""
+    return (linalg.matmul_mod(target, maps, p) == linalg.matmul_mod(maps, source, p)).all(axis=(1, 2, 3))
+
+
 def verify_extensions(witnesses: Sequence[ExtensionWitness]) -> list[list[str]]:
     """ExtensionWitness.verify for every witness, each stack of witnesses of
     one shape at once, in chunks (chunk_rows). Exactness at the middle is
@@ -105,8 +111,8 @@ def verify_extensions(witnesses: Sequence[ExtensionWitness]) -> list[list[str]]:
             project = np.stack([w.project.matrix for w in part])
             rank_in, rank_out, exact = linalg.exactness(inject, project, p)
             inject, project = inject[:, None], project[:, None]  # broadcast over the actions
-            linear_in = ~((middle @ inject - inject @ sub) % p).any(axis=(1, 2, 3))
-            linear_out = ~((quotient @ project - project @ middle) % p).any(axis=(1, 2, 3))
+            linear_in = _commutes(middle, inject, sub, p)
+            linear_out = _commutes(quotient, project, middle, p)
             checks = zip(rank_in.tolist(), rank_out.tolist(), exact.tolist(), linear_in.tolist(), linear_out.tolist())
             for i, (r_in, r_out, ex, lin_in, lin_out) in zip(group[lo : lo + chunk], checks):
                 out[i] = [problem for problem, bad in (
@@ -136,19 +142,24 @@ def extension_block(ext: Ext1Space, block: np.ndarray) -> tuple[list[ExtensionWi
 
     The cocycles, their relation spans and the middle-term actions
     proj . action . lift are stacked, with each row's own
-    complement_projection, in chunks (chunk_rows). One product per chunk
-    checks project . m = u, the class of 1 in R/(x) (X's first generator),
-    and certify_extensions checks the whole block as verify() would."""
+    complement_projection, in chunks (chunk_rows); lift keeps the
+    complement coordinates, so its product is a selection of columns. One
+    product per chunk checks project . m = u, the class of 1 in R/(x) (X's
+    first generator), and certify_extensions checks the whole block as
+    verify() would."""
     X, Y = ext.X, ext.L
     A = X.algebra
     p = A.p
     D, neg_d1 = ext.split_sum
     spans = cover_matrix(Y, ext.cocycle(block).transpose(0, 2, 1))
     spans = np.concatenate([spans, np.broadcast_to(neg_d1, (len(block),) + neg_d1.shape)], axis=1)
-    cuts = [linalg.complement_projection(PrimeFieldMatrix._own(W, p))[:2] for W in spans]
+    cuts = [linalg.complement_projection(PrimeFieldMatrix._own(W, p)) for W in spans]
     by_dim: dict[int, list[int]] = {}
-    for i, (proj, _) in enumerate(cuts):
+    for i, (proj, _, _) in enumerate(cuts):
         by_dim.setdefault(proj.shape[0], []).append(i)
+    # project is cover0 . pr_F0 . lift: it factors through the quotient, so it
+    # does not depend on the section lift
+    cover = np.hstack([np.zeros((X.dim, Y.dim), dtype=np.int64), ext.cover0])
     witnesses: list = [None] * len(block)
     gens: list = [None] * len(block)
     for dm, rows in by_dim.items():
@@ -156,10 +167,9 @@ def extension_block(ext: Ext1Space, block: np.ndarray) -> tuple[list[ExtensionWi
         for lo in range(0, len(rows), chunk):
             part = rows[lo : lo + chunk]
             proj = np.stack([cuts[i][0] for i in part])
-            lift = np.stack([cuts[i][1] for i in part])
-            actions = proj[:, None] @ D.action @ lift[:, None] % p
-            # project factors cover0 . pr_F0 through the quotient; independent of lift
-            project = ext.cover0 @ lift[:, Y.dim :] % p
+            keep = np.array([cuts[i][2] for i in part], dtype=np.int64).reshape(len(part), dm)
+            actions = np.take_along_axis(linalg.matmul_mod(proj[:, None], D.action, p), keep[:, None, None], axis=3)
+            project = cover[:, keep].transpose(1, 0, 2)
             m = proj[:, :, Y.dim : Y.dim + 1]
             if ((project @ m - ext.cover0[:, :1]) % p).any():
                 raise LiftFailure("the class of (0, 1) does not cover the generator of R/(x)")

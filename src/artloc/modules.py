@@ -555,8 +555,8 @@ def splitting_flags(modules: Sequence[FpModule]) -> list[bool]:
     for (A, d), group in groups.items():
         gens = A.generator_indices
         e = gens.size
-        # three (e d)^2 stacks are alive at once: GR as floats and as ints,
-        # and the residues rank_batch reduces
+        # three (e d)^2 stacks are alive at once: GR as floats, as integers
+        # and as residues
         chunk = chunk_rows(3 * e * e * d * d)
         for lo in range(0, len(group), chunk):
             part = group[lo : lo + chunk]
@@ -564,10 +564,7 @@ def splitting_flags(modules: Sequence[FpModule]) -> list[bool]:
             G = acts.reshape(len(part), e * d, d)
             R = acts.transpose(0, 2, 1, 3).reshape(len(part), d, e * d)
             rank_G, rank_R = linalg.rank_batch(G, A.p), linalg.rank_batch(R, A.p)
-            # float64 products run through BLAS and are exact: an entry is a
-            # sum of d products of residues below p < 2^16, so below 2^53
-            GR = G.astype(np.float64) @ R.astype(np.float64)
-            rank_GR = linalg.rank_batch(GR.astype(np.int64), A.p)
+            rank_GR = linalg.rank_batch(linalg.matmul_mod(G, R, A.p), A.p)
             for i, split in zip(part, (d - rank_G > rank_R - rank_GR).tolist()):
                 flags[i] = split
     return flags
