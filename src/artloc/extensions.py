@@ -77,13 +77,6 @@ class ExtensionWitness(NamedTuple):
         return verify_extensions([self])[0]
 
 
-def _actions(mods: Sequence[FpModule]) -> np.ndarray:
-    """The actions of mods as one stack; a stack of one when all are one module."""
-    if all(M is mods[0] for M in mods):
-        return mods[0].action[None]
-    return np.stack([M.action for M in mods])
-
-
 def _commutes(target: np.ndarray, maps: np.ndarray, source: np.ndarray, p: int) -> np.ndarray:
     """For each map f of a (B, 1, m, n) stack, whether target . f = f . source
     for every action of the stacks of module actions."""
@@ -105,8 +98,9 @@ def verify_extensions(witnesses: Sequence[ExtensionWitness]) -> list[list[str]]:
         chunk = chunk_rows(witnesses[group[0]].middle.algebra.dim * dm * dm)
         for lo in range(0, len(group), chunk):
             part = [witnesses[i] for i in group[lo : lo + chunk]]
-            sub, middle = _actions([w.sub for w in part]), _actions([w.middle for w in part])
-            quotient = _actions([w.quotient for w in part])
+            sub = np.stack([w.sub.action for w in part])
+            middle = np.stack([w.middle.action for w in part])
+            quotient = np.stack([w.quotient.action for w in part])
             inject = np.stack([w.inject.matrix for w in part])
             project = np.stack([w.project.matrix for w in part])
             rank_in, rank_out, exact = linalg.exactness(inject, project, p)
@@ -154,29 +148,26 @@ def extension_block(ext: Ext1Space, block: np.ndarray) -> tuple[list[ExtensionWi
     spans = cover_matrix(Y, ext.cocycle(block).transpose(0, 2, 1))
     spans = np.concatenate([spans, np.broadcast_to(neg_d1, (len(block),) + neg_d1.shape)], axis=1)
     cuts = [linalg.complement_projection(PrimeFieldMatrix._own(W, p)) for W in spans]
-    by_dim: dict[int, list[int]] = {}
-    for i, (proj, _, _) in enumerate(cuts):
-        by_dim.setdefault(proj.shape[0], []).append(i)
+    dm = Y.dim + X.dim
+    if any(proj.shape[0] != dm for proj, _, _ in cuts):
+        raise LiftFailure("cocycle produced a non-exact sequence: length is not additive")
     # project is cover0 . pr_F0 . lift: it factors through the quotient, so it
     # does not depend on the section lift
     cover = np.hstack([np.zeros((X.dim, Y.dim), dtype=np.int64), ext.cover0])
-    witnesses: list = [None] * len(block)
-    gens: list = [None] * len(block)
-    for dm, rows in by_dim.items():
-        chunk = chunk_rows(A.dim * dm * D.dim)
-        for lo in range(0, len(rows), chunk):
-            part = rows[lo : lo + chunk]
-            proj = np.stack([cuts[i][0] for i in part])
-            keep = np.array([cuts[i][2] for i in part], dtype=np.int64).reshape(len(part), dm)
-            actions = np.take_along_axis(linalg.matmul_mod(proj[:, None], D.action, p), keep[:, None, None], axis=3)
-            project = cover[:, keep].transpose(1, 0, 2)
-            m = proj[:, :, Y.dim : Y.dim + 1]
-            if ((project @ m - ext.cover0[:, :1]) % p).any():
-                raise LiftFailure("the class of (0, 1) does not cover the generator of R/(x)")
-            for i, act, inj, prj, gen in zip(part, actions, proj[:, :, : Y.dim], project, m):
-                M = FpModule(A, act)
-                witnesses[i] = ExtensionWitness(Y, M, X, ModuleMap(Y, M, inj), ModuleMap(M, X, prj))
-                gens[i] = gen
+    witnesses, gens = [], []
+    chunk = chunk_rows(A.dim * dm * D.dim)
+    for lo in range(0, len(cuts), chunk):
+        proj = np.stack([c[0] for c in cuts[lo : lo + chunk]])
+        keep = np.array([c[2] for c in cuts[lo : lo + chunk]], dtype=np.int64).reshape(len(proj), dm)
+        actions = np.take_along_axis(linalg.matmul_mod(proj[:, None], D.action, p), keep[:, None, None], axis=3)
+        project = cover[:, keep].transpose(1, 0, 2)
+        m = proj[:, :, Y.dim : Y.dim + 1]
+        if ((project @ m - ext.cover0[:, :1]) % p).any():
+            raise LiftFailure("the class of (0, 1) does not cover the generator of R/(x)")
+        for act, inj, prj in zip(actions, proj[:, :, : Y.dim], project):
+            M = FpModule(A, act)
+            witnesses.append(ExtensionWitness(Y, M, X, ModuleMap(Y, M, inj), ModuleMap(M, X, prj)))
+        gens.extend(m)
     certify_extensions(witnesses)
     return witnesses, gens
 
