@@ -24,7 +24,6 @@ from .modules import (
     ModuleMap,
     RingMatrix,
     canonical_fingerprint,
-    chunk_rows,
     cover_matrix,
     direct_sum,
     ext1,
@@ -36,6 +35,7 @@ from .modules import (
     regular_module,
     splits_off_k,
     splitting_flags,
+    stacks,
 )
 
 DEFAULT_COCYCLE_BUDGET = 1 << 20
@@ -85,38 +85,34 @@ def _commutes(target: np.ndarray, maps: np.ndarray, source: np.ndarray, p: int) 
 
 def verify_extensions(witnesses: Sequence[ExtensionWitness]) -> list[list[str]]:
     """ExtensionWitness.verify for every witness, each stack of witnesses of
-    one shape at once, in chunks (chunk_rows). Exactness at the middle is
+    one algebra and shape at once (stacks). Exactness at the middle is
     linalg.exactness on the stacks of maps: project . inject = 0 and
     rank inject + rank project = dim middle; linearity is one stacked
     commutator per map."""
     out: list[list[str]] = [[] for _ in witnesses]
-    groups: dict[tuple, list[int]] = {}
-    for i, w in enumerate(witnesses):
-        groups.setdefault((w.sub.dim, w.middle.dim, w.quotient.dim), []).append(i)
-    for (ds, dm, dq), group in groups.items():
-        p = witnesses[group[0]].middle.algebra.p
-        chunk = chunk_rows(witnesses[group[0]].middle.algebra.dim * dm * dm)
-        for lo in range(0, len(group), chunk):
-            part = [witnesses[i] for i in group[lo : lo + chunk]]
-            sub = np.stack([w.sub.action for w in part])
-            middle = np.stack([w.middle.action for w in part])
-            quotient = np.stack([w.quotient.action for w in part])
-            inject = np.stack([w.inject.matrix for w in part])
-            project = np.stack([w.project.matrix for w in part])
-            rank_in, rank_out, exact = linalg.exactness(inject, project, p)
-            inject, project = inject[:, None], project[:, None]  # broadcast over the actions
-            linear_in = _commutes(middle, inject, sub, p)
-            linear_out = _commutes(quotient, project, middle, p)
-            checks = zip(rank_in.tolist(), rank_out.tolist(), exact.tolist(), linear_in.tolist(), linear_out.tolist())
-            for i, (r_in, r_out, ex, lin_in, lin_out) in zip(group[lo : lo + chunk], checks):
-                out[i] = [problem for problem, bad in (
-                    ("length is not additive", dm != ds + dq),
-                    ("inject has a kernel", r_in != ds),
-                    ("project is not onto", r_out != dq),
-                    ("image(inject) differs from kernel(project)", not ex),
-                    ("inject is not A-linear", not lin_in),
-                    ("project is not A-linear", not lin_out),
-                ) if bad]
+    shape = lambda w: (w.middle.algebra, w.sub.dim, w.middle.dim, w.quotient.dim)
+    for (A, ds, dm, dq), idx in stacks(witnesses, shape, lambda k: k[0].dim * k[2] ** 2):
+        p = A.p
+        part = [witnesses[i] for i in idx]
+        sub = np.stack([w.sub.action for w in part])
+        middle = np.stack([w.middle.action for w in part])
+        quotient = np.stack([w.quotient.action for w in part])
+        inject = np.stack([w.inject.matrix for w in part])
+        project = np.stack([w.project.matrix for w in part])
+        rank_in, rank_out, exact = linalg.exactness(inject, project, p)
+        inject, project = inject[:, None], project[:, None]  # broadcast over the actions
+        linear_in = _commutes(middle, inject, sub, p)
+        linear_out = _commutes(quotient, project, middle, p)
+        checks = zip(rank_in.tolist(), rank_out.tolist(), exact.tolist(), linear_in.tolist(), linear_out.tolist())
+        for i, (r_in, r_out, ex, lin_in, lin_out) in zip(idx, checks):
+            out[i] = [problem for problem, bad in (
+                ("length is not additive", dm != ds + dq),
+                ("inject has a kernel", r_in != ds),
+                ("project is not onto", r_out != dq),
+                ("image(inject) differs from kernel(project)", not ex),
+                ("inject is not A-linear", not lin_in),
+                ("project is not A-linear", not lin_out),
+            ) if bad]
     return out
 
 
@@ -136,9 +132,9 @@ def extension_block(ext: Ext1Space, block: np.ndarray) -> tuple[list[ExtensionWi
 
     The cocycles, their relation spans and the middle-term actions
     proj . action . lift are stacked, with each row's own
-    complement_projection, in chunks (chunk_rows); lift keeps the
-    complement coordinates, so its product is a selection of columns. One
-    product per chunk checks project . m = u, the class of 1 in R/(x) (X's
+    complement_projection, in chunks (stacks); lift keeps the complement
+    coordinates, so its product is a selection of columns. One product per
+    chunk checks project . m = u, the class of 1 in R/(x) (X's
     first generator), and certify_extensions checks the whole block as
     verify() would."""
     X, Y = ext.X, ext.L
@@ -155,10 +151,9 @@ def extension_block(ext: Ext1Space, block: np.ndarray) -> tuple[list[ExtensionWi
     # does not depend on the section lift
     cover = np.hstack([np.zeros((X.dim, Y.dim), dtype=np.int64), ext.cover0])
     witnesses, gens = [], []
-    chunk = chunk_rows(A.dim * dm * D.dim)
-    for lo in range(0, len(cuts), chunk):
-        proj = np.stack([c[0] for c in cuts[lo : lo + chunk]])
-        keep = np.array([c[2] for c in cuts[lo : lo + chunk]], dtype=np.int64).reshape(len(proj), dm)
+    for _, idx in stacks(cuts, lambda cut: (A,), lambda _: A.dim * dm * D.dim):
+        proj = np.stack([cuts[i][0] for i in idx])
+        keep = np.array([cuts[i][2] for i in idx], dtype=np.int64).reshape(len(idx), dm)
         actions = np.take_along_axis(linalg.matmul_mod(proj[:, None], D.action, p), keep[:, None, None], axis=3)
         project = cover[:, keep].transpose(1, 0, 2)
         m = proj[:, :, Y.dim : Y.dim + 1]
@@ -206,24 +201,19 @@ def _verify_presents(pres: FreePresentation) -> None:
 
 def _verify_presentations(presentations: Sequence[FreePresentation]) -> None:
     """Certify that each presentation is an exact A^c -> A^r -> M -> 0, each
-    stack of one shape at once, in chunks (chunk_rows): by linalg.exactness,
+    stack of one algebra and shape at once (stacks): by linalg.exactness,
     cover . T = 0 and the ranks of T and cover add up to dim A^r, so the
     image of T is the kernel of cover; and rank cover = dim M, so the cover
     is onto."""
-    groups: dict[tuple, list[FreePresentation]] = {}
-    for pres in presentations:
-        groups.setdefault((pres.relations.shape, pres.cover.shape), []).append(pres)
-    for ((_, b1), (dim, cols)), group in groups.items():
-        A = group[0].relations.algebra
-        chunk = chunk_rows(cols * (b1 * A.dim + dim))  # T and cover
-        for lo in range(0, len(group), chunk):
-            part = group[lo : lo + chunk]
-            T = np.stack([pres.relations.as_linear_map().array for pres in part])
-            _, rank_cover, exact = linalg.exactness(T, np.stack([pres.cover for pres in part]), A.p)
-            if not exact.all():
-                raise LiftFailure("matrix image does not match the cover kernel")
-            if (rank_cover != dim).any():
-                raise LiftFailure("the cover is not onto the module")
+    shape = lambda pres: (pres.relations.algebra, *pres.relations.shape, *pres.cover.shape)
+    # T and cover: (A, r, c, dim M, cols) holds cols * (c dim_A + dim M) cells
+    for (A, _, _, dim, _), idx in stacks(presentations, shape, lambda k: k[4] * (k[2] * k[0].dim + k[3])):
+        T = np.stack([presentations[i].relations.as_linear_map().array for i in idx])
+        _, rank_cover, exact = linalg.exactness(T, np.stack([presentations[i].cover for i in idx]), A.p)
+        if not exact.all():
+            raise LiftFailure("matrix image does not match the cover kernel")
+        if (rank_cover != dim).any():
+            raise LiftFailure("the cover is not onto the module")
 
 
 def _generator_syzygy(ext: Ext1Space, x: np.ndarray) -> np.ndarray:

@@ -95,7 +95,7 @@ def _row_reduce(a: np.ndarray, p: int, pivot_cols: Optional[int] = None) -> tupl
         if hit.size > 1:
             hit = hit[hit != r]
             # row r is zero left of c, so elimination never touches those columns
-            a[hit, c:] = (a[hit, c:] - col[hit, None] * a[r, c:]) % p
+            a[hit, c:] = _residues(a[hit, c:] - col[hit, None] * a[r, c:], p)
         pivots.append(c)
         r += 1
         if r == rows:

@@ -10,7 +10,7 @@ produce identical arrays.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class FpModule:
     __slots__ = ("algebra", "dim", "action", "_profile", "_resolution", "_presentation", "_lift", "_end_dim", "_radical")
 
     def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
-        action = np.mod(np.asarray(action, dtype=np.int64), algebra.p)
+        action = linalg._residues(np.asarray(action, dtype=np.int64), algebra.p)
         if action.ndim != 3 or action.shape[0] != algebra.dim or action.shape[1] != action.shape[2]:
             raise ValueError("action tensor must have shape (dim_A, dim_M, dim_M)")
         action.setflags(write=False)
@@ -98,8 +98,7 @@ class ModuleMap:
     def __init__(self, source: FpModule, target: FpModule, matrix):
         if source.algebra is not target.algebra:
             raise ValueError("source and target live over different algebras")
-        p = source.algebra.p
-        m = np.mod(np.asarray(matrix, dtype=np.int64), p)
+        m = linalg._residues(np.asarray(matrix, dtype=np.int64), source.algebra.p)
         if m.shape != (target.dim, source.dim):
             raise ValueError(f"matrix shape {m.shape} does not match map {source.dim}->{target.dim}")
         m.setflags(write=False)
@@ -185,42 +184,44 @@ def residue_field(A: LocalAlgebra) -> FpModule:
     return cyclic_module(A, A.maxideal())
 
 
-def chunk_rows(cells: int) -> int:
-    """How many stacked items of `cells` int64 cells each make one chunk of
-    at most STACK_CELLS cells; at least one."""
-    return max(1, STACK_CELLS // max(1, cells))
+def stacks(items: Sequence, key: Callable[[Any], tuple], cells: Callable[[tuple], int]) -> Iterator[tuple[tuple, list[int]]]:
+    """The chunks of every stacked step over many modules, maps or
+    presentations: items grouped by key(item), a tuple whose first field is
+    the algebra they live over and whose rest fixes their shapes, yielded
+    as (key, indices) with at most STACK_CELLS // cells(key) items (at
+    least one) of one group, in input order. A step takes its modulus and
+    shapes from the key, so items over two algebras never share a stack."""
+    groups: dict[tuple, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    for k, group in groups.items():
+        rows = max(1, STACK_CELLS // max(1, cells(k)))
+        for lo in range(0, len(group), rows):
+            yield k, group[lo : lo + rows]
 
 
 def iso_profiles(modules: Sequence[FpModule]) -> None:
     """Fill the iso_profile (dim M, dim mM, rank of the action of each basis
     element of m) of every module that lacks one, each stack of modules of
-    one dimension d at once, from two linalg.rank_batch calls per chunk
-    (chunk_rows): dim mM is the rank of those actions placed side by side,
-    and the ranks of the actions themselves follow.
+    one algebra and dimension d at once (stacks), from two linalg.rank_batch
+    calls: dim mM is the rank of those actions placed side by side, and the
+    ranks of the actions themselves follow.
 
     is_isomorphic relies on dim mM: equal profiles give mu(M) = mu(N)."""
-    groups: dict[int, list[FpModule]] = {}
-    for M in modules:
-        if M._profile is None:
-            groups.setdefault(M.dim, []).append(M)
-    for d, group in groups.items():
-        A = group[0].algebra
-        if any(M.algebra is not A for M in group):
-            raise ValueError("modules live over different algebras")
+    todo = [M for M in modules if M._profile is None]
+    for (A, d), idx in stacks(todo, lambda M: (M.algebra, M.dim), lambda k: k[0].dim * k[1] ** 2):
+        part = [todo[i] for i in idx]
         if d == 0:
-            for M in group:
+            for M in part:
                 M._profile = (0, 0, (0,) * (A.dim - 1))
             continue
-        chunk = chunk_rows(d * d * A.dim)
-        for lo in range(0, len(group), chunk):
-            part = group[lo : lo + chunk]
-            mult = np.stack([M.action[1:] for M in part])  # (B, dim_A - 1, d, d)
-            B = len(part)
-            # rank [a_1 | a_2 | ...] = rank of the transposes stacked
-            rad = linalg.rank_batch(mult.transpose(0, 1, 3, 2).reshape(B, -1, d), A.p)
-            ranks = linalg.rank_batch(mult.reshape(-1, d, d), A.p).reshape(B, A.dim - 1)
-            for M, r, acts in zip(part, rad.tolist(), ranks.tolist()):
-                M._profile = (d, r, tuple(acts))
+        mult = np.stack([M.action[1:] for M in part])  # (B, dim_A - 1, d, d)
+        B = len(part)
+        # rank [a_1 | a_2 | ...] = rank of the transposes stacked
+        rad = linalg.rank_batch(mult.transpose(0, 1, 3, 2).reshape(B, -1, d), A.p)
+        ranks = linalg.rank_batch(mult.reshape(-1, d, d), A.p).reshape(B, A.dim - 1)
+        for M, r, acts in zip(part, rad.tolist(), ranks.tolist()):
+            M._profile = (d, r, tuple(acts))
 
 
 # -- ring-entry matrices and presentations ----------------------------------------------
@@ -338,7 +339,7 @@ def cover_matrix(M: FpModule, imgs: np.ndarray) -> np.ndarray:
     e_j * imgs[..., k, :], columns generator major, algebra basis minor."""
     imgs = np.asarray(imgs, dtype=np.int64)
     ev = np.einsum("jnm,...km->...nkj", M.action, imgs)
-    return ev.reshape(imgs.shape[:-2] + (M.dim, imgs.shape[-2] * M.algebra.dim)) % M.algebra.p
+    return linalg._residues(ev.reshape(imgs.shape[:-2] + (M.dim, imgs.shape[-2] * M.algebra.dim)), M.algebra.p)
 
 
 class Resolution:
@@ -538,8 +539,8 @@ def splits_off_k(M: FpModule) -> Optional[np.ndarray]:
 
 def splitting_flags(modules: Sequence[FpModule]) -> list[bool]:
     """[splits_off_k(M) is not None for M in modules], each stack of modules
-    of one algebra and one dimension d at once, from three linalg.rank_batch
-    calls per chunk (chunk_rows).
+    of one algebra and dimension d at once (stacks), from three
+    linalg.rank_batch calls.
 
     k splits off M iff soc M is not inside mM: a functional on M/mM that is
     nonzero at a socle vector v splits k v off, and a summand k is spanned by
@@ -549,24 +550,19 @@ def splitting_flags(modules: Sequence[FpModule]) -> list[bool]:
     im R, of dimension rank R - rank GR; so k splits off iff
     d - rank G > rank R - rank GR."""
     flags = [False] * len(modules)
-    groups: dict[tuple, list[int]] = {}
-    for i, M in enumerate(modules):
-        groups.setdefault((M.algebra, M.dim), []).append(i)
-    for (A, d), group in groups.items():
+    # three (e d)^2 stacks are alive at once: GR as floats, as integers and
+    # as residues
+    for (A, d), idx in stacks(modules, lambda M: (M.algebra, M.dim),
+                              lambda k: 3 * (k[0].generator_indices.size * k[1]) ** 2):
         gens = A.generator_indices
         e = gens.size
-        # three (e d)^2 stacks are alive at once: GR as floats, as integers
-        # and as residues
-        chunk = chunk_rows(3 * e * e * d * d)
-        for lo in range(0, len(group), chunk):
-            part = group[lo : lo + chunk]
-            acts = np.stack([modules[i].action[gens] for i in part])  # (B, e, d, d)
-            G = acts.reshape(len(part), e * d, d)
-            R = acts.transpose(0, 2, 1, 3).reshape(len(part), d, e * d)
-            rank_G, rank_R = linalg.rank_batch(G, A.p), linalg.rank_batch(R, A.p)
-            rank_GR = linalg.rank_batch(linalg.matmul_mod(G, R, A.p), A.p)
-            for i, split in zip(part, (d - rank_G > rank_R - rank_GR).tolist()):
-                flags[i] = split
+        acts = np.stack([modules[i].action[gens] for i in idx])  # (B, e, d, d)
+        G = acts.reshape(len(idx), e * d, d)
+        R = acts.transpose(0, 2, 1, 3).reshape(len(idx), d, e * d)
+        rank_G, rank_R = linalg.rank_batch(G, A.p), linalg.rank_batch(R, A.p)
+        rank_GR = linalg.rank_batch(linalg.matmul_mod(G, R, A.p), A.p)
+        for i, split in zip(idx, (d - rank_G > rank_R - rank_GR).tolist()):
+            flags[i] = split
     return flags
 
 
@@ -815,9 +811,9 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     if M._end_dim is None:
         M._end_dim = hom_dim(M, M)
     d1, D = _hom_constraint(M, N)
-    if d1.rows * N.dim - linalg.rank_mod(D.array, p) != M._end_dim:
+    imgs = _generator_images(d1.rows, D, N)  # a basis of Hom(M, N)
+    if len(imgs) != M._end_dim:
         return IsoResult(False, None)
-    imgs = _generator_images(d1.rows, D, N)
     # Equal profiles give dim mM = dim mN, so mu(M) = mu(N) and, once read
     # on a basis of M/mM, the top maps are square.
     top = _top_functionals(N)

@@ -477,11 +477,13 @@ def test_json_reports_are_deterministic(tmp_path):
          "808a5a2506dfebe2e779d926e1095297f85101066d1e99bc37542598de4fa40f"),
         (["closure", "stretched.ring", "--depth", "3"],
          "741655e94f82d322230d72dc10992a5f8d82eb040cbc073edc33a518009bdb61"),
+        (["closure", "stretched.ring", "--depth", "4"],
+         "6e3f56fcc09b313e23842a63298aba334d72e73c9c5f9db138f66610808409bd"),
         # over F_5 the depth-4 merges are decided by the reduced top-map determinant
         (["filt", "pair.ring", "--p", "5", "--depth", "4"],
          "86aef7c2e68edf0c09c2fdff3bd46d4ca3d84bc0fcfcf5249de93d6f99751ff6"),
     ],
-    ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "filt-pair5-4"],
+    ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "closure-stretched-4", "filt-pair5-4"],
 )
 def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     """Which cocycles filt builds may change; the reported classes, their

@@ -207,6 +207,40 @@ def test_stacked_presentation_certificate_catches_one_bad_presentation(goto):
         extensions._verify_presentations([*good[:5], padded, *good[6:]])
 
 
+def test_stacked_steps_keep_each_algebra_apart():
+    """The level-2 nodes of pair_ring(2) and pair_ring(3) have equal shapes,
+    and each stacked step keeps the two rings apart: both presentations
+    pass one certificate, an F_3 witness with its inject scaled by 2 stays
+    exact next to an F_2 one, and the invariant profiles and k-summand
+    flags of a list mixing the rings are those of each ring alone."""
+    levels = []
+    for p in (2, 3):
+        A = pair_ring(p)
+        levels.append(filt_enumerate(A, closure_element(A), 2)[1])
+    node2, node3 = levels[0][1], levels[1][1]
+    pres2, pres3 = node2.presentation, node3.presentation
+    assert (pres2.relations.shape, pres2.cover.shape) == (pres3.relations.shape, pres3.cover.shape)
+    extensions._verify_presentations([pres2, pres3])
+    extensions._verify_presentations([pres3, pres2])
+    w2, w3 = node2.chain[-1], node3.chain[-1]
+    w3 = w3._replace(inject=ModuleMap(w3.sub, w3.middle, 2 * w3.inject.matrix))
+    assert w2.verify() == [] and w3.verify() == []
+    assert extensions.verify_extensions([w2, w3]) == [[], []]
+
+    def fresh(level):
+        return [FpModule(node.module.algebra, node.module.action) for node in level]
+
+    alone = [fresh(level) for level in levels]
+    for mods in alone:
+        modules.iso_profiles(mods)
+    mixed = [M for pair in zip(*map(fresh, levels)) for M in pair]
+    modules.iso_profiles(mixed)
+    one_ring = [M for pair in zip(*alone) for M in pair]
+    assert [M.iso_profile() for M in mixed] == [M.iso_profile() for M in one_ring]
+    assert modules.splitting_flags(mixed) == [flag for pair in zip(*map(modules.splitting_flags, alone))
+                                              for flag in pair]
+
+
 def test_filt_certifies_every_new_presentation_per_block(goto, monkeypatch):
     """The goto depth-3 census certifies the triangular presentations of
     each block's new classes with one stacked _verify_presentations call,

@@ -45,6 +45,7 @@ from artloc.modules import (
     residue_field,
     splits_off_k,
     splitting_flags,
+    stacks,
     sub_module,
     tor,
 )
@@ -833,6 +834,44 @@ def test_end_dimension_gate_answers_before_any_search(monkeypatch):
     assert result and len(seen) == 1 and ends == [(M1, M1)]
     H = result.witness.matrix
     assert linalg.rank_mod(H, 3) == 2 and not ((N1.action @ H - H @ M1.action) % 3).any()
+
+
+def test_is_isomorphic_reduces_its_hom_constraint_once(example1, monkeypatch):
+    """On an isomorphic pair, is_isomorphic reduces D (Hom(M, N) = ker D)
+    once: the kernel basis it needs gives dim Hom(M, N) for the End gate."""
+    M = direct_sum(residue_field(example1), _cyclic(example1, "x"))
+    N = _random_conjugate(M, np.random.default_rng(5))
+    M._end_dim = hom_dim(M, M)
+    D = modules._hom_constraint(M, N)[1].array
+    assert D.size
+    real, reduced = linalg._row_reduce, []
+
+    def spy(a, p, **kwargs):
+        reduced.append(np.array_equal(a, D))
+        return real(a, p, **kwargs)
+
+    monkeypatch.setattr(linalg, "_row_reduce", spy)
+    assert is_isomorphic(M, N)
+    assert sum(reduced) == 1
+
+
+@pytest.mark.parametrize("cells", [0, 1, 5000, modules.STACK_CELLS // 3, modules.STACK_CELLS, 3 * modules.STACK_CELLS])
+def test_stacks_chunks_each_algebra_and_shape_apart(cells):
+    """stacks yields every index once, ascending within a chunk, in chunks
+    of at most STACK_CELLS // cells items (at least one) whose items share
+    the key; two algebras of equal shape never share a chunk."""
+    A2, A3 = pair_ring(2), pair_ring(3)
+    items = [(A2 if i % 3 else A3, i % 2, i % 5 == 0) for i in range(60)]
+    rows = max(1, modules.STACK_CELLS // max(1, cells))
+    chunks = list(stacks(items, lambda item: item[:2], lambda key: cells))
+    seen = [i for _, idx in chunks for i in idx]
+    assert sorted(seen) == list(range(len(items)))
+    for key, idx in chunks:
+        assert idx == sorted(idx) and 1 <= len(idx) <= rows
+        assert all(items[i][:2] == key for i in idx)
+        assert len({id(items[i][0]) for i in idx}) == 1
+    assert len(chunks) == sum(-(-sum(item[:2] == key for item in items) // rows)
+                              for key in {item[:2] for item in items})
 
 
 def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
