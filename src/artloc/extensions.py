@@ -280,6 +280,28 @@ def orbit_generators(ext: Ext1Space) -> tuple[np.ndarray, np.ndarray]:
     return gs, acts
 
 
+def _find_roots(root: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The root of each node in the forest root (root[n] <= n, equal at a
+    root), halving every path on the way up."""
+    while True:
+        up = root[nodes]
+        top = root[up]
+        if (up == top).all():
+            return up
+        root[nodes] = top
+        nodes = top
+
+
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the trees of a[i] and b[i] for every i: the larger root always
+    hangs under the smaller, so each root stays the least member of its tree."""
+    while a.size:
+        a, b = _find_roots(root, a), _find_roots(root, b)
+        apart = a != b
+        a, b = np.minimum(a, b)[apart], np.maximum(a, b)[apart]
+        np.minimum.at(root, b, a)
+
+
 def _orbit_minima(ext: Ext1Space):
     """The least member of every orbit of the group G generated by
     orbit_generators(ext) and the unit scalars on Ext^1(X, Y), in increasing
@@ -287,47 +309,26 @@ def _orbit_minima(ext: Ext1Space):
     linalg.BLOCK_ROWS rows.
 
     Scalars are central, so every orbit is closed under them and its least
-    member is monic; the scan walks the monic cocycles in order
-    (linalg.monic_blocks), and one that no earlier orbit covered is a
-    minimum. Its orbit is marked in a bitmap of p^dim flags by a search over
-    monic members only: a generator image is rescaled to its monic multiple
-    (linalg.monic_index), which is how the scalars act."""
+    member is monic. One union-find pass labels the orbits: every nonzero
+    monic cocycle is joined (_join) to the monic multiple
+    (linalg.monic_index) of its image under each generator, which is how the
+    scalars act, about BLOCK_ROWS images at a time. A larger root always
+    hangs under the smaller, so the roots are the orbit minima; zero is an
+    orbit of its own. The forest takes 8 p^dim bytes, the list of monic
+    cocycles at most as much."""
     p, e = ext.X.algebra.p, ext.dim
     _, acts = orbit_generators(ext)
-    # a scalar matrix fixes every monic cocycle
-    moving = np.any(acts != acts[:, :1, :1] * np.eye(e, dtype=np.int64), axis=(1, 2))
-    if not moving.any():
-        yield from linalg.monic_blocks(p, e)
-        return
-    # every np.unique here takes return_index: without it, np.unique runs a
-    # masked-array check that imports numpy.ma (about 20 ms) into the process
-    acts = np.unique(acts[moving], axis=0, return_index=True)[0]
-    step = acts.transpose(2, 0, 1).reshape(e, -1)  # rows @ step: every image side by side
-    chunk = max(1, linalg.BLOCK_ROWS // acts.shape[0])
     weights = p ** np.arange(e, dtype=np.int64)
-    covered = np.zeros(p**e, dtype=bool)
-    pending = []
-    for block in linalg.monic_blocks(p, e):
-        for row, n in zip(block, (block @ weights).tolist()):
-            if covered[n]:
-                continue
-            covered[n] = True
-            pending.append(row)
-            frontier = np.array([n], dtype=np.int64)
-            while frontier.size:
-                found = []
-                for lo in range(0, frontier.size, chunk):
-                    rows = frontier[lo : lo + chunk, None] // weights % p
-                    idx = np.unique(linalg.monic_index((rows @ step % p).reshape(-1, e), p), return_index=True)[0]
-                    idx = idx[~covered[idx]]
-                    covered[idx] = True
-                    found.append(idx)
-                frontier = np.concatenate(found)
-            if len(pending) == linalg.BLOCK_ROWS:
-                yield np.array(pending)
-                pending = []
-    if pending:
-        yield np.array(pending)
+    monic = np.concatenate([np.zeros(1, dtype=np.int64), *(np.arange(w, 2 * w) for w in weights.tolist())])
+    root = np.arange(p**e, dtype=np.int64)
+    per = max(1, linalg.BLOCK_ROWS // max(1, len(acts)))  # cocycles per chunk
+    for lo in range(1, monic.size, per):
+        nums = monic[lo : lo + per]
+        images = (nums[:, None] // weights % p) @ acts.transpose(0, 2, 1) % p  # (G, rows, e)
+        _join(root, np.tile(nums, len(acts)), linalg.monic_index(images.reshape(-1, e), p))
+    minima = monic[root[monic] == monic]
+    for lo in range(0, minima.size, linalg.BLOCK_ROWS):
+        yield minima[lo : lo + linalg.BLOCK_ROWS, None] // weights % p
 
 
 def filt_enumerate(
@@ -348,8 +349,8 @@ def filt_enumerate(
     (ValueError past its cap), and a class keeps its first member, so that
     member, with its chain and presentation, is the one a scan of every
     cocycle in digit order would keep. The budget still counts all p^dim
-    cocycles per class; it also bounds the orbit scan's bitmap of p^dim
-    bytes."""
+    cocycles per class; it also bounds the orbit scan's union-find forest
+    of 8 p^dim bytes and its list of monic cocycles."""
     if n < 1:
         raise ValueError("need at least one level")
     x = np.asarray(x, dtype=np.int64) % A.p

@@ -292,6 +292,31 @@ def monic_rows_brute(p: int, width: int) -> list[list[int]]:
     return [r for r in rows if [c for c in r if c][-1:] in ([], [1])]
 
 
+def orbit_closure_minima(acts, p: int, width: int) -> list[tuple[int, ...]]:
+    """Least member (as a little-endian base-p integer) of every orbit on
+    F_p^width of the group generated by the (width, width) matrices acts,
+    acting by v -> g v, and the unit scalars: every vector, in increasing
+    order, starts a plain graph search unless an earlier orbit holds it."""
+    gens = [np.asarray(g, dtype=np.int64).tolist() for g in acts]
+    seen, minima = set(), []
+    for n in range(p**width):
+        start = tuple(base_p_digits(n, p, width))
+        if start in seen:
+            continue
+        minima.append(start)
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            images = [tuple(c * u % p for c in v) for u in range(1, p)]
+            images += [tuple(sum(a * c for a, c in zip(row, v)) % p for row in g) for g in gens]
+            for image in images:
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return minima
+
+
 def bounded_betti_brute(table, p: int):
     """First x = (0, digits of n), n = 1..p^(d-1) - 1 (first non-unit basis
     vector least significant), outside m^2 with (0:x) = (x); None when there

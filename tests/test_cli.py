@@ -479,11 +479,15 @@ def test_json_reports_are_deterministic(tmp_path):
          "741655e94f82d322230d72dc10992a5f8d82eb040cbc073edc33a518009bdb61"),
         (["closure", "stretched.ring", "--depth", "4"],
          "6e3f56fcc09b313e23842a63298aba334d72e73c9c5f9db138f66610808409bd"),
+        # the only corpus census whose scans reach Ext^1 dimension 12: 4,096 monic cocycles
+        (["closure", "goto.ring", "--depth", "5"],
+         "dfa63a1339aeb8a1e6aa7044fbd2195e78bfc99895d7e25772becc7fe1a4e863"),
         # over F_5 the depth-4 merges are decided by the reduced top-map determinant
         (["filt", "pair.ring", "--p", "5", "--depth", "4"],
          "86aef7c2e68edf0c09c2fdff3bd46d4ca3d84bc0fcfcf5249de93d6f99751ff6"),
     ],
-    ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "closure-stretched-4", "filt-pair5-4"],
+    ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "closure-stretched-4", "closure-goto-5",
+         "filt-pair5-4"],
 )
 def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     """Which cocycles filt builds may change; the reported classes, their

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ from oracles import (
     hom_dim_kron,
     is_isomorphic_top_brute,
     module_axioms_hold,
+    monic_rows_brute,
+    orbit_closure_minima,
     orbit_minima_brute,
 )
 
@@ -492,6 +495,49 @@ def test_orbit_minima_keep_the_first_member_of_every_class(make, p, depth, monke
     assert [len(level) for level in filt_enumerate(A, x, depth, budget=required)] == [
         len(level) for level in want
     ]
+
+
+def _synthetic_generators(p, e, kind):
+    """Generators of the orbit scan on F_p^e: the transvection I + E_12,
+    diag(p - 1, 1, ..., 1) with a cyclic permutation, none, or scalars only."""
+    eye = np.eye(e, dtype=np.int64)
+    if kind == "transvection":
+        g = eye.copy()
+        g[0, 1] = 1
+        return [g]
+    if kind == "diagonal and cycle":
+        g = eye.copy()
+        g[0, 0] = p - 1
+        return [g, np.roll(eye, 1, axis=0)]
+    return {"none": [], "scalars": [eye, (p - 1) * eye]}[kind]
+
+
+@pytest.mark.parametrize(
+    "p, e, kind",
+    [(2, 13, "transvection"), (3, 8, "diagonal and cycle"), (3, 5, "none"), (3, 5, "scalars"),
+     (2, 0, "none"), (3, 0, "scalars")],
+)
+def test_orbit_minima_match_a_plain_closure_across_block_boundaries(p, e, kind, monkeypatch):
+    """On a stub space with synthetic generators, the orbit scan yields the
+    minima a plain closure over all p^e vectors finds, in increasing order,
+    in blocks of BLOCK_ROWS rows but the last: two blocks for I + E_12 on
+    F_2^13, which fixes 2^12 lines and pairs the rest; every monic row when
+    no generator moves a line; one row of width 0 on the zero space."""
+    gens = _synthetic_generators(p, e, kind)
+    acts = np.array(gens, dtype=np.int64).reshape(len(gens), e, e)
+    monkeypatch.setattr(extensions, "orbit_generators", lambda ext: (acts, acts))
+    stub = SimpleNamespace(X=SimpleNamespace(algebra=SimpleNamespace(p=p)), dim=e)
+    blocks = list(extensions._orbit_minima(stub))
+    assert [len(b) for b in blocks[:-1]] == [linalg.BLOCK_ROWS] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= linalg.BLOCK_ROWS and all(b.shape[1] == e for b in blocks)
+    rows = [tuple(int(c) for c in row) for b in blocks for row in b]
+    assert rows == orbit_closure_minima(acts, p, e)  # the oracle lists them in increasing order
+    if kind == "transvection":
+        assert len(blocks) == 2 and len(rows) == 2**12 + 2**11
+    if kind in ("none", "scalars"):
+        assert rows == [tuple(r) for r in monic_rows_brute(p, e)]
+    if e == 0:
+        assert rows == [()]
 
 
 @pytest.mark.parametrize("make, p", [(example1_ring, 2), (goto_ring, 2), (stretched_ring, 3), (pair_ring, 5)])
