@@ -327,8 +327,9 @@ def _orbit_minima(ext: Ext1Space):
         images = (nums[:, None] // weights % p) @ acts.transpose(0, 2, 1) % p  # (G, rows, e)
         _join(root, np.tile(nums, len(acts)), linalg.monic_index(images.reshape(-1, e), p))
     minima = monic[root[monic] == monic]
-    for lo in range(0, minima.size, linalg.BLOCK_ROWS):
-        yield minima[lo : lo + linalg.BLOCK_ROWS, None] // weights % p
+    # only the blocks outlive this call: the forest and the last chunk's
+    # images are freed while the blocks are built
+    return (minima[lo : lo + linalg.BLOCK_ROWS, None] // weights % p for lo in range(0, minima.size, linalg.BLOCK_ROWS))
 
 
 def filt_enumerate(
