@@ -280,23 +280,17 @@ def orbit_generators(ext: Ext1Space) -> tuple[np.ndarray, np.ndarray]:
     return gs, acts
 
 
-def _find_roots(root: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """The root of each node in the forest root (root[n] <= n, equal at a
-    root), halving every path on the way up."""
-    while True:
-        up = root[nodes]
-        top = root[up]
-        if (up == top).all():
-            return up
-        root[nodes] = top
-        nodes = top
-
-
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Join the trees of a[i] and b[i] for every i: the larger root always
-    hangs under the smaller, so each root stays the least member of its tree."""
+    """Join the trees of a[i] and b[i] for every i in the forest root
+    (root[n] <= n, equal at a root): find both roots, halving every path on
+    the way up, and hang the larger under the smaller until each pair
+    shares a root, so every root stays the least member of its tree."""
     while a.size:
-        a, b = _find_roots(root, a), _find_roots(root, b)
+        ends = np.concatenate([a, b])
+        while (root[root[ends]] != root[ends]).any():
+            root[ends] = root[root[ends]]
+            ends = root[ends]
+        a, b = np.split(root[ends], 2)
         apart = a != b
         a, b = np.minimum(a, b)[apart], np.maximum(a, b)[apart]
         np.minimum.at(root, b, a)
@@ -309,13 +303,12 @@ def _orbit_minima(ext: Ext1Space):
     linalg.BLOCK_ROWS rows.
 
     Scalars are central, so every orbit is closed under them and its least
-    member is monic. One union-find pass labels the orbits: every nonzero
-    monic cocycle is joined (_join) to the monic multiple
+    member is monic. One union-find pass (_join), about BLOCK_ROWS images at
+    a time, joins every nonzero monic cocycle to the monic multiple
     (linalg.monic_index) of its image under each generator, which is how the
-    scalars act, about BLOCK_ROWS images at a time. A larger root always
-    hangs under the smaller, so the roots are the orbit minima; zero is an
-    orbit of its own. The forest takes 8 p^dim bytes, the list of monic
-    cocycles at most as much."""
+    scalars act; the roots are the orbit minima, and zero is an orbit of its
+    own. The forest takes 8 p^dim bytes, the list of monic cocycles at most
+    as much."""
     p, e = ext.X.algebra.p, ext.dim
     _, acts = orbit_generators(ext)
     weights = p ** np.arange(e, dtype=np.int64)
@@ -327,9 +320,8 @@ def _orbit_minima(ext: Ext1Space):
         images = (nums[:, None] // weights % p) @ acts.transpose(0, 2, 1) % p  # (G, rows, e)
         _join(root, np.tile(nums, len(acts)), linalg.monic_index(images.reshape(-1, e), p))
     minima = monic[root[monic] == monic]
-    # only the blocks outlive this call: the forest and the last chunk's
-    # images are freed while the blocks are built
-    return (minima[lo : lo + linalg.BLOCK_ROWS, None] // weights % p for lo in range(0, minima.size, linalg.BLOCK_ROWS))
+    for lo in range(0, minima.size, linalg.BLOCK_ROWS):
+        yield minima[lo : lo + linalg.BLOCK_ROWS, None] // weights % p
 
 
 def filt_enumerate(
