@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -251,6 +252,30 @@ def test_importing_the_cli_leaves_out_dataclasses():
     script = "import sys, artloc.cli\nsys.exit(3 if 'dataclasses' in sys.modules else 0)\n"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def test_the_cli_freezes_the_heap_once_at_import():
+    """Importing the CLI moves the import-time heap to the permanent
+    generation, so the collections at exit skip it; calling `main` freezes
+    nothing more, or each in-process call would pin the caller's garbage."""
+    script = "import gc, sys, artloc.cli\nsys.exit(0 if gc.get_freeze_count() > 0 else 3)\n"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["resolve", _ring("example1.ring"), "--steps", "2", "--quiet"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_entrypoint_writes_the_pinned_report(tmp_path):
+    """`python -m artloc` exits with the heap frozen; the report it wrote
+    keeps the bytes pinned for filt-example1-3 in
+    test_json_reports_keep_their_pinned_bytes."""
+    target = tmp_path / "report.json"
+    argv = ["filt", _ring("example1.ring"), "--depth", "3", "--quiet", "--json", str(target)]
+    subprocess.run([sys.executable, "-m", "artloc", *argv], capture_output=True, timeout=120, check=True)
+    digest = "a7396f37d3d0862b2718ede7a55aa9a0278fd9773dfb9d47167c2a37dad539fe"
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_tor_command(capsys):
