@@ -645,14 +645,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
-# Every command runs in a fresh interpreter that imports this module first
-# (`python -m artloc`, the `artloc` script). The ~22,000 objects the collector
-# tracks by now (numpy's and artloc's module state) live until exit, and the
-# collections at exit walked them all: 18-20 ms of every command. Frozen, they
-# are never walked again. This stays out of `main()`, which tests call many
-# times in one process and would freeze their uncollected garbage each time,
-# and out of `artloc/__init__`, so a program using the library keeps its
-# collector as it was.
+# Every command runs in a fresh interpreter that imports this module first.
+# The ~22,000 objects the collector tracks by now (numpy's and artloc's module
+# state) live until exit; frozen, the collections at exit no longer walk them.
+# Not in main(): tests call it many times in one process, and each call would
+# pin their uncollected garbage. Not in artloc/__init__: a program using the
+# library keeps its collector as it was.
 gc.freeze()
 
 
