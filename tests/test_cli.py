@@ -510,16 +510,51 @@ def test_json_reports_are_deterministic(tmp_path):
         # over F_5 the depth-4 merges are decided by the reduced top-map determinant
         (["filt", "pair.ring", "--p", "5", "--depth", "4"],
          "86aef7c2e68edf0c09c2fdff3bd46d4ca3d84bc0fcfcf5249de93d6f99751ff6"),
+        # the budget stops level 3: the reports keep the finished levels
+        (["filt", "goto.ring", "--depth", "4", "--budget", "10"],
+         "2b424a2ad7ad1518953dcc929704234cc7f7dbceac79fcd1b3327294dc19552c"),
+        (["closure", "goto.ring", "--depth", "4", "--budget", "10"],
+         "265e7cc3169365149ebd3242591c14720a2b58cd35e31727a21ad66d98c6b455"),
+        (["diagnose", "complete_intersection.ring", "--depth", "2"],
+         "3bbf2aae5a32d2151bcb4c93ffb823eb9534f96ea53a0a205e4515d5b9f758a9"),
+        (["diagnose", "dual_numbers.ring", "--depth", "2"],
+         "d8ec85ba2ef4245c37b3539d8cff3c828d330483164c371faadd5fa46eb528b5"),
+        (["diagnose", "example1.ring", "--depth", "2"],
+         "60f0577ea4d5ded471c1de3fccf1c49a2e2cac7da6266c3619c1dbce9a0d7673"),
+        (["diagnose", "goto.ring", "--depth", "2"],
+         "bf43a265cbbdda975e370e8e0a9675658f38729eded60d9d61f09770cc098eb8"),
+        (["diagnose", "hypersurface4.ring", "--depth", "2"],
+         "6cd6387ee26f8e8a9a4560253c325cf9064a7db97cc36f1df12506db51076ca2"),
+        (["diagnose", "pair.ring", "--depth", "2"],
+         "2df11a42b3f41f3b064785824f3c9da3d5e230f5fe01019ce87153be8e03c438"),
+        (["diagnose", "stretched.ring", "--depth", "2"],
+         "d07997c7ccd07cdb4153bc698002e5595ef26d6fe7097d72c5a73b0d4488817a"),
+        (["ext1", "goto.ring", "--left", "k", "--right", "R"],
+         "838a983a9b85919194cb8164abfaad95264a81f45c28b7aa89083197b9daa7d9"),
+        (["matrix-check", "dual_numbers.ring", "--element", "x", "--upper", "1"],
+         "92b1406bf7b3321345027d81a693d2fee321ceecc7b4b76fd9489a359e03dc46"),
     ],
     ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "closure-stretched-4", "closure-goto-5",
-         "filt-pair5-4"],
+         "filt-pair5-4", "filt-goto-4-budget10", "closure-goto-4-budget10", "diagnose-ci-2", "diagnose-dual-2",
+         "diagnose-example1-2", "diagnose-goto-2", "diagnose-hypersurface4-2", "diagnose-pair-2",
+         "diagnose-stretched-2", "ext1-goto-kR", "matrix-check-dual-x-1"],
 )
 def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     """Which cocycles filt builds may change; the reported classes, their
     order, presentations and verdicts may not. These reports are pinned by
-    SHA-256 to the bytes the full scan of monic cocycles produced."""
+    SHA-256 to the bytes the full scan of monic cocycles produced; the
+    diagnose, ext1, matrix-check and budget-stopped reports to the bytes
+    they had before they were built from the library's records."""
     target = tmp_path / "report.json"
     assert main([argv[0], _ring(argv[1]), *argv[2:], "--json", str(target), "--quiet"]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_verify_paper_report_keeps_its_pinned_bytes(tmp_path):
+    """The verify-paper report, one entry per corpus check, keeps its bytes."""
+    target = tmp_path / "report.json"
+    assert main(["verify-paper", "--json", str(target), "--quiet"]) == 0
+    digest = "413c94413b7e5ad418e092c2b67228d18410bd094fe77d123039031e196cf3d3"
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
