@@ -8,7 +8,7 @@ ids and run in id order.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,20 +83,7 @@ def goto_ring(p: int = 2) -> LocalAlgebra:
 def invariants_payload(inv: AlgebraInvariants, cls: AlgebraClass) -> tuple[dict, dict]:
     """The report fields for invariants and for classification flags,
     shared by `analyze` and `diagnose`."""
-    invariants = {
-        "length": inv.length,
-        "edim": inv.edim,
-        "hilbert": list(inv.hilbert),
-        "socle_dim": inv.socle_dim,
-        "top_socle_degree": inv.top_socle_degree,
-    }
-    flags = {
-        "field": cls.is_field,
-        "hypersurface": cls.is_hypersurface,
-        "gorenstein": cls.is_gorenstein,
-        "stretched": cls.is_stretched,
-    }
-    return invariants, flags
+    return inv._asdict(), {name.removeprefix("is_"): flag for name, flag in cls._asdict().items()}
 
 
 def analyze_payload(A: LocalAlgebra) -> dict:
@@ -111,10 +98,6 @@ class CorpusResult(NamedTuple):
     ok: bool
     expected: str
     got: str
-
-
-def _entry(id: str, description: str, fn: Callable[[], tuple[bool, str, str]]):
-    return (id, description, fn)
 
 
 def _check_parse_xz_minus_yw():
@@ -295,26 +278,26 @@ def _check_analyze_example1():
 
 
 CORPUS = [
-    _entry("parse-xz-minus-yw", "xz-yw over (x,y,z,w), p=2, equals xz + yw", _check_parse_xz_minus_yw),
-    _entry("parse-cubic-minus-square", "x^3-y^2 over (x,y,z), p=3, equals x^3 + 2y^2", _check_parse_cubic_minus_square),
-    _entry("stretched-length-edim", "stretched ring has length 6 and edim 3", _check_stretched_length_edim),
-    _entry("stretched-hilbert", "stretched ring has hilbert (1,3,1,1) and m^3 != 0", _check_stretched_profile),
-    _entry("stretched-classify", "stretched ring is Gorenstein, stretched, not a hypersurface", _check_stretched_classify),
-    _entry("example1-colon", "(0:x) = (x,y,w) of dim 4 in the dim-6 Gorenstein ring", _check_example1_colon),
-    _entry("stretched-socle-power", "m^3 = (x^3) has dim 1 in the stretched ring", _check_stretched_socle_power),
-    _entry("idealization-invariants", "idealization of the pair ring by its dual has length 6, hilbert (1,4,1), Gorenstein", _check_idealization_invariants),
-    _entry("tensor-dual-numbers", "dual numbers tensor dual numbers matches k[x,y]/(x^2,y^2)", _check_tensor_dual_numbers),
-    _entry("betti-k-edim", "beta_1(k) equals the embedding dimension", _check_betti_k_edim),
-    _entry("example1-tor-xz", "Tor_1(R/(x), R/(z)) = 0 in the dim-6 Gorenstein ring", _check_example1_tor_xz),
-    _entry("example1-tor-xk", "Tor_1(R/(x), k) = beta_1(R/(x)) > 0 there", _check_example1_tor_xk),
-    _entry("ci-tor-xy", "Tor_1(R/(x), R/(y)) = 0 over k[x,y]/(x^2,y^2)", _check_ci_tor_xy),
-    _entry("matlis-rebuild", "Matlis dual of the pair ring is the dim-3 hull with simple socle", _check_matlis_rebuild),
-    _entry("filt-base-change", "every filt node base-changes to k^n modulo the complement ideal", _check_filt_base_change),
-    _entry("filt-length-additive", "every level-n node has length n times the base length", _check_filt_length_additive),
-    _entry("presentation-level1", "level-1 presentation is the 1x1 matrix (x)", _check_presentation_level1),
-    _entry("diagnose-hypersurface", "F_3[x]/(x^4) gets the only-trivial verdict", _check_diagnose_hypersurface),
-    _entry("diagnose-stretched", "stretched ring gets the orthogonal-pair verdict with (x, y)", _check_diagnose_stretched),
-    _entry("analyze-example1", "analyze payload reports gorenstein=true for the dim-6 ring", _check_analyze_example1),
+    ("parse-xz-minus-yw", "xz-yw over (x,y,z,w), p=2, equals xz + yw", _check_parse_xz_minus_yw),
+    ("parse-cubic-minus-square", "x^3-y^2 over (x,y,z), p=3, equals x^3 + 2y^2", _check_parse_cubic_minus_square),
+    ("stretched-length-edim", "stretched ring has length 6 and edim 3", _check_stretched_length_edim),
+    ("stretched-hilbert", "stretched ring has hilbert (1,3,1,1) and m^3 != 0", _check_stretched_profile),
+    ("stretched-classify", "stretched ring is Gorenstein, stretched, not a hypersurface", _check_stretched_classify),
+    ("example1-colon", "(0:x) = (x,y,w) of dim 4 in the dim-6 Gorenstein ring", _check_example1_colon),
+    ("stretched-socle-power", "m^3 = (x^3) has dim 1 in the stretched ring", _check_stretched_socle_power),
+    ("idealization-invariants", "idealization of the pair ring by its dual has length 6, hilbert (1,4,1), Gorenstein", _check_idealization_invariants),
+    ("tensor-dual-numbers", "dual numbers tensor dual numbers matches k[x,y]/(x^2,y^2)", _check_tensor_dual_numbers),
+    ("betti-k-edim", "beta_1(k) equals the embedding dimension", _check_betti_k_edim),
+    ("example1-tor-xz", "Tor_1(R/(x), R/(z)) = 0 in the dim-6 Gorenstein ring", _check_example1_tor_xz),
+    ("example1-tor-xk", "Tor_1(R/(x), k) = beta_1(R/(x)) > 0 there", _check_example1_tor_xk),
+    ("ci-tor-xy", "Tor_1(R/(x), R/(y)) = 0 over k[x,y]/(x^2,y^2)", _check_ci_tor_xy),
+    ("matlis-rebuild", "Matlis dual of the pair ring is the dim-3 hull with simple socle", _check_matlis_rebuild),
+    ("filt-base-change", "every filt node base-changes to k^n modulo the complement ideal", _check_filt_base_change),
+    ("filt-length-additive", "every level-n node has length n times the base length", _check_filt_length_additive),
+    ("presentation-level1", "level-1 presentation is the 1x1 matrix (x)", _check_presentation_level1),
+    ("diagnose-hypersurface", "F_3[x]/(x^4) gets the only-trivial verdict", _check_diagnose_hypersurface),
+    ("diagnose-stretched", "stretched ring gets the orthogonal-pair verdict with (x, y)", _check_diagnose_stretched),
+    ("analyze-example1", "analyze payload reports gorenstein=true for the dim-6 ring", _check_analyze_example1),
 ]
 
 

@@ -36,10 +36,9 @@ from .catalog import analyze_payload, invariants_payload, run_corpus
 from .diagnose import VERDICT_INCONCLUSIVE, DiagnosisReport, diagnose
 from .extensions import (
     DEFAULT_COCYCLE_BUDGET,
-    EnumerationBudgetExceeded,
     check_matrix_condition,
     ext_closure_contains_k,
-    filt_enumerate,
+    filt_census,
     strict_upper_reduction,
 )
 from .modules import (
@@ -53,7 +52,6 @@ from .modules import (
     quotient_module,
     regular_module,
     residue_field,
-    splitting_flags,
     tor,
 )
 from .polyparse import InfiniteDimensionError, PolyParseError, parse_polynomial
@@ -193,9 +191,12 @@ def parse_module_expr(rf: RingFile, text: str) -> FpModule:
     raise CliError(f"bad module expression '{text}' (want k, R, or R/(...))")
 
 
-def _auto_element(rf: RingFile) -> np.ndarray:
-    """Default element for filt/closure: first member of an orthogonal
-    generator pair when one exists, else the first minimal generator."""
+def _element_arg(rf: RingFile, text: Optional[str]) -> np.ndarray:
+    """The --element of filt, closure and matrix-check; by default the first
+    member of an orthogonal generator pair when one exists, else the first
+    minimal generator."""
+    if text:
+        return resolve_element(rf, text)
     A = rf.algebra
     if A.generator_set.cols >= 2:
         pair = A.find_orthogonal_generator_pair()
@@ -224,50 +225,34 @@ def _render_matrix(A: LocalAlgebra, rm: RingMatrix) -> list[list[str]]:
 
 
 def _census_payload(verdict) -> dict:
-    payload = {
+    return {
         "contains_k": verdict.contains_k,
         "complete": verdict.complete,
         "depth": verdict.depth,
         "note": verdict.note,
-        "census": [
-            {
-                "level": c.level,
-                "count": c.count,
-                "lengths": list(c.lengths),
-                "splits": list(c.splits),
-            }
-            for c in verdict.census
-        ],
+        "census": [c._asdict() for c in verdict.census],
+        "witness": {"level": verdict.witness_node.level, "vector": verdict.witness_vector.tolist()}
+        if verdict.witness_node is not None
+        else None,
     }
-    if verdict.witness_node is not None:
-        payload["witness"] = {
-            "level": verdict.witness_node.level,
-            "vector": [int(v) for v in verdict.witness_vector],
-        }
-    else:
-        payload["witness"] = None
-    return payload
 
 
-# -- command handlers; each returns (results, human_lines, exit_code) ---------------
+# -- command handlers; each takes the parsed arguments and the loaded ring file
+# (None for verify-paper) and returns (results, human_lines, exit_code) ----------
 
 
-def _cmd_analyze(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_analyze(args, rf: RingFile) -> tuple[dict, list[str], int]:
     payload = analyze_payload(rf.algebra)
-    c = payload["classify"]
     lines = [
         f"length {payload['length']}, edim {payload['edim']}, "
         f"hilbert {tuple(payload['hilbert'])}, socle dim {payload['socle_dim']}",
-        "flags: "
-        + ", ".join(k for k in ("field", "hypersurface", "gorenstein", "stretched") if c[k]),
+        "flags: " + ", ".join(name for name, on in payload["classify"].items() if on),
         "basis: " + " ".join(payload["basis"]),
     ]
     return payload, lines, 0
 
 
-def _cmd_resolve(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_resolve(args, rf: RingFile) -> tuple[dict, list[str], int]:
     M = parse_module_expr(rf, args.module)
     res = minimal_free_resolution(M, args.steps)
     results = {
@@ -279,8 +264,7 @@ def _cmd_resolve(args) -> tuple[dict, list[str], int]:
     return results, lines, 0
 
 
-def _cmd_tor(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_tor(args, rf: RingFile) -> tuple[dict, list[str], int]:
     left = parse_module_expr(rf, args.left)
     right = parse_module_expr(rf, args.right)
     dim = tor(left, right, args.i)
@@ -288,8 +272,7 @@ def _cmd_tor(args) -> tuple[dict, list[str], int]:
     return results, [f"dim Tor_{args.i}({args.left}, {args.right}) = {dim}"], 0
 
 
-def _cmd_ext1(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_ext1(args, rf: RingFile) -> tuple[dict, list[str], int]:
     X = parse_module_expr(rf, args.left)
     L = parse_module_expr(rf, args.right)
     es = ext1(X, L)
@@ -303,52 +286,39 @@ def _cmd_ext1(args) -> tuple[dict, list[str], int]:
     return results, [f"dim Ext^1({args.left}, {args.right}) = {es.dim}"], 0
 
 
-def _cmd_filt(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_filt(args, rf: RingFile) -> tuple[dict, list[str], int]:
     A = rf.algebra
-    x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
-    exceeded = False
-    try:
-        levels = filt_enumerate(A, x, args.depth, budget=args.budget)
-    except EnumerationBudgetExceeded as exc:
-        levels = exc.partial_levels
-        exceeded = True
-    level_payload = []
-    for nodes in levels:
-        splits = splitting_flags([node.module for node in nodes])
-        level_payload.append(
-            {
-                "level": nodes[0].level,
-                "count": len(nodes),
-                "modules": [
-                    {
-                        "dim": node.module.dim,
-                        "splits_off_k": split,
-                        "presentation": _render_matrix(A, node.presentation.relations),
-                    }
-                    for node, split in zip(nodes, splits)
-                ],
-            }
-        )
+    x = _element_arg(rf, args.element)
+    levels, census, complete = filt_census(A, x, args.depth, budget=args.budget)
+    level_payload = [
+        {
+            "level": c.level,
+            "count": c.count,
+            "modules": [
+                {
+                    "dim": dim,
+                    "splits_off_k": split,
+                    "presentation": _render_matrix(A, node.presentation.relations),
+                }
+                for node, dim, split in zip(nodes, c.lengths, c.splits)
+            ],
+        }
+        for nodes, c in zip(levels, census)
+    ]
     results = {
         "element": A.render_element(x),
         "levels": level_payload,
-        "budget_exceeded": exceeded,
+        "budget_exceeded": not complete,
     }
-    lines = [
-        f"level {lp['level']}: {lp['count']} classes, dims "
-        + ", ".join(str(m["dim"]) for m in lp["modules"])
-        for lp in level_payload
-    ]
-    if exceeded:
+    lines = [f"level {c.level}: {c.count} classes, dims " + ", ".join(map(str, c.lengths)) for c in census]
+    if not complete:
         lines.append("enumeration stopped early: cocycle budget exceeded")
     return results, lines, 0
 
 
-def _cmd_closure(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_closure(args, rf: RingFile) -> tuple[dict, list[str], int]:
     A = rf.algebra
-    x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
+    x = _element_arg(rf, args.element)
     verdict = ext_closure_contains_k(A, x, args.depth, budget=args.budget)
     results = {"element": A.render_element(x), **_census_payload(verdict)}
     lines = [
@@ -359,10 +329,9 @@ def _cmd_closure(args) -> tuple[dict, list[str], int]:
     return results, lines, 0
 
 
-def _cmd_matrix_check(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_matrix_check(args, rf: RingFile) -> tuple[dict, list[str], int]:
     A = rf.algebra
-    x = resolve_element(rf, args.element) if args.element else _auto_element(rf)
+    x = _element_arg(rf, args.element)
     columns = []
     if args.upper:
         for j, col_text in enumerate(args.upper.split(";"), start=2):
@@ -434,41 +403,27 @@ def _diagnosis_payload(A: LocalAlgebra, rep: DiagnosisReport) -> dict:
     return payload
 
 
-def _cmd_diagnose(args) -> tuple[dict, list[str], int]:
-    rf = load_ring(args.ring_file, args.p)
+def _cmd_diagnose(args, rf: RingFile) -> tuple[dict, list[str], int]:
     rep = diagnose(rf.algebra, depth=args.depth, budget=args.budget)
     results = _diagnosis_payload(rf.algebra, rep)
     lines = [f"verdict: {rep.verdict}"]
     if len(rep.applicable) > 1:
         lines.append("also applicable: " + ", ".join(rep.applicable[1:]))
-    if rep.pair is not None:
-        lines.append(
-            f"pair: ({rf.algebra.render_element(rep.pair[0])}, "
-            f"{rf.algebra.render_element(rep.pair[1])})"
-        )
+    if results["pair"] is not None:
+        lines.append("pair: ({}, {})".format(*results["pair"]))
     for note in rep.notes:
         lines.append("note: " + note)
     code = 1 if rep.verdict == VERDICT_INCONCLUSIVE else 0
     return results, lines, code
 
 
-def _cmd_verify_paper(args) -> tuple[dict, list[str], int]:
+def _cmd_verify_paper(args, rf) -> tuple[dict, list[str], int]:
     results_list = run_corpus()
-    entries = [
-        {
-            "id": r.id,
-            "description": r.description,
-            "ok": r.ok,
-            "expected": r.expected,
-            "got": r.got,
-        }
-        for r in results_list
-    ]
     failed = [r for r in results_list if not r.ok]
     results = {
         "passed": len(results_list) - len(failed),
         "failed": len(failed),
-        "entries": entries,
+        "entries": [r._asdict() for r in results_list],
     }
     lines = []
     for r in results_list:
@@ -620,7 +575,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        results, lines, code = args.handler(args)
+        rf = load_ring(args.ring_file, args.p) if "ring_file" in args else None
+        results, lines, code = args.handler(args, rf)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -550,6 +550,24 @@ class LevelCensus(NamedTuple):
     splits: tuple[bool, ...]
 
 
+def filt_census(
+    A: LocalAlgebra, x: np.ndarray, depth: int, *, budget: int = DEFAULT_COCYCLE_BUDGET
+) -> tuple[list[list[FiltNode]], list[LevelCensus], bool]:
+    """(levels, census, complete): filt_enumerate to `depth` or, when the
+    cocycle budget stops it, the levels it finished (complete is False),
+    with one LevelCensus per level, its k-summand flags from splitting_flags."""
+    try:
+        levels, complete = filt_enumerate(A, x, depth, budget=budget), True
+    except EnumerationBudgetExceeded as exc:
+        levels, complete = exc.partial_levels, False
+    census = []
+    for nodes in levels:
+        modules = [node.module for node in nodes]
+        splits = tuple(splitting_flags(modules))
+        census.append(LevelCensus(nodes[0].level, len(nodes), tuple(M.dim for M in modules), splits))
+    return levels, census, complete
+
+
 class ClosureVerdict(NamedTuple):
     """Bounded-depth answer to "does k lie in the extension closure of R/(x)".
 
@@ -583,30 +601,16 @@ def ext_closure_contains_k(
         raise ValueError("x must lie in the maximal ideal")
     if A.maxideal_power(2).contains(xv):
         raise ValueError("x must be a minimal generator (not in m^2)")
-    complete = True
-    try:
-        levels = filt_enumerate(A, xv, max_n, budget=budget)
-    except EnumerationBudgetExceeded as exc:
-        levels = exc.partial_levels
-        complete = False
-    census: list[LevelCensus] = []
+    levels, census, complete = filt_census(A, xv, max_n, budget=budget)
     witness_node = None
     witness_vector = None
-    for level_nodes in levels:
-        splits = splitting_flags([node.module for node in level_nodes])
-        if witness_node is None and any(splits):
-            witness_node = level_nodes[splits.index(True)]
+    for level_nodes, level in zip(levels, census):
+        if True in level.splits:
+            witness_node = level_nodes[level.splits.index(True)]
             witness_vector = splits_off_k(witness_node.module)
             if witness_vector is None:
                 raise LiftFailure("splitting_flags and splits_off_k disagree on a k-summand")
-        census.append(
-            LevelCensus(
-                level=level_nodes[0].level,
-                count=len(level_nodes),
-                lengths=tuple(n.module.dim for n in level_nodes),
-                splits=tuple(splits),
-            )
-        )
+            break
     contains = witness_node is not None
     if contains:
         note = f"k splits off a verified node at level {witness_node.level}"

@@ -630,8 +630,8 @@ def test_report_write_memory_stays_near_one_row(monkeypatch, tmp_path):
     file piece by piece. Building it as one string peaked at 7.56 MB."""
     handler = cli._cmd_resolve
 
-    def traced_from_return(args):
-        out = handler(args)
+    def traced_from_return(args, rf):
+        out = handler(args, rf)
         tracemalloc.start()
         return out
 
