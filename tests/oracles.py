@@ -490,3 +490,41 @@ def orbit_minima_brute(y_action, end_basis, reps, d1_entries, p: int) -> list[tu
         seen |= orbit
         minima.append(min(orbit, key=value))
     return sorted(minima, key=value)
+
+
+
+def pencil_jordan_type(gen_actions, p: int):
+    """The Jordan type (block sizes, largest first) of u^-1 v on M/mM, for a
+    module M over k[x, y]/(x, y)^2 given by the matrices of its two
+    generators, where u and v are the maps M/mM -> mM they induce and u is
+    the invertible one; None when neither is invertible or u^-1 v is not
+    nilpotent.
+
+    Since m^2 = 0, both matrices kill mM, the span of their columns, so the
+    maps only see a complement T of mM (unit vectors, picked greedily).
+    N = u^-1 v solves (u T) N = v T and is read off the rref of [u T | v T].
+    The number of blocks of size at least k is rank N^(k-1) - rank N^k."""
+    a, b = (np.asarray(g, dtype=np.int64) % p for g in gen_actions)
+    d = a.shape[0]
+    radical = np.hstack([a, b]).T  # its rows span mM
+    r = rank_fp(radical, p)
+    unit = np.eye(d, dtype=np.int64)
+    picks: list[int] = []
+    for j in range(d):
+        if rank_fp(np.vstack([radical, unit[picks + [j]]]), p) == r + len(picks) + 1:
+            picks.append(j)
+    T, t = unit[:, picks], len(picks)
+    for u, v in ((a, b), (b, a)):
+        if t == r and rank_fp((u @ T % p).T, p) == t:
+            N = _rref_fp(np.hstack([u @ T, v @ T]) % p, p)[0][:t, t:]
+            break
+    else:
+        return None
+    ranks, power = [t], np.eye(t, dtype=np.int64)
+    for _ in range(t):
+        power = power @ N % p
+        ranks.append(rank_fp(power, p))
+    if ranks[-1]:
+        return None
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, t + 1)] + [0]
+    return tuple(k for k in range(t, 0, -1) for _ in range(at_least[k - 1] - at_least[k]))

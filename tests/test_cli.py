@@ -550,6 +550,33 @@ def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "ring, argv",
+    [
+        ("goto.ring", ["--depth", "4", "--budget", "10"]),
+        ("pair.ring", ["--element", "y", "--depth", "3"]),
+        ("hypersurface4.ring", ["--depth", "2"]),
+    ],
+    ids=["goto-budget-stopped", "pair-y", "hypersurface4-splits"],
+)
+def test_filt_and_closure_report_the_same_census(ring, argv, tmp_path):
+    """filt and closure on one ring, element and budget report the same
+    classes per level, their lengths and k-summand flags, and filt's
+    budget_exceeded is closure's complete negated."""
+    reports = {}
+    for command in ("filt", "closure"):
+        target = tmp_path / f"{command}.json"
+        assert main([command, _ring(ring), *argv, "--json", str(target), "--quiet"]) == 0
+        reports[command] = json.loads(target.read_text())["results"]
+    filt, closure = reports["filt"], reports["closure"]
+    assert [
+        {"level": level["level"], "count": level["count"], "lengths": [m["dim"] for m in level["modules"]],
+         "splits": [m["splits_off_k"] for m in level["modules"]]}
+        for level in filt["levels"]
+    ] == closure["census"]
+    assert filt["budget_exceeded"] == (not closure["complete"])
+
+
 def test_verify_paper_report_keeps_its_pinned_bytes(tmp_path):
     """The verify-paper report, one entry per corpus check, keeps its bytes."""
     target = tmp_path / "report.json"

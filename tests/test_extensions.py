@@ -19,6 +19,7 @@ from artloc.extensions import (
     complement_ideal,
     ext_closure_contains_k,
     extension_from_cocycle,
+    filt_census,
     filt_enumerate,
     hypersurface_ladder_check,
     splice_nodes,
@@ -53,6 +54,7 @@ from oracles import (
     monic_rows_brute,
     orbit_closure_minima,
     orbit_minima_brute,
+    pencil_jordan_type,
 )
 
 
@@ -429,6 +431,45 @@ def test_budget_exhaustion_carries_partial_levels(pair):
     assert exc.required == 6
     assert exc.budget == 2
     assert [len(level) for level in exc.partial_levels] == [1, 2]
+
+
+def test_filt_census_keeps_the_levels_the_budget_finished(pair):
+    """When the budget stops level 3, filt_census returns the two finished
+    levels, one LevelCensus each, and complete is False; with the budget
+    level 3 needs, it returns all three levels and complete is True."""
+    x = pair.element_from_string("x")
+    levels, census, complete = filt_census(pair, x, 3, budget=2)
+    assert not complete
+    assert [len(level) for level in levels] == [1, 2]
+    assert [tuple(c) for c in census] == [(1, 1, (2,), (False,)), (2, 2, (4, 4), (False, False))]
+    levels, census, complete = filt_census(pair, x, 3, budget=6)
+    assert complete
+    assert [(c.level, c.count) for c in census] == [(1, 1), (2, 2), (3, 3)]
+    assert [c.lengths for c in census] == [tuple(node.module.dim for node in level) for level in levels]
+
+
+def _partitions(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(min(n, largest), 0, -1) for rest in _partitions(n - k, k)]
+
+
+@pytest.mark.parametrize("p, element, depth", [(2, "x", 8), (3, "x", 6), (2, "y", 6)])
+def test_pair_census_classes_are_the_jordan_types_of_a_pencil(p, element, depth):
+    """Over the pair ring k[x, y]/(x, y)^2 a level-n class M has an
+    invertible u: M/mM -> mM from one generator, and its class is the
+    similarity class of the nilpotent u^-1 v (README, Validation). The
+    level-n classes have pairwise distinct Jordan types, read by an oracle
+    that uses only ranks, and the types are every partition of n: no class
+    is kept twice and none is dropped."""
+    A = pair_ring(p)
+    levels = filt_enumerate(A, A.element_from_string(element), depth)
+    gens = [A.labels.index(v) for v in ("x", "y")]
+    for n, level in enumerate(levels, start=1):
+        types = [pencil_jordan_type(node.module.action[gens], p) for node in level]
+        assert len(set(types)) == len(types)
+        assert set(types) == set(_partitions(n))
 
 
 def _filt_by_every_cocycle(A, x, n):
