@@ -551,7 +551,7 @@ class LevelCensus(NamedTuple):
 
 
 def filt_census(
-    A: LocalAlgebra, x: np.ndarray, depth: int, *, budget: int = DEFAULT_COCYCLE_BUDGET
+    A: LocalAlgebra, x: np.ndarray, depth: int, *, budget: int
 ) -> tuple[list[list[FiltNode]], list[LevelCensus], bool]:
     """(levels, census, complete): filt_enumerate to `depth` or, when the
     cocycle budget stops it, the levels it finished (complete is False),
