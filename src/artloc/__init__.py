@@ -43,7 +43,6 @@ from .modules import (
     direct_sum,
     ext1,
     free_module,
-    hom_space,
     is_isomorphic,
     jordan_type,
     matlis_dual,

@@ -580,6 +580,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
     config = {}
     for key in ("depth", "budget", "steps", "i", "module", "left", "right", "element", "upper"):
         if hasattr(args, key) and getattr(args, key) is not None:

@@ -190,13 +190,8 @@ def _base_presentation(A: LocalAlgebra, x: np.ndarray) -> tuple[FpModule, FreePr
     """The canonical cyclic module R/(x) and its 1x1 presentation (x)."""
     qm = quotient_module(regular_module(A), A.principal_ideal(x).basis)
     pres = FreePresentation(RingMatrix(A, np.reshape(x, (1, 1, A.dim))), qm.proj.matrix)
-    _verify_presents(pres)
-    return qm.module, pres
-
-
-def _verify_presents(pres: FreePresentation) -> None:
-    """_verify_presentations with this presentation alone."""
     _verify_presentations([pres])
+    return qm.module, pres
 
 
 def _verify_presentations(presentations: Sequence[FreePresentation]) -> None:
@@ -311,17 +306,16 @@ def _orbit_minima(ext: Ext1Space):
     as much."""
     p, e = ext.X.algebra.p, ext.dim
     _, acts = orbit_generators(ext)
-    weights = p ** np.arange(e, dtype=np.int64)
-    monic = np.concatenate([np.zeros(1, dtype=np.int64), *(np.arange(w, 2 * w) for w in weights.tolist())])
+    monic = np.concatenate(list(linalg.monic_numbers(p, e)))
     root = np.arange(p**e, dtype=np.int64)
     per = max(1, linalg.BLOCK_ROWS // max(1, len(acts)))  # cocycles per chunk
     for lo in range(1, monic.size, per):
         nums = monic[lo : lo + per]
-        images = (nums[:, None] // weights % p) @ acts.transpose(0, 2, 1) % p  # (G, rows, e)
+        images = linalg.digits(nums, p, e) @ acts.transpose(0, 2, 1) % p  # (G, rows, e)
         _join(root, np.tile(nums, len(acts)), linalg.monic_index(images.reshape(-1, e), p))
     minima = monic[root[monic] == monic]
     for lo in range(0, minima.size, linalg.BLOCK_ROWS):
-        yield minima[lo : lo + linalg.BLOCK_ROWS, None] // weights % p
+        yield linalg.digits(minima[lo : lo + linalg.BLOCK_ROWS], p, e)
 
 
 def filt_enumerate(
@@ -430,7 +424,7 @@ def _block_diag_presentation(pa: FreePresentation, pb: FreePresentation) -> Free
     cover[:da, : na * A.dim] = pa.cover
     cover[da:, na * A.dim :] = pb.cover
     pres = FreePresentation(RingMatrix(A, entries), cover)
-    _verify_presents(pres)
+    _verify_presentations([pres])
     return pres
 
 
@@ -478,7 +472,7 @@ def check_matrix_condition(pres: FreePresentation, x: np.ndarray) -> list[bool]:
         column = RingMatrix(A, pres.relations.entries[:j, j : j + 1]).as_linear_map()
         lhs = PrimeFieldMatrix._own(column.array @ ann.basis.array % p, p)
         leading = RingMatrix(A, pres.relations.entries[:j, :j])
-        out.append(linalg.is_subspace(lhs, leading.as_linear_map()))
+        out.append(linalg.solve_matrix(leading.as_linear_map(), lhs) is not None)
     return out
 
 

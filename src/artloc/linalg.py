@@ -50,12 +50,8 @@ def inverse_table(p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _is_valid_modulus(p: int) -> bool:
-    return p < MAX_MODULUS and is_prime(p)
-
-
 def check_modulus(p: int) -> None:
-    if not _is_valid_modulus(p):
+    if not (p < MAX_MODULUS and is_prime(p)):
         raise ValueError(f"modulus must be a prime below 2^16, got {p}")
 
 
@@ -215,9 +211,6 @@ class PrimeFieldMatrix:
             and self.shape == other.shape
             and bool(np.array_equal(self._a, other._a))
         )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.shape, self._a.tobytes()))
 
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix(p={self.p}, shape={self.shape})"
@@ -422,34 +415,35 @@ def complement_projection(span: PrimeFieldMatrix) -> tuple[np.ndarray, np.ndarra
     return proj, eye[:, keep], keep
 
 
-def digit_blocks(start: int, stop: int, p: int, width: int):
-    """Base-p digit rows (little-endian: digit i is (n // p^i) % p) of the
-    integers start..stop-1, yielded in blocks of at most BLOCK_ROWS rows."""
-    for lo in range(start, stop, BLOCK_ROWS):
-        nums = np.arange(lo, min(lo + BLOCK_ROWS, stop), dtype=np.int64)
-        out = np.zeros((nums.size, width), dtype=np.int64)
-        for d in range(width):
-            out[:, d] = nums % p
-            nums //= p
-        yield out
+def digits(nums: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Base-p digit rows of the int64 array nums, little-endian: digit i
+    of n is (n // p^i) % p."""
+    return nums[:, None] // p ** np.arange(width, dtype=np.int64) % p
+
+
+def monic_numbers(p: int, width: int):
+    """The integer of one digit row per line of F_p^width: zero, then every
+    integer whose top nonzero base-p digit is 1 (those in [p^j, 2 p^j),
+    j < width), in increasing order, in blocks of BLOCK_ROWS (the last may
+    be shorter). Dividing a row by its top digit lowers its integer, so for
+    a property shared by all unit multiples the first hit here is the first
+    hit of a scan of all p^width integers."""
+    # short ranges are packed into full blocks: a block per range made the scans slower
+    pending = np.zeros(1, dtype=np.int64)
+    for j in range(width):
+        for lo in range(p**j, 2 * p**j, BLOCK_ROWS):
+            pending = np.concatenate([pending, np.arange(lo, min(lo + BLOCK_ROWS, 2 * p**j))])
+            while pending.size >= BLOCK_ROWS:
+                yield pending[:BLOCK_ROWS]
+                pending = pending[BLOCK_ROWS:]
+    if pending.size:
+        yield pending
 
 
 def monic_blocks(p: int, width: int):
-    """One digit row per line of F_p^width: zero, then every row whose top
-    nonzero digit is 1 (the integers in [p^j, 2 p^j), j < width), in
-    increasing little-endian order, in blocks of at most BLOCK_ROWS rows.
-    Dividing a row by its top digit lowers its integer, so for a property
-    shared by all unit multiples the first hit here is the first hit of a
-    scan of all p^width rows."""
-    pending = np.zeros((0, width), dtype=np.int64)
-    for lo, hi in [(0, 1)] + [(p**j, 2 * p**j) for j in range(width)]:
-        for block in digit_blocks(lo, hi, p, width):
-            pending = np.concatenate([pending, block])
-            while pending.shape[0] >= BLOCK_ROWS:
-                yield pending[:BLOCK_ROWS]
-                pending = pending[BLOCK_ROWS:]
-    if pending.shape[0]:
-        yield pending
+    """The digit rows of each block of monic_numbers."""
+    for nums in monic_numbers(p, width):
+        yield digits(nums, p, width)
 
 
 def monic_index(rows: np.ndarray, p: int) -> np.ndarray:
@@ -520,17 +514,6 @@ def unit_combination(stack: np.ndarray, p: int) -> Optional[np.ndarray]:
         point[t] = a
         terms, coefs = merged
     return point
-
-
-def contains_vector(basis: PrimeFieldMatrix, v: np.ndarray) -> bool:
-    return solve(basis, v) is not None
-
-
-def is_subspace(inner: PrimeFieldMatrix, outer: PrimeFieldMatrix) -> bool:
-    """True when every column of `inner` lies in the span of `outer`."""
-    if inner.cols == 0:
-        return True
-    return solve_matrix(outer, inner) is not None
 
 
 def exactness(f: np.ndarray, g: np.ndarray, p: int):

@@ -673,10 +673,6 @@ def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
     return list(_hom_matrices(N, _cover_lift(M), _generator_images(d1.rows, D, N)))
 
 
-def hom_space(M: FpModule, N: FpModule) -> list[ModuleMap]:
-    return [ModuleMap(M, N, h) for h in hom_space_matrices(M, N)]
-
-
 class HomSequenceKeys:
     """dim Hom(M, T) and dim Hom(T, M) for the middle terms M of the
     extensions 0 -> Y -> M -> X -> 0, against the tests T of a fixed list of

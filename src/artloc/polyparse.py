@@ -126,13 +126,6 @@ class Polynomial:
         if self.variables != other.variables or self.p != other.p:
             raise ValueError("polynomials live in different rings")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return Polynomial(self.variables, self.p, acc)
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         acc = dict(self.terms)
@@ -161,9 +154,6 @@ class Polynomial:
             and self.p == other.p
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.p, tuple(self.sorted_terms())))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()!r})"

@@ -385,6 +385,26 @@ def test_isomorphism_decision_over_its_cap_is_a_usage_error(monkeypatch, capsys)
     assert "Traceback" not in out.err + out.out
 
 
+@pytest.mark.parametrize(
+    "message, line",
+    [("Unable to allocate 4.16 GiB", "error: out of memory: Unable to allocate 4.16 GiB\n"), ("", "error: out of memory\n")],
+    ids=["message", "empty"],
+)
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, message, line):
+    """A MemoryError from a handler's computation exits 2 with one error
+    line, not a traceback; the handler's callee raises it, so nothing large
+    is allocated."""
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "tor", exhausted)
+    code = main(["tor", _ring("complete_intersection.ring"), "--left", "R/(x)", "--right", "R/(y)", "--i", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == line and out.out == ""
+
+
 def test_bad_relation_reports_position(tmp_path, capsys):
     path = _write(tmp_path, "p=2 vars=x,y\nx*2\n")
     code = main(["analyze", path])

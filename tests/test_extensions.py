@@ -100,11 +100,11 @@ def test_verify_flags_maps_that_are_not_linear(pair):
 def test_verify_presents_needs_both_halves_of_exactness(pair):
     """A presentation with a relation column dropped spans too little (the
     rank half fails) and one with a relation outside the cover's kernel
-    leaves it (the product half fails); _verify_presents rejects both."""
+    leaves it (the product half fails); _verify_presentations rejects both."""
     p = pair.p
     x, y = pair.element_from_string("x"), pair.element_from_string("y")
     pres = _pres_from_matrix(pair, x, {(0, 1): y})
-    extensions._verify_presents(pres)
+    extensions._verify_presentations([pres])
     entries = pres.relations.entries
     dropped = FreePresentation(RingMatrix(pair, entries[:, :1]), pres.cover)
     moved = entries.copy()
@@ -116,14 +116,14 @@ def test_verify_presents_needs_both_halves_of_exactness(pair):
         assert (rank_f + rank_g == f.shape[0]) == rank_half
         assert (not (g @ f % p).any()) == product_half
         with pytest.raises(LiftFailure, match="cover kernel"):
-            extensions._verify_presents(bad)
+            extensions._verify_presentations([bad])
 
 
 def test_verify_presents_requires_the_cover_onto(example1):
     """R/(x) + k over example1 with R/(x)'s own 1x1 relations and its cover
     padded by a zero row: the image of the relations is still the kernel of
     the cover, but the cover has rank 4 onto a module of dimension 5, so it
-    presents nothing and _verify_presents rejects it."""
+    presents nothing and _verify_presentations rejects it."""
     x = closure_element(example1)
     _, base = extensions._base_presentation(example1, x)
     padded = FreePresentation(base.relations, np.vstack([base.cover, np.zeros((1, example1.dim), dtype=np.int64)]))
@@ -131,7 +131,7 @@ def test_verify_presents_requires_the_cover_onto(example1):
     assert linalg.exactness(T, padded.cover, example1.p)[2]
     assert linalg.rank_mod(padded.cover, example1.p) == 4 and padded.cover.shape[0] == 5
     with pytest.raises(LiftFailure, match="not onto"):
-        extensions._verify_presents(padded)
+        extensions._verify_presentations([padded])
 
 
 def _tamper_one_witness(w, other):

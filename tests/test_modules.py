@@ -31,7 +31,6 @@ from artloc.modules import (
     ext1,
     free_module,
     hom_dim,
-    hom_space,
     hom_space_matrices,
     is_isomorphic,
     iso_profiles,
@@ -197,8 +196,7 @@ def test_hom_space_matrices_commute(example1):
             lhs = (Y.action[i] @ H) % 2
             rhs = (H @ X.action[i]) % 2
             assert (lhs == rhs).all()
-    # and hom_space wraps them as validated maps
-    assert len(hom_space(X, Y)) == len(mats)
+    assert all(ModuleMap(X, Y, H).is_linear() for H in mats)
 
 
 def test_betti_numbers_frozen(example1, dual, pair, ci):
@@ -384,7 +382,7 @@ def test_resolution_differentials_compose_to_zero(example1):
         assert not ((d_out @ d_in) % 2).any()
     # minimal: every differential entry lies in the maximal ideal
     entries = np.vstack([d.entries.reshape(-1, example1.dim) for d in res.differentials])
-    assert linalg.is_subspace(linalg.PrimeFieldMatrix(entries.T, 2), example1.maxideal().basis)
+    assert linalg.solve_matrix(example1.maxideal().basis, linalg.PrimeFieldMatrix(entries.T, 2)) is not None
 
 
 def test_minimal_presentation_of_cyclic_module(example1):
@@ -496,7 +494,7 @@ def test_splits_off_k(example1, dual):
     w = splits_off_k(M)
     assert w is not None
     # the witness spans a trivial summand: killed by m, outside rad(M)
-    assert not linalg.contains_vector(M.radical_subspace(), w)
+    assert linalg.solve(M.radical_subspace(), w) is None
     for i in range(1, example1.dim):
         assert not ((M.action[i] @ w) % 2).any()
     assert splits_off_k(R) is None
