@@ -416,9 +416,12 @@ def complement_projection(span: PrimeFieldMatrix) -> tuple[np.ndarray, np.ndarra
 
 
 def digits(nums: np.ndarray, p: int, width: int) -> np.ndarray:
-    """Base-p digit rows of the int64 array nums, little-endian: digit i
-    of n is (n // p^i) % p."""
-    return nums[:, None] // p ** np.arange(width, dtype=np.int64) % p
+    """Base-p digit rows of the int64 array nums, little-endian: digit i of n is
+    (n // p^i) % p. Dividing by p once per digit, it forms no power of p to overflow."""
+    out = np.empty((nums.size, width), dtype=np.int64)
+    for d in range(width):
+        out[:, d], nums = nums % p, nums // p
+    return out
 
 
 def monic_numbers(p: int, width: int):

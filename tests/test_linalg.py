@@ -286,17 +286,27 @@ def test_greedy_completion_matches_per_vector_loop(seed, p, n, s, c):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    st.sampled_from([2, 3, 5]),
+    st.sampled_from([2, 3, 5, 65521]),
     st.integers(0, 6),
     st.integers(0, 10**6),
     st.integers(0, 300),
 )
 @example(2, 13, 0, linalg.BLOCK_ROWS + 7)
 @example(3, 0, 5, 2)
+@example(65521, 5, 0, 3)  # 65521^4 exceeds int64
+@example(3, 64, 0, 5)  # so does 3^63
 def test_digits_are_little_endian_base_p(p, width, start, count):
     rows = linalg.digits(np.arange(start, start + count, dtype=np.int64), p, width)
     assert rows.shape == (count, width)
     assert rows.tolist() == [base_p_digits(n, p, width) for n in range(start, start + count)]
+
+
+@pytest.mark.parametrize("p, width", [(65521, 5), (3, 63)])
+def test_monic_blocks_stay_exact_where_p_to_the_width_overflows(p, width):
+    # diagnose scans monic_blocks(p, length - 1): a length-6 ring over F_65521,
+    # or a length-64 ring over F_3, reaches these widths
+    nums, rows = next(linalg.monic_numbers(p, width)), next(linalg.monic_blocks(p, width))
+    assert rows.tolist() == [base_p_digits(n, p, width) for n in nums.tolist()]
 
 
 @settings(deadline=None, max_examples=30)
