@@ -24,6 +24,7 @@ from .modules import (
     ModuleMap,
     RingMatrix,
     canonical_fingerprint,
+    cover_lift,
     cover_matrix,
     direct_sum,
     ext1,
@@ -187,10 +188,11 @@ class FiltNode(NamedTuple):
 
 
 def _base_presentation(A: LocalAlgebra, x: np.ndarray) -> tuple[FpModule, FreePresentation]:
-    """The canonical cyclic module R/(x) and its 1x1 presentation (x)."""
+    """The canonical cyclic module R/(x), presented by its 1x1 presentation (x)."""
     qm = quotient_module(regular_module(A), A.principal_ideal(x).basis)
     pres = FreePresentation(RingMatrix(A, np.reshape(x, (1, 1, A.dim))), qm.proj.matrix)
     _verify_presentations([pres])
+    qm.module.use_presentation(pres)
     return qm.module, pres
 
 
@@ -225,17 +227,14 @@ def _generator_syzygy(ext: Ext1Space, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _syzygy_lifts(ext: Ext1Space, pres_Y: FreePresentation, z: np.ndarray) -> np.ndarray:
+def _syzygy_lifts(ext: Ext1Space, z: np.ndarray) -> np.ndarray:
     """(dim, b0(Y) * dim_A): row i lifts phi_i(z) in Y, for the i-th basis
-    cocycle phi_i, through the cover of Y's presentation, from one solve.
-    The lift with free variables zero is linear in the right-hand side, so
-    the lift for the cocycle with coordinates xi is xi times these rows."""
+    cocycle phi_i, through the cover of Y's presentation by its section
+    cover_lift. The section is linear, so the lift for the cocycle with
+    coordinates xi is xi times these rows."""
     p = ext.X.algebra.p
     y0 = cover_matrix(ext.L, ext.reps.transpose(0, 2, 1)) @ z % p  # (dim, dim_Y)
-    lifts = linalg.solve_matrix(PrimeFieldMatrix(pres_Y.cover, p), PrimeFieldMatrix(y0.T, p))
-    if lifts is None:
-        raise LiftFailure("syzygy element does not lift through the free cover of Y")
-    return lifts.array.T
+    return y0 @ cover_lift(ext.L).T % p
 
 
 def _triangular_step(
@@ -360,7 +359,7 @@ def filt_enumerate(
         z = _generator_syzygy(spaces[0], x)
         for ynode, es in zip(prev, spaces):
             keys_of = hom_keys.keys_for(es)
-            lifts = _syzygy_lifts(es, ynode.presentation, z)
+            lifts = _syzygy_lifts(es, z)
             for block in _orbit_minima(es):
                 homs_out, homs_in = keys_of(block)
                 witnesses, gens = extension_block(es, block)

@@ -607,50 +607,46 @@ def base_change(M: FpModule, qr: QuotientRing) -> FpModule:
 
 def _presentation_data(M: FpModule) -> FreePresentation:
     """The presentation homs out of M are computed through: the one handed
-    over by use_presentation (filt_enumerate gives each class its verified
-    triangular one), else the minimal one of the resolution an Ext1Space
-    left on M (its steps do not depend on how many are taken), else that of
-    Resolution(M, 1). A map out of coker(d1) is a tuple of generator images
-    killed by the relations d1, for any presentation, so a hom out of M is a
-    kernel element of d1 acting."""
+    over by use_presentation (filt_enumerate gives R/(x) its 1x1 one and
+    each class its verified triangular one), else the minimal one of the
+    resolution an Ext1Space left on M (its steps do not depend on how many
+    are taken), else that of Resolution(M, 1). A map out of coker(d1) is a
+    tuple of generator images killed by the relations d1, for any
+    presentation, so a hom out of M is a kernel element of d1 acting."""
     if M._presentation is None:
         res = M._resolution or Resolution(M, 1)
         M._presentation = FreePresentation(res.differentials[0], res.cover)
     return M._presentation
 
 
-def _cover_lift(M: FpModule) -> np.ndarray:
-    """A linear section of the cover of _presentation_data(M), computed on
-    first use: it turns generator images into hom matrices."""
+def cover_lift(M: FpModule) -> np.ndarray:
+    """A linear section M -> A^b0 of the cover of _presentation_data(M),
+    computed on first use; RuntimeError if that cover is not onto M."""
     if M._lift is None:
         p = M.algebra.p
-        cover = PrimeFieldMatrix(_presentation_data(M).cover, p)
-        M._lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(M.dim, p)).array
+        lift = linalg.solve_matrix(PrimeFieldMatrix(_presentation_data(M).cover, p), PrimeFieldMatrix.identity(M.dim, p))
+        if lift is None:
+            raise RuntimeError("the cover of the presentation is not onto the module")
+        M._lift = lift.array
     return M._lift
 
 
-def _hom_constraint(M: FpModule, N: FpModule) -> tuple[RingMatrix, PrimeFieldMatrix]:
-    """(d1, D): the relations of M's presentation and D, with Hom(M, N) = ker D
-    inside N^b0."""
+def _hom_images(M: FpModule, N: FpModule) -> np.ndarray:
+    """The canonical basis of Hom_A(M, N) as generator images, shape
+    (h, b0, dim_N): the kernel of d1^T acting on N^b0, d1 the relations of
+    _presentation_data(M), with b0 * dim_N unknowns instead of dim_M * dim_N."""
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
     d1 = _presentation_data(M).relations
-    return d1, d1.transpose().acting_on(N)
+    ker = linalg.kernel_basis(d1.transpose().acting_on(N))
+    return ker.array.T.reshape(ker.cols, d1.rows, N.dim)
 
 
 def hom_dim(M: FpModule, N: FpModule) -> int:
-    """dim Hom_A(M, N) without extracting a basis."""
+    """dim Hom_A(M, N), the length of _hom_images."""
     if M.dim == 0 or N.dim == 0:
         return 0
-    d1, D = _hom_constraint(M, N)
-    return d1.rows * N.dim - linalg.rank_mod(D.array, M.algebra.p)
-
-
-def _generator_images(b0: int, D: PrimeFieldMatrix, N: FpModule) -> np.ndarray:
-    """imgs[t, i] is the image of the i-th of the b0 presentation generators
-    under the t-th canonical basis element of Hom_A(M, N) = ker D."""
-    ker = linalg.kernel_basis(D)
-    return ker.array.T.reshape(ker.cols, b0, N.dim)
+    return len(_hom_images(M, N))
 
 
 def _hom_matrices(N: FpModule, lift: np.ndarray, imgs: np.ndarray) -> np.ndarray:
@@ -659,18 +655,13 @@ def _hom_matrices(N: FpModule, lift: np.ndarray, imgs: np.ndarray) -> np.ndarray
 
 
 def hom_space_matrices(M: FpModule, N: FpModule) -> list[np.ndarray]:
-    """Basis of Hom_A(M, N) as (dim_N, dim_M) matrices, canonically ordered.
-
-    Computed through the presentation of M (_presentation_data): a map out
-    of coker(d1) is a tuple of generator images killed by the relations, so
-    the system has b0 * dim_N unknowns instead of dim_M * dim_N.
-    """
+    """Basis of Hom_A(M, N) as (dim_N, dim_M) matrices, canonically ordered:
+    the homs with the generator images of _hom_images."""
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
     if M.dim == 0 or N.dim == 0:
         return []
-    d1, D = _hom_constraint(M, N)
-    return list(_hom_matrices(N, _cover_lift(M), _generator_images(d1.rows, D, N)))
+    return list(_hom_matrices(N, cover_lift(M), _hom_images(M, N)))
 
 
 class HomSequenceKeys:
@@ -693,10 +684,11 @@ class HomSequenceKeys:
     against, and so the spaces'. Both images are cocycles, so the ranks are
     taken modulo coboundaries, each through one _coboundary_projection that
     also gives its side's dim Hom: Ext1Space(X, T)'s for the out side, and
-    one per class Y for the in side. Both maps are linear in xi:
-    keys_for(ext) builds one tensor per test and side over the basis
-    cocycles, and a block of cocycles then costs one tensordot and one
-    rank_batch each.
+    one per class Y for the in side. No f is built as a matrix: its
+    generator images (_hom_images) act on phi_xi lifted through Y's cover
+    (cover_lift). Both maps are linear in xi: keys_for(ext) builds
+    one tensor per test and side over the basis cocycles, and a block of
+    cocycles then costs one tensordot and one rank_batch each.
     """
 
     def __init__(self, X: FpModule, spaces: Sequence[Ext1Space]):
@@ -715,8 +707,8 @@ class HomSequenceKeys:
         lift = linalg.solve_matrix(cover, PrimeFieldMatrix.identity(X.dim, p)).array
         d1_lin = d1.as_linear_map()
         for es in spaces:
-            d1T, D = _hom_constraint(es.L, X)
-            imgs = _generator_images(d1T.rows, D, X)
+            d1T = _presentation_data(es.L).relations
+            imgs = _hom_images(es.L, X)
             h, b0T, b1T = imgs.shape[0], d1T.rows, d1T.cols
             # g_0 sends T's k-th generator to a lift in A^b0(X) of g(t_k) ...
             g0 = (imgs @ lift.T) % p
@@ -738,13 +730,13 @@ class HomSequenceKeys:
         e = ext.dim
         reps = ext.reps  # (e, dim_Y, b1(X))
         cov = cover_matrix(Y, reps.transpose(0, 2, 1))  # phi_i: F_1(X) -> Y as matrices
+        lifted = cover_lift(Y) @ reps % p  # phi_i lifted through Y's cover
         sides = []
         for T, (hom_XT, proj_out, d1T, g1) in zip(self.tests, self._per_test):
-            homs = hom_space_matrices(Y, T)
-            f = len(homs)
-            F = np.array(homs, dtype=np.int64).reshape(f, T.dim, Y.dim)
+            F = cover_matrix(T, _hom_images(Y, T))  # Hom(Y, T) on A^b0(Y)
+            f = len(F)
             # delta: column f holds f phi_i in T^b1(X), generator major
-            out = np.einsum("fty,iyl->iflt", F, reps).reshape(e, f, ext.beta1 * T.dim) @ proj_out.T
+            out = (np.einsum("fta,ial->iflt", F, lifted).reshape(e, f, ext.beta1 * T.dim) % p) @ proj_out.T
             proj_in, hom_TY = _coboundary_projection(d1T, Y)
             # d: column g holds phi_i g_1 in Y^b1(T), generator major
             rows, h, b1T = g1.shape
@@ -806,15 +798,14 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     # M = N would make Hom(M, N) = End(M): unequal dimensions are an exact no
     if M._end_dim is None:
         M._end_dim = hom_dim(M, M)
-    d1, D = _hom_constraint(M, N)
-    imgs = _generator_images(d1.rows, D, N)  # a basis of Hom(M, N)
+    imgs = _hom_images(M, N)  # a basis of Hom(M, N)
     if len(imgs) != M._end_dim:
         return IsoResult(False, None)
     # Equal profiles give dim mM = dim mN, so mu(M) = mu(N) and, once read
     # on a basis of M/mM, the top maps are square.
     top = _top_functionals(N)
     tops = np.einsum("un,tin->tui", top, imgs) % p
-    if d1.rows > len(top):
+    if imgs.shape[1] > len(top):
         # column k * dim_A of the cover is e_0 = 1 times generator k
         gens = _presentation_data(M).cover[:, :: A.dim]
         basis = list(linalg.rref(PrimeFieldMatrix(_top_functionals(M) @ gens, p)).pivots)
@@ -824,7 +815,7 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     coeffs = linalg.unit_combination(tops[keep], p)
     if coeffs is None:
         return IsoResult(False, None)
-    H = ModuleMap(M, N, _hom_matrices(N, _cover_lift(M), np.tensordot(coeffs, imgs[keep], axes=(0, 0)) % p))
+    H = ModuleMap(M, N, _hom_matrices(N, cover_lift(M), np.tensordot(coeffs, imgs[keep], axes=(0, 0)) % p))
     if not H.is_linear() or linalg.rank_mod(H.matrix, p) != M.dim:
         raise RuntimeError("lifted top-space witness is not an isomorphism")
     return IsoResult(True, H)

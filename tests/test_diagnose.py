@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 
+from artloc import linalg
 from artloc.algebra import LocalAlgebra, idealization
 from artloc.catalog import (
     complete_intersection_ring,
     example1_ring,
+    goto_ring,
     hypersurface_ring,
     make_ring,
     pair_ring,
@@ -103,6 +105,26 @@ def test_scan_bounded_betti_finds_ci_witness(ci, pair):
     assert x is not None
     assert ci.annihilator(x) == ci.principal_ideal(x)
     assert scan_bounded_betti(pair) is None  # (0:x) = m strictly exceeds (x)
+
+
+def test_scan_bounded_betti_stops_at_its_cap(monkeypatch):
+    """Capped at one block, the scan over goto at p = 5 (19,532 monic lines
+    of F_5^7) takes exactly one block, finds nothing there, and diagnose
+    says that the scan stopped undecided."""
+    A = goto_ring(5)
+    monkeypatch.setattr(diagnose_module, "SCAN_LINES", linalg.BLOCK_ROWS)
+    real, blocks = linalg.monic_blocks, []
+
+    def counted(p, width):
+        for block in real(p, width):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(linalg, "monic_blocks", counted)
+    assert scan_bounded_betti(A) is None
+    assert blocks == [linalg.BLOCK_ROWS]
+    note = f"bounded-Betti scan stopped after {linalg.BLOCK_ROWS} of 19532 lines; not decided"
+    assert note in diagnose(A, depth=1).notes
 
 
 def test_scan_bounded_betti_matches_the_brute_scan(inconclusive_ring):

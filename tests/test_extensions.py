@@ -728,9 +728,10 @@ def test_keys_reduce_each_hom_constraint_once(goto, monkeypatch):
     its one projection, with no greedy completion; HomSequenceKeys reads
     each test's dim Hom(X, T) and projection off its space, with no
     projection or hom_dim of its own; and keys_for builds one projection per
-    test, the in side's, which also gives dim Hom(T, Y), with no hom_dim.
-    X's resolution, built by the first space, picks its generators
-    greedily, so it counts as a phase of its own."""
+    test, the in side's, which also gives dim Hom(T, Y), with no hom_dim,
+    and turns no Hom(Y, T) basis into full matrices. X's resolution, built
+    by the first space, picks its generators greedily, so it counts as a
+    phase of its own."""
     phases, calls = ["census"], []
 
     def phase(name, real):
@@ -761,7 +762,8 @@ def test_keys_reduce_each_hom_constraint_once(goto, monkeypatch):
     monkeypatch.setattr(modules.HomSequenceKeys, "keys_for", counted_keys_for)
     for name in ("greedy_completion", "complement_projection"):
         monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
-    monkeypatch.setattr(modules, "hom_dim", spy("hom_dim", modules.hom_dim))
+    for name in ("hom_dim", "hom_space_matrices", "_hom_matrices"):
+        monkeypatch.setattr(modules, name, spy(name, getattr(modules, name)))
     levels = filt_enumerate(goto, closure_element(goto), 3)
     assert [len(level) for level in levels] == [1, 4, 13]
 
@@ -777,6 +779,8 @@ def test_keys_reduce_each_hom_constraint_once(goto, monkeypatch):
     assert tests_seen == [1] + [4] * 4
     assert count("keys_for", "complement_projection") == sum(tests_seen)
     assert count("keys_for", "hom_dim") == 0
+    # the out side composes generator images with Y's cover section
+    assert count("keys_for", "hom_space_matrices") == count("keys_for", "_hom_matrices") == 0
 
 
 def test_filt_resolves_only_modules_that_become_classes(goto, monkeypatch):

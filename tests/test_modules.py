@@ -840,7 +840,7 @@ def test_is_isomorphic_reduces_its_hom_constraint_once(example1, monkeypatch):
     M = direct_sum(residue_field(example1), _cyclic(example1, "x"))
     N = _random_conjugate(M, np.random.default_rng(5))
     M._end_dim = hom_dim(M, M)
-    D = modules._hom_constraint(M, N)[1].array
+    D = modules._presentation_data(M).relations.transpose().acting_on(N).array
     assert D.size
     real, reduced = linalg._row_reduce, []
 
@@ -872,6 +872,17 @@ def test_stacks_chunks_each_algebra_and_shape_apart(cells):
                               for key in {item[:2] for item in items})
 
 
+def test_cover_lift_names_a_cover_that_is_not_onto(example1):
+    """R/(x) + k presented by R/(x)'s minimal presentation with its cover
+    padded by a zero row: the cover has no section, and cover_lift says so."""
+    M = direct_sum(_cyclic(example1, "x"), residue_field(example1))
+    pres = minimal_presentation(_cyclic(example1, "x"))
+    padded = np.vstack([pres.cover, np.zeros((1, pres.cover.shape[1]), dtype=np.int64)])
+    M.use_presentation(modules.FreePresentation(pres.relations, padded))
+    with pytest.raises(RuntimeError, match="cover of the presentation is not onto the module"):
+        modules.cover_lift(M)
+
+
 def test_is_isomorphic_refuses_an_unverified_witness(example1, monkeypatch):
     R = regular_module(example1)
     assert is_isomorphic(R, R)
@@ -889,19 +900,20 @@ def _assert_witness(result, M, N):
 
 
 def test_homs_through_filt_presentations_match_the_oracles(filt_pool):
-    """Every class of goto level 3 and example1 level 2 takes its homs
-    through its triangular node presentation, and six goto classes have
+    """Every class of every census in the pool, level 1 included, takes its
+    homs through its node presentation, and six goto level-3 classes have
     fewer minimal generators than that presentation has rows. For every
     ordered pair of classes of one level, hom_dim is the textbook count,
     hom_space_matrices spans the textbook Hom space, and is_isomorphic
     agrees with a brute force over the top maps (at most 2^9 combinations
     here), with a verified witness when it says yes."""
+    for _, _, levels in filt_pool.values():
+        assert all(modules._presentation_data(n.module) is n.presentation for nodes in levels for n in nodes)
     short = 0
     for name, lev in (("goto", 2), ("example1", 1)):
         A, _, levels = filt_pool[name]
         p = A.p
         nodes = levels[lev]
-        assert all(modules._presentation_data(n.module) is n.presentation for n in nodes)
         short += sum(len(minimal_generators(n.module)) < n.presentation.betti0 for n in nodes)
         for M, N in ((a.module, b.module) for a in nodes for b in nodes):
             kron = hom_basis_kron(M.action, N.action, p)
