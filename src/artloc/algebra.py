@@ -10,6 +10,7 @@ from tensor products, and from quotients by ideals.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -369,30 +370,32 @@ class LocalAlgebra:
         return " + ".join(pieces) if pieces else "0"
 
     def find_orthogonal_generator_pair(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """First pair (x, y) of m-generator combinations with x*y = 0 and
-        x, y independent modulo m^2, scanning coefficient tuples as base-p
-        digits of 1..p^e-1 (first generator in the least significant digit).
-        Returns None when the exhaustive scan finds nothing. Both conditions
-        hold for (x, y) exactly when they hold for (ux, vy), u and v units,
-        so only the monic tuples are scanned (linalg.monic_blocks)."""
+        """First pair (x, y) = (gens a, gens b) with x*y = 0 and a, b (so x, y
+        modulo m^2) independent, scanning a, then b, over the base-p digits of
+        1..p^e-1, first generator least significant. Both conditions hold for
+        (ux, vy), u and v units, when they hold for (x, y), so only the first
+        linalg.SCAN_LINES monic a are scanned (linalg.monic_blocks); None when
+        they hold no x. The partners of x are the b in ker K_a off a's line,
+        K_a the (dim, e) matrix of the x*g_j, so x has one when e - rank K_a is
+        >= 2, or is 1 and K_a a = x^2 != 0. The first b is v_1 of the canonical
+        kernel basis of K_a, top-monic at free columns f_1 < f_2 < ..., if it
+        is off a's line; else v_2, the least monic v_2 + c v_1 (its digit at
+        f_1 is c, and the digits above do not depend on c)."""
         gens = self.generator_set
-        e = gens.cols
+        p, e = self.p, gens.cols
         if e < 2:
             raise EdimTooSmallError("need edim >= 2 for an orthogonal generator pair")
-        p = self.p
-        for block in linalg.monic_blocks(p, e):
-            for a in block:
-                x = (gens.array @ a) % p
-                x_gens = (self.mult_by(x) @ gens.array) % p  # x * g_j
-                for bs in linalg.monic_blocks(p, e):
-                    # independence mod m^2: some 2x2 minor a_i b_j - a_j b_i is nonzero
-                    minors = bs[:, :, None] * a[None, None, :] - bs[:, None, :] * a[None, :, None]
-                    indep = np.any(minors % p, axis=(1, 2))
-                    # x * y = sum_j b_j (x * g_j)
-                    orthogonal = ~np.any((x_gens @ bs.T) % p, axis=0)
-                    hits = (indep & orthogonal).nonzero()[0]
-                    if hits.size:
-                        return x, (gens.array @ bs[hits[0]]) % p
+        prods = self.generator_mults()[:, :, self.generator_indices]  # [j, :, i] = g_j g_i
+        for block in itertools.islice(linalg.monic_blocks(p, e), linalg.SCAN_LINES // linalg.BLOCK_ROWS):
+            K = np.einsum("jdi,bi->bdj", prods, block) % p
+            null = e - linalg.rank_batch(K, p)
+            squares = np.einsum("bdj,bj->bd", K, block) % p
+            hits = ((null >= 2) | (null == 1) & squares.any(axis=1)) & block.any(axis=1)  # x != 0
+            if hits.any():
+                h = hits.argmax()
+                ker = linalg.kernel_basis(PrimeFieldMatrix._own(K[h], p)).array
+                b = ker[:, 1] if np.array_equal(ker[:, 0], block[h]) else ker[:, 0]
+                return gens.array @ block[h] % p, gens.array @ b % p
         return None
 
     def __repr__(self) -> str:

@@ -24,9 +24,6 @@ VERDICT_BOUNDED_BETTI = "Nontrivial_BoundedBetti"
 VERDICT_GOTO = "Nontrivial_GotoCondition"
 VERDICT_NECESSARY_FAIL = "NecessaryConditionsFail"
 VERDICT_INCONCLUSIVE = "Inconclusive"
-# monic lines scan_bounded_betti tries at most, a multiple of linalg.BLOCK_ROWS;
-# a ring has about p^(d-2) of them, so large p and long rings stop undecided
-SCAN_LINES = 1 << 20
 
 
 class DiagnosisReport:
@@ -55,7 +52,7 @@ def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
     tuples over the non-unit basis as base-p digits of 1, 2, 3, ... Both
     conditions hold for x exactly when they hold for its unit multiples, so
     only the monic tuples are scanned (linalg.monic_blocks), the first
-    SCAN_LINES of them.
+    linalg.SCAN_LINES of them, as in the orthogonal-pair search.
 
     (x) lies in (0:x) exactly when x^2 = 0, and then the two are equal
     exactly when their dimensions r and d - r agree, r the rank of
@@ -64,7 +61,7 @@ def scan_bounded_betti(A: LocalAlgebra) -> Optional[np.ndarray]:
     product for x^2 and one rank_batch."""
     p, d = A.p, A.dim
     proj, _, _ = linalg.complement_projection(A.maxideal_power(2).basis)
-    for block in itertools.islice(linalg.monic_blocks(p, d - 1), SCAN_LINES // linalg.BLOCK_ROWS):
+    for block in itertools.islice(linalg.monic_blocks(p, d - 1), linalg.SCAN_LINES // linalg.BLOCK_ROWS):
         coords = np.hstack([np.zeros((block.shape[0], 1), dtype=np.int64), block])
         coords = coords[(coords @ proj.T % p).any(axis=1)]  # x outside m^2
         mults = A.mult_stack(coords.T)
@@ -122,8 +119,10 @@ def diagnose(
         report.bounded_betti_x = bb
         witness = cyclic_module(A, A.principal_ideal(bb))
         report.bounded_betti_sequence = betti_numbers(witness, 6)
-    elif (lines := 1 + sum(A.p**j for j in range(A.dim - 1))) > SCAN_LINES:
-        report.notes.append(f"bounded-Betti scan stopped after {SCAN_LINES} of {lines} lines; not decided")
+    # an empty scan decides nothing when the monic lines of F_p^width outnumber its cap
+    for scan, found, width in (("orthogonal-pair", pair, inv.edim), ("bounded-Betti", bb, A.dim - 1)):
+        if found is None and (lines := 1 + sum(A.p**j for j in range(width))) > linalg.SCAN_LINES:
+            report.notes.append(f"{scan} scan stopped after {linalg.SCAN_LINES} of {lines} lines; not decided")
 
     if A.presentation is not None:
         hit = goto_check(A, A.presentation)

@@ -19,6 +19,9 @@ import numpy as np
 
 MAX_MODULUS = 1 << 16
 BLOCK_ROWS = 4096  # rows per block of the batched enumerations
+# monic lines a scan over monic_blocks tries at most, a multiple of BLOCK_ROWS;
+# F_p^width has about p^(width-1) of them, so large p and wide scans stop undecided
+SCAN_LINES = 1 << 20
 DETERMINANT_CELL_CAP = 1 << 22  # cells of one expansion row in reduced_determinant
 # row limit of the one-word F_2 elimination: each pivot visits every row in
 # Python. On the first k rows of the 64-column matrices `analyze` reduces on

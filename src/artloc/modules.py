@@ -768,12 +768,6 @@ class IsoResult(NamedTuple):
         return self.isomorphic
 
 
-def _top_functionals(M: FpModule) -> np.ndarray:
-    """The (mu, dim_M) rows of functionals vanishing exactly on mM: a fixed
-    map M -> M/mM."""
-    return linalg.kernel_basis(M.radical_subspace().transpose()).array.T
-
-
 def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
     """Decide M = N exactly. dim Hom(M, N) must equal dim End(M), cached on
     M, the first argument. By Nakayama, a hom between modules of equal
@@ -803,12 +797,13 @@ def is_isomorphic(M: FpModule, N: FpModule) -> IsoResult:
         return IsoResult(False, None)
     # Equal profiles give dim mM = dim mN, so mu(M) = mu(N) and, once read
     # on a basis of M/mM, the top maps are square.
-    top = _top_functionals(N)
+    top = linalg.complement_projection(N.radical_subspace())[0]
     tops = np.einsum("un,tin->tui", top, imgs) % p
     if imgs.shape[1] > len(top):
         # column k * dim_A of the cover is e_0 = 1 times generator k
         gens = _presentation_data(M).cover[:, :: A.dim]
-        basis = list(linalg.rref(PrimeFieldMatrix(_top_functionals(M) @ gens, p)).pivots)
+        top_M = linalg.complement_projection(M.radical_subspace())[0]
+        basis = list(linalg.rref(PrimeFieldMatrix(top_M @ gens, p)).pivots)
         tops = tops[:, :, basis]
     # the top maps of the first independent Hom basis elements span the image
     keep = list(linalg.rref(PrimeFieldMatrix(tops.reshape(len(tops), len(top) ** 2).T, p)).pivots)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -137,11 +138,19 @@ def test_orthogonal_pair_search(example1, pair, ci, dual):
         dual.find_orthogonal_generator_pair()
 
 
+def _all_monomials(variables, degree):
+    return ["".join(m) for m in itertools.combinations_with_replacement(variables, degree)]
+
+
 def test_orthogonal_pair_search_matches_the_brute_scan(example1, pair, stretched, ci, goto, inconclusive_ring):
     rings = [example1, pair, stretched, ci, goto, inconclusive_ring, catalog.pair_ring(5),
              catalog.pair_ring(7), catalog.example1_ring(3), catalog.complete_intersection_ring(3, 2, 3),
              make_ring(["x", "y"], ["x^2", "y^2"], 5), make_ring(["x", "y", "z"], ["x^2", "y^2", "z^2", "yz"], 3),
-             make_ring(["x", "y"], ["x^2-y^2", "x^3"], 5)]  # first pair (x + y, x - y)
+             make_ring(["x", "y"], ["x^2-y^2", "x^3"], 5),  # first pair (x + y, x - y)
+             catalog.pair_ring(31),  # kernel of dimension 2: y skips the line of x
+             make_ring(["x", "y"], ["x^2", "y^3"], 3),  # kernel is the line of x: x is rejected
+             make_ring(list("xyz"), _all_monomials("xyz", 3), 3),  # m^3 = 0: no pair
+             make_ring(list("xyz"), _all_monomials("xyz", 3), 5)]
     for A in rings:
         want = orthogonal_pair_brute(A.table, A.generator_set.array, A.p)
         got = A.find_orthogonal_generator_pair()
@@ -149,6 +158,20 @@ def test_orthogonal_pair_search_matches_the_brute_scan(example1, pair, stretched
             assert got is None, A
         else:
             assert got is not None and all(np.array_equal(g, w) for g, w in zip(got, want)), A
+
+
+def test_orthogonal_pair_search_at_the_largest_modulus():
+    """At p = 65521, where p^4 overflows int64, all of m^2 vanishing makes
+    the first two generators the first pair."""
+    A = make_ring(list("abcd"), _all_monomials("abcd", 2), 65521)
+    x, y = A.find_orthogonal_generator_pair()
+    assert np.array_equal(x, A.element_from_string("a")) and np.array_equal(y, A.element_from_string("b"))
+
+
+def test_orthogonal_pair_search_is_empty_when_only_m_cubed_vanishes():
+    """A product of two independent linear forms is a nonzero quadric, and
+    m^3 = 0 leaves degree 2 alone: no pair among the 3,907 lines at p = 5."""
+    assert make_ring(list("abcdef"), _all_monomials("abcdef", 3), 5).find_orthogonal_generator_pair() is None
 
 
 def test_check_axioms_accepts_corpus_rings(example1, stretched, pair):

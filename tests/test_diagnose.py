@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_scan_bounded_betti_stops_at_its_cap(monkeypatch):
     of F_5^7) takes exactly one block, finds nothing there, and diagnose
     says that the scan stopped undecided."""
     A = goto_ring(5)
-    monkeypatch.setattr(diagnose_module, "SCAN_LINES", linalg.BLOCK_ROWS)
+    monkeypatch.setattr(linalg, "SCAN_LINES", linalg.BLOCK_ROWS)
     real, blocks = linalg.monic_blocks, []
 
     def counted(p, width):
@@ -124,6 +125,27 @@ def test_scan_bounded_betti_stops_at_its_cap(monkeypatch):
     assert scan_bounded_betti(A) is None
     assert blocks == [linalg.BLOCK_ROWS]
     note = f"bounded-Betti scan stopped after {linalg.BLOCK_ROWS} of 19532 lines; not decided"
+    assert note in diagnose(A, depth=1).notes
+
+
+def test_orthogonal_pair_scan_stops_at_its_cap(monkeypatch):
+    """Capped at one block, the pair search over k[a,b,c,d]/(all cubics)
+    at p = 31 (30,785 monic lines of F_31^4) takes exactly one block, finds
+    no pair there, and diagnose says that the scan stopped undecided."""
+    cubics = ["".join(m) for m in itertools.combinations_with_replacement("abcd", 3)]
+    A = make_ring(list("abcd"), cubics, 31)
+    monkeypatch.setattr(linalg, "SCAN_LINES", linalg.BLOCK_ROWS)
+    real, blocks = linalg.monic_blocks, []
+
+    def counted(p, width):
+        for block in real(p, width):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(linalg, "monic_blocks", counted)
+    assert A.find_orthogonal_generator_pair() is None
+    assert blocks == [linalg.BLOCK_ROWS]
+    note = f"orthogonal-pair scan stopped after {linalg.BLOCK_ROWS} of 30785 lines; not decided"
     assert note in diagnose(A, depth=1).notes
 
 
