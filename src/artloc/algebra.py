@@ -32,20 +32,22 @@ class EdimTooSmallError(ValueError):
 class Presentation:
     """Polynomial origin of an algebra F_p[variables]/(relations): the
     matrices X_v multiplying by each variable v on the standard monomials,
-    the least t with v^t = 0 for each v, and the coordinates of the
-    monomials evaluated so far, seeded with the standard monomials.
-    Presentations compare by identity."""
+    the least t with v^t = 0 for each v, the degree of each standard
+    monomial (nondecreasing), and the coordinates of the monomials evaluated
+    so far, seeded with the standard monomials. Presentations compare by
+    identity."""
 
-    __slots__ = ("variables", "p", "relations", "variable_matrices", "nilpotency", "coordinates")
+    __slots__ = ("variables", "p", "relations", "variable_matrices", "nilpotency", "degrees", "coordinates")
 
     def __init__(self, variables: tuple[str, ...], p: int, relations: tuple[Polynomial, ...],
-                 variable_matrices: np.ndarray, nilpotency: tuple[int, ...],
+                 variable_matrices: np.ndarray, nilpotency: tuple[int, ...], degrees: tuple[int, ...],
                  coordinates: dict[Monomial, np.ndarray]):
         self.variables = variables
         self.p = p
         self.relations = relations
         self.variable_matrices = variable_matrices
         self.nilpotency = nilpotency
+        self.degrees = degrees
         self.coordinates = coordinates
 
     def monomial_vector(self, u: Monomial) -> np.ndarray:
@@ -89,6 +91,15 @@ class IdealSubspace:
         self.ambient = ambient
         self.basis = linalg.column_space(basis)
 
+    @classmethod
+    def _own(cls, ambient: "LocalAlgebra", basis: np.ndarray) -> "IdealSubspace":
+        """Wrap a (dim, r) array that is already the canonical basis
+        (linalg.column_space) of an ideal: no second elimination."""
+        ideal = cls.__new__(cls)
+        ideal.ambient = ambient
+        ideal.basis = PrimeFieldMatrix._own(basis, ambient.p)
+        return ideal
+
     @property
     def dim(self) -> int:
         return self.basis.cols
@@ -120,7 +131,7 @@ class IdealSubspace:
         """I J, the span of u * v over the basis vectors u of I and v of J."""
         A = self.ambient
         prods = linalg.span_of_products(A.mult_stack(self.basis.array), other.basis.array, A.p)
-        return IdealSubspace(A, prods)
+        return IdealSubspace._own(A, prods.array)
 
     def power(self, n: int) -> "IdealSubspace":
         if n < 0:
@@ -225,16 +236,15 @@ class LocalAlgebra:
         return IdealSubspace(self, PrimeFieldMatrix.zeros(self.dim, 0, self.p))
 
     def unit_ideal(self) -> IdealSubspace:
-        return IdealSubspace(self, PrimeFieldMatrix.identity(self.dim, self.p))
+        return IdealSubspace._own(self, np.eye(self.dim, dtype=np.int64))
 
     def maxideal(self) -> IdealSubspace:
-        basis = np.eye(self.dim, dtype=np.int64)[:, 1:]
-        return IdealSubspace(self, PrimeFieldMatrix(basis, self.p))
+        return IdealSubspace._own(self, np.eye(self.dim, dtype=np.int64)[:, 1:].copy())
 
     def ideal(self, generators: Sequence[np.ndarray]) -> IdealSubspace:
         """Ideal generated by the given elements: span of g * e_i."""
         gens = self.mult_stack(np.reshape(generators, (len(generators), self.dim)).T)
-        return IdealSubspace(self, linalg.span_of_products(gens, np.eye(self.dim, dtype=np.int64), self.p))
+        return IdealSubspace._own(self, linalg.span_of_products(gens, np.eye(self.dim, dtype=np.int64), self.p).array)
 
     def principal_ideal(self, v: np.ndarray) -> IdealSubspace:
         return self.ideal([v])
@@ -263,11 +273,46 @@ class LocalAlgebra:
     # -- invariants ------------------------------------------------------------------
 
     @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """deg e_i, nondecreasing: the degree of the i-th standard monomial
+        of the presentation, else (0, 1, ..., 1). A standard monomial of
+        degree k is a product of k nilpotent variables, so e_i lies in
+        m^(deg e_i), and T_k = span(e_i : deg e_i >= k), the tail of the
+        basis from index filtration_start(k) on, lies in m^k (Cox, Little &
+        O'Shea, Using Algebraic Geometry, ch. 2 sec. 4)."""
+        degs = self.presentation.degrees if self.presentation is not None else (0,) + (1,) * (self.dim - 1)
+        out = np.array(degs, dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
+    def filtration_start(self, k: int) -> int:
+        """The first basis index of T_k: the number of e_i of degree below k."""
+        return int(np.searchsorted(self.degrees, k))
+
+    def _head_span(self, vectors: np.ndarray, s: int) -> IdealSubspace:
+        """The ideal H + T with T = span(e_s, ..., e_{dim-1}) and H spanned
+        by the (s, c) array vectors of coordinates below s, when H + T is an
+        ideal. Its canonical basis is [column_space(H) | e_s ... e_{dim-1}]:
+        the rref rows of H, zero from s on, then the unit rows of T, so
+        only the s head rows are eliminated."""
+        head = linalg.column_space(PrimeFieldMatrix._own(vectors, self.p)).array
+        basis = np.zeros((self.dim, head.shape[1] + self.dim - s), dtype=np.int64)
+        basis[:s, : head.shape[1]] = head
+        basis[s:, head.shape[1] :] = np.eye(self.dim - s, dtype=np.int64)
+        return IdealSubspace._own(self, basis)
+
+    @functools.cached_property
     def generator_indices(self) -> np.ndarray:
         """The basis indices i of the minimal generators e_i of m: the
         lexicographically first basis completion of m^2 inside m over the
-        stored basis order. A module's m-action is action[generator_indices]."""
-        picks = linalg.greedy_completion(self.maxideal_square().basis, self.maxideal().basis)
+        stored basis order. A module's m-action is action[generator_indices].
+
+        Every e_i from filtration_start(2) on lies in m^2, so only the head
+        coordinates are completed: the head of m^2 by e_1, ..., e_{s-1}."""
+        s = self.filtration_start(2)
+        sq = self.maxideal_square().basis.array
+        head = PrimeFieldMatrix._own(sq[:s, : sq.shape[1] - (self.dim - s)], self.p)
+        picks = linalg.greedy_completion(head, PrimeFieldMatrix._own(np.eye(s, dtype=np.int64)[:, 1:], self.p))
         idx = np.array(picks, dtype=np.int64) + 1
         idx.setflags(write=False)
         return idx
@@ -288,32 +333,39 @@ class LocalAlgebra:
         return self._generator_mults
 
     def maxideal_square(self) -> IdealSubspace:
-        """m^2, the span of the table products e_i e_j with i, j >= 1."""
+        """m^2, the span of the table products e_i e_j with i, j >= 1, read
+        on the coordinates below filtration_start(2) (T_2 lies in m^2)."""
         if self._maxideal_square is None:
+            s = self.filtration_start(2)
             i, j = np.triu_indices(self.dim - 1)
-            products = self.table[i + 1, j + 1].T
-            self._maxideal_square = IdealSubspace(self, PrimeFieldMatrix._own(products, self.p))
+            self._maxideal_square = self._head_span(self.table[i + 1, j + 1, :s].T, s)
         return self._maxideal_square
-
-    def times_maxideal(self, ideal: IdealSubspace) -> IdealSubspace:
-        """m * I for an ideal I, as the span of g * I over the minimal
-        generators g of m: m = span(g) + m^2 and m is nilpotent, so the g
-        generate m (Nakayama) and m I = sum_g g A I = sum_g g I."""
-        return IdealSubspace(self, linalg.span_of_products(self.generator_mults(), ideal.basis.array, self.p))
 
     def maxideal_powers(self) -> tuple[IdealSubspace, ...]:
         """(m^0, m^1, ...) down to the first zero power, computed once.
 
-        The powers are generator products (times_maxideal), which are m^k
-        only when the generators g generate m as an ideal, i.e. when
+        m^k = T_k + H_k, H_k its part below s_k = filtration_start(k), and
+        m^k is spanned by the g v over the minimal generators g of m and the
+        basis vectors v of m^(k-1): a unit vector of T_(k-1), whose product
+        is a slice of the table, or a vector of H_(k-1). Only their
+        coordinates below s_k are eliminated (_head_span). With degrees
+        (0, 1, ..., 1) the T_k are zero and every product is eliminated.
+
+        The g v span m^k only when the g generate m as an ideal, i.e. when
         g m = m^2: then m = span(g) + g m lies in the ideal (g). Raises
         NotLocalError when that fails or when m^dim is not zero (the powers
         of a nilpotent m fall in dimension at every step).
         """
         if self._maxideal_powers is None:
+            gm = self.generator_mults()  # gm[g, a, b]: coordinate a of g e_b
             powers = [self.unit_ideal(), self.maxideal()]
             while not powers[-1].is_zero():
-                powers.append(self.times_maxideal(powers[-1]))
+                k = len(powers)
+                s0, s = self.filtration_start(k - 1), self.filtration_start(k)
+                basis = powers[-1].basis.array
+                head = basis[:s0, : basis.shape[1] - (self.dim - s0)]
+                prods = np.concatenate([gm[:, :s, s0:], linalg.matmul_mod(gm[:, :s, :s0], head, self.p)], axis=2)
+                powers.append(self._head_span(prods.transpose(1, 0, 2).reshape(s, -1), s))
                 if len(powers) > self.dim + 1 or powers[2] != self.maxideal_square():
                     raise NotLocalError("maximal ideal is not nilpotent")
             self._maxideal_powers = tuple(powers)
@@ -503,7 +555,8 @@ def from_presentation(variables: Sequence[str], relations: Sequence[Polynomial])
             w, t = X[v] @ w % p, t + 1
         nilpotency.append(t)
     coordinates = dict(zip(monomials, unit_vectors))
-    pres = Presentation(variables, p, tuple(relations), X, tuple(nilpotency), coordinates)
+    degrees = tuple(polyparse.monomial_degree(m) for m in monomials)
+    pres = Presentation(variables, p, tuple(relations), X, tuple(nilpotency), degrees, coordinates)
     # e_i e_j is the monomial m_i m_j: evaluate each distinct product once.
     # An exponent past its variable's nilpotency index t_v gives the same
     # zero as t_v itself, so capped at t_v the exponents are digits in radix

@@ -23,6 +23,7 @@ BLOCK_ROWS = 4096  # rows per block of the batched enumerations
 # F_p^width has about p^(width-1) of them, so large p and wide scans stop undecided
 SCAN_LINES = 1 << 20
 DETERMINANT_CELL_CAP = 1 << 22  # cells of one expansion row in reduced_determinant
+DENSE_CELL_CAP = 1 << 27  # cells of the dense block sparse_rref leaves after peeling (1 GiB of int64)
 # row limit of the one-word F_2 elimination: each pivot visits every row in
 # Python. On the first k rows of the 64-column matrices `analyze` reduces on
 # length-64 rings, the packed path was faster up to 224 rows and slower from
@@ -635,7 +636,8 @@ def sparse_rref(m: SparseMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     rows, so this repeats. The rows left over are zero on every peeled
     column, so their rref, from _row_reduce on the live rows and columns
     only, together with the e_c, is the rref of m. When no row peels, that
-    is _row_reduce on m at once."""
+    is _row_reduce on m at once. A block of more than DENSE_CELL_CAP cells
+    raises ValueError unbuilt."""
     n_rows, n_cols = m.shape
     row, col, val = m.row, m.col, m.val
     pivot = np.zeros(n_cols, dtype=bool)
@@ -651,6 +653,9 @@ def sparse_rref(m: SparseMatrix, p: int) -> tuple[np.ndarray, np.ndarray, np.nda
     live = np.zeros(n_cols, dtype=bool)
     live[col] = True
     cols, col_at = _positions(live)
+    if rows.size * cols.size > DENSE_CELL_CAP:
+        raise ValueError(f"dense elimination block too large: {rows.size} x {cols.size} = "
+                         f"{rows.size * cols.size} cells, over the cap of {DENSE_CELL_CAP}")
     block = np.zeros((rows.size, cols.size), dtype=np.int64)
     block[row_at[row], col_at[col]] = val
     rank, lead = _row_reduce(block, p)

@@ -25,7 +25,8 @@ class FpModule:
     """Module over a LocalAlgebra: action[i] is the matrix of e_i. Only the
     shape is checked; the package's constructions preserve the axioms."""
 
-    __slots__ = ("algebra", "dim", "action", "_profile", "_resolution", "_presentation", "_lift", "_end_dim", "_radical")
+    __slots__ = ("algebra", "dim", "action", "_profile", "_resolution", "_presentation", "_lift", "_end",
+                 "_end_dim", "_radical")
 
     def __init__(self, algebra: LocalAlgebra, action: np.ndarray):
         action = linalg._residues(np.asarray(action, dtype=np.int64), algebra.p)
@@ -39,6 +40,7 @@ class FpModule:
         self._resolution: Optional[Resolution] = None
         self._presentation: Optional[FreePresentation] = None
         self._lift: Optional[np.ndarray] = None
+        self._end: Optional[np.ndarray] = None
         self._end_dim: Optional[int] = None
         self._radical: Optional[PrimeFieldMatrix] = None
 
@@ -83,7 +85,7 @@ class FpModule:
         """Take homs out of this module through pres from now on. pres must
         present the module (A^b1 -> A^b0 -> M -> 0 exact), which is not
         checked here; it need not be minimal."""
-        self._presentation, self._lift = pres, None
+        self._presentation, self._lift, self._end = pres, None, None
 
     def __repr__(self) -> str:
         return f"FpModule(dim={self.dim} over p={self.algebra.p})"
@@ -634,12 +636,21 @@ def cover_lift(M: FpModule) -> np.ndarray:
 def _hom_images(M: FpModule, N: FpModule) -> np.ndarray:
     """The canonical basis of Hom_A(M, N) as generator images, shape
     (h, b0, dim_N): the kernel of d1^T acting on N^b0, d1 the relations of
-    _presentation_data(M), with b0 * dim_N unknowns instead of dim_M * dim_N."""
+    _presentation_data(M), with b0 * dim_N unknowns instead of dim_M * dim_N.
+    End(M) is computed once and kept on M until its presentation changes:
+    the census asks for it in is_isomorphic's gate, orbit_generators and the
+    Hom keys of the next level. A census keeps one per class, so it is
+    kept in the least unsigned dtype that holds p - 1."""
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
+    if M is N and M._end is not None:
+        return M._end.astype(np.int64)
     d1 = _presentation_data(M).relations
     ker = linalg.kernel_basis(d1.transpose().acting_on(N))
-    return ker.array.T.reshape(ker.cols, d1.rows, N.dim)
+    imgs = ker.array.T.reshape(ker.cols, d1.rows, N.dim)
+    if M is N:
+        M._end = imgs.astype(np.min_scalar_type(M.algebra.p - 1))
+    return imgs
 
 
 def hom_dim(M: FpModule, N: FpModule) -> int:

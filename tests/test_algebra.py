@@ -19,11 +19,12 @@ from artloc.algebra import (
     quotient_ring,
     tensor_product,
 )
-from artloc import catalog
+from artloc import catalog, linalg
 from artloc.catalog import dual_numbers, make_ring
 from artloc.cli import load_ring
 from artloc.diagnose import diagnose, goto_check
 from artloc.extensions import complement_ideal
+from artloc.linalg import PrimeFieldMatrix
 from artloc.modules import matlis_dual, regular_module
 from artloc import polyparse
 from artloc.polyparse import InfiniteDimensionError, Polynomial, parse_polynomial
@@ -384,21 +385,55 @@ def _non_monomial_rings(pair, stretched, example1):
     ]
 
 
+def _presentation_rings():
+    """Algebras from presentations. Graded: every ring file but stretched,
+    monomial64, and three ring-load draws of seed 0 (candidates 0, 3 and
+    6). Not graded, at p = 2, 3 and 5: stretched and three rings whose
+    relations mix degrees."""
+    rings = [load_ring(str(path)).algebra for path in sorted(RINGS.glob("*.ring"))]
+    rings.append(load_ring(str(RINGS.parent / "perfbench" / "rings" / "monomial64.ring")).algebra)
+    for a, b, c in [("", "", ""), ("2", "2", ""), ("", "2", "2")]:
+        rings.append(make_ring(["x", "y", "z"], [f"{a}x^4+{b}y^3z", f"{c}y^4+z^3x", "z^4+x^3y"], 3))
+    for p in (2, 3, 5):
+        rings += [
+            catalog.stretched_ring(p),
+            make_ring(["x", "y"], ["x - y^2", "y^7"], p),
+            make_ring(["x", "y", "z"], ["x^4 - y^3", "y^4 - z^3", "z^4", "xyz"], p),
+            make_ring(["x", "y"], ["x^2 + y^3", "y^4"], p),
+        ]
+    return rings
+
+
 def test_maxideal_powers_and_socle_match_the_per_column_chain(pair, stretched, example1):
     """The generator products give the same canonical bases, byte for byte,
-    as multiplying by every basis vector of m."""
-    for A in _non_monomial_rings(pair, stretched, example1):
+    as multiplying by every basis vector of m, and the minimal generators
+    are the greedy completion of that m^2 over the whole basis of m: on
+    tensor products, idealizations and quotients, whose degrees are
+    (0, 1, ..., 1), and on presentations, where only the part of m^k below
+    degree k is eliminated. That part is nonzero in each of the 13 rings
+    that are not graded."""
+    below = 0
+    for A in _non_monomial_rings(pair, stretched, example1) + _presentation_rings():
         want = maxideal_powers_loop(A.table, A.p)
         got = A.maxideal_powers()
         assert len(got) == len(want), A
+        chain = A.unit_ideal()  # m.power(k), one product by m at a time
         for k, (ideal, basis) in enumerate(zip(got, want)):
             assert ideal.basis.shape == basis.shape and ideal.basis.array.tobytes() == basis.tobytes(), (A, k)
             assert A.maxideal_power(k) is ideal
-            assert A.maxideal().power(k) == ideal
+            assert chain == ideal
+            chain = chain.product(A.maxideal())
         assert A.maxideal_power(len(got)).is_zero()
+        below += A.presentation is not None and any(
+            ideal.dim > A.dim - A.filtration_start(k) for k, ideal in enumerate(got))
+        m = PrimeFieldMatrix(np.eye(A.dim, dtype=np.int64)[:, 1:], A.p)
+        picks = linalg.greedy_completion(PrimeFieldMatrix(want[2], A.p), m)
+        assert A.generator_indices.tolist() == [i + 1 for i in picks], A
         soc = socle_loop(A.table, A.p)
         assert A.socle().basis.shape == soc.shape and A.socle().basis.array.tobytes() == soc.tobytes(), A
-        assert check_axioms(A) == [], A
+        # constructed tables only: check_axioms takes a second per length-64 presentation
+        assert A.presentation is not None or check_axioms(A) == [], A
+    assert below == 13
 
 
 def test_long_monomial_ring_invariants():

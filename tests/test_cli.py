@@ -145,6 +145,19 @@ def test_resolve_betti_line(capsys):
     assert "betti: 1, 1, 1, 1" in out.out
 
 
+def test_resolve_stops_before_a_dense_block_over_the_cap(monkeypatch, capsys):
+    """sparse_rref raises before it allocates a dense block of more than
+    linalg.DENSE_CELL_CAP cells, and resolve exits 2 naming the block and
+    the cap. Capped at 56 x 264 cells, the resolution of k over example1
+    runs four steps, that block's exactly at the cap, and stops at step 5's
+    209 x 988 block."""
+    monkeypatch.setattr(linalg, "DENSE_CELL_CAP", 56 * 264)
+    assert main(["resolve", _ring("example1.ring"), "--steps", "4", "--quiet"]) == 0
+    assert main(["resolve", _ring("example1.ring"), "--steps", "5", "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: dense elimination block too large: 209 x 988 = 206492 cells, over the cap of 14784\n")
+
+
 def test_resolve_json_includes_differentials(tmp_path):
     target = tmp_path / "report.json"
     code = main(
@@ -553,21 +566,59 @@ def test_json_reports_are_deterministic(tmp_path):
          "838a983a9b85919194cb8164abfaad95264a81f45c28b7aa89083197b9daa7d9"),
         (["matrix-check", "dual_numbers.ring", "--element", "x", "--upper", "1"],
          "92b1406bf7b3321345027d81a693d2fee321ceecc7b4b76fd9489a359e03dc46"),
+        (["analyze", "complete_intersection.ring"],
+         "e576cd4bc37a4f6659f3f3208acf7bd7698b811c081d57daeabfe1e4bbd4fdb9"),
+        (["analyze", "dual_numbers.ring"],
+         "569f1956432ceb6e55a3534e83c9963989b299c1cc2c1d9c284c583f896a38ee"),
+        (["analyze", "example1.ring"],
+         "3445ae5fbe944f8df61e241939afc01d3ac3844433918a0332d6c8ebc855bfd2"),
+        (["analyze", "goto.ring"],
+         "f818aa91d6e9a517535496943c48287333d342e03f60bfa90dfc4a736094248c"),
+        (["analyze", "hypersurface4.ring"],
+         "6e6209ed9073446623f904d5d86f0c0ae94b465a76965ceeeeef8363277dc299"),
+        (["analyze", "pair.ring"],
+         "732a43cbb67444038bdcf0dcfab71e7880f964e9135fd8918978f8ce5a2025e3"),
+        # the one ring file that is not graded: m^k has a part below degree k
+        (["analyze", "stretched.ring"],
+         "81aa6286891abf52e806439b85d95b1b06b481e28e120ef143fdcc2c7a8f8a9e"),
+        (["analyze", "monomial64.ring"],
+         "41285335e0241fcf8fc7dcb98b3aca831e8e32e62a44d12fa8b9670c608f3de8"),
+        (["analyze", "gorenstein64-seed0.ring"],
+         "c10dfa160751c540f2a86cee141d2cf8c459b9a2eca7b3576800ad70e7836963"),
     ],
     ids=["filt-example1-3", "filt-goto-4", "closure-stretched-3", "closure-stretched-4", "closure-goto-5",
          "filt-pair5-4", "filt-goto-4-budget10", "closure-goto-4-budget10", "diagnose-ci-2", "diagnose-dual-2",
          "diagnose-example1-2", "diagnose-goto-2", "diagnose-hypersurface4-2", "diagnose-pair-2",
-         "diagnose-stretched-2", "ext1-goto-kR", "matrix-check-dual-x-1"],
+         "diagnose-stretched-2", "ext1-goto-kR", "matrix-check-dual-x-1", "analyze-ci", "analyze-dual",
+         "analyze-example1", "analyze-goto", "analyze-hypersurface4", "analyze-pair", "analyze-stretched",
+         "analyze-monomial64", "analyze-gorenstein64-seed0"],
 )
 def test_json_reports_keep_their_pinned_bytes(argv, digest, tmp_path):
     """Which cocycles filt builds may change; the reported classes, their
     order, presentations and verdicts may not. These reports are pinned by
     SHA-256 to the bytes the full scan of monic cocycles produced; the
     diagnose, ext1, matrix-check and budget-stopped reports to the bytes
-    they had before they were built from the library's records."""
+    they had before they were built from the library's records; the
+    analyze reports to the bytes they had while every power of m was
+    eliminated whole."""
     target = tmp_path / "report.json"
-    assert main([argv[0], _ring(argv[1]), *argv[2:], "--json", str(target), "--quiet"]) == 0
+    assert main([argv[0], _pinned_ring(argv[1], tmp_path), *argv[2:], "--json", str(target), "--quiet"]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# the ring-load draw of seed 0: every coefficient of the three quartics is 1
+GORENSTEIN64_SEED0 = ("# seeded ring-load draw (seed 0): three quartics over F_3, coefficients (1, 1, 1, 1, 1, 1)\n"
+                      "p=3 vars=x,y,z\nx^4+y^3z\ny^4+z^3x\nz^4+x^3y\n")
+
+
+def _pinned_ring(name: str, tmp_path) -> str:
+    """A file of rings/, the benchmark's monomial64.ring, or the seed-0
+    ring-load draw written to tmp_path."""
+    if name == "monomial64.ring":
+        return str(ROOT / "perfbench" / "rings" / name)
+    if name == "gorenstein64-seed0.ring":
+        return _write(tmp_path, GORENSTEIN64_SEED0)
+    return _ring(name)
 
 
 @pytest.mark.parametrize(

@@ -783,6 +783,31 @@ def test_keys_reduce_each_hom_constraint_once(goto, monkeypatch):
     assert count("keys_for", "hom_space_matrices") == count("keys_for", "_hom_matrices") == 0
 
 
+@pytest.mark.parametrize("ring, depth", [("goto", 4), ("stretched", 3)])
+def test_census_reduces_each_end_constraint_once(ring, depth, request, monkeypatch):
+    """End(Y) is asked for by is_isomorphic's gate on a new class, then by
+    HomSequenceKeys and orbit_generators when Y is extended and by keys_for
+    when Y is its own test; the kernel of Y's End constraint
+    d1(Y)^T acting on Y is taken once per class all the same, and exactly
+    once for every class that is extended."""
+    A = request.getfixturevalue(ring)
+    reduced = []
+    real = linalg.kernel_basis
+
+    def spy(m):
+        reduced.append((m.shape, m.array.tobytes()))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "kernel_basis", spy)
+    levels = filt_enumerate(A, closure_element(A), depth)
+    for lev, nodes in enumerate(levels, start=1):
+        for node in nodes:
+            M = node.module
+            D = modules._presentation_data(M).relations.transpose().acting_on(M)
+            times = reduced.count((D.shape, D.array.tobytes()))
+            assert times == 1 if lev < depth else times <= 1, (lev, times)
+
+
 def test_filt_resolves_only_modules_that_become_classes(goto, monkeypatch):
     """Bucket keys come from the cocycles, and every class above level 1
     takes its homs through its verified triangular presentation, so the
